@@ -23,7 +23,7 @@ from .errors import (
 )
 from .exact import TruncationConfig, fermionic_identity_check
 from .meanfield import critical_inverse_temperature, free_energy_diff, solve_gap
-from .model import CONFIG_KEYS, ModelParams, Thermo, effective_coupling, validate
+from .model import CONFIG_KEYS, _check_mapping_keys, effective_coupling, params_from_mapping
 from .sweep import (
     GridSpec,
     evaluate_point,
@@ -104,12 +104,7 @@ def _merged_config(args) -> dict:
                 raise DomainError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise DomainError("config file must hold a JSON object")
-        unknown = sorted(set(raw) - set(CONFIG_KEYS))
-        if unknown:
-            raise DomainError(f"unknown parameter key(s): {', '.join(unknown)}")
-        for key, value in raw.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise DomainError(f"{key} must be a number, got {value!r}")
+        _check_mapping_keys(raw)
         merged.update(raw)
     for key, dest in _FLAG_DESTS.items():
         value = getattr(args, dest, None)
@@ -122,19 +117,6 @@ def _require_fields(config: dict, fields) -> None:
     for field in fields:
         if field not in config:
             raise DomainError(f"missing required parameter: {field}")
-
-
-def _params_from_config(config: dict) -> ModelParams:
-    _require_fields(config, ("omega0", "Omega", "g1", "g2", "lambda"))
-    return validate(
-        ModelParams(
-            omega0=config["omega0"],
-            Omega=config["Omega"],
-            g1=config["g1"],
-            g2=config["g2"],
-            lam=config["lambda"],
-        )
-    )
 
 
 def _maybe_dump_config(args, config) -> bool:
@@ -175,7 +157,8 @@ def _cmd_tc(args) -> int:
     config = _merged_config(args)
     if _maybe_dump_config(args, config):
         return 0
-    params = _params_from_config(config)
+    config.pop("beta", None)  # T_c needs no temperature; a given beta is not validated
+    params, _ = params_from_mapping(config)
     G = effective_coupling(params).G
     ratio = params.omega0 * params.Omega / G if G != 0 else None
     beta_c = critical_inverse_temperature(params)
@@ -217,9 +200,7 @@ def _cmd_oracle(args) -> int:
     config = _merged_config(args)
     if _maybe_dump_config(args, config):
         return 0
-    _require_fields(config, CONFIG_KEYS)
-    params = _params_from_config(config)
-    thermo = Thermo(config["beta"])
+    params, thermo = params_from_mapping(config, require_beta=True)
     try:
         n_list = [int(chunk) for chunk in str(args.N).split(",")]
     except ValueError as exc:
@@ -242,9 +223,7 @@ def _cmd_fermion_check(args) -> int:
     config = _merged_config(args)
     if _maybe_dump_config(args, config):
         return 0
-    _require_fields(config, CONFIG_KEYS)
-    params = _params_from_config(config)
-    thermo = Thermo(config["beta"])
+    params, thermo = params_from_mapping(config, require_beta=True)
     if args.n_max is not None:
         trunc = TruncationConfig(args.n_max, args.tol)
     else:

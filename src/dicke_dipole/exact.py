@@ -1,6 +1,9 @@
 """Finite-N exact diagonalization oracle for the dipole-coupled Dicke model.
 
-Builds the N-atom Hamiltonian on a truncated boson Fock space in three bases:
+The N-atom Hamiltonian on a truncated boson Fock space is assembled once, by
+_hamiltonian, from a spin space's S^+, S^z and dipole exchange.  The three
+bases differ only in those spin operators; the product and fermion bases
+build them alike, from per-site blocks (_site_sums):
 
   * full product basis: N spin-1/2 tensor factors (sigma^z = diag(+1,-1),
     sigma^+ = |up><down| per site) times Fock states |0..n_max>, with the
@@ -95,13 +98,6 @@ class SpectralData:
     occupations: np.ndarray | None = None
 
 
-def _boson_ops(n_max: int):
-    occ = np.arange(n_max + 1, dtype=float)
-    lower = sparse.diags(np.sqrt(occ[1:]), 1, format="csr")  # <n-1|b|n> = sqrt(n)
-    number = sparse.diags(occ, format="csr")
-    return lower, number
-
-
 def _embed(site_op, i: int, n_sites: int, site_dim: int) -> sparse.csr_matrix:
     """site_op acting on site i, identity elsewhere (site 0 leftmost)."""
     left = sparse.identity(site_dim**i, format="csr")
@@ -110,12 +106,13 @@ def _embed(site_op, i: int, n_sites: int, site_dim: int) -> sparse.csr_matrix:
 
 
 def _diagonalize(h, basis, n_atoms, n_max, sector_j, want_occupations):
-    hd = h.toarray() if sparse.issparse(h) else np.asarray(h)
-    deviation = float(np.abs(hd - hd.conj().T).max())
+    # checked on the sparse matrix, so only one dense copy is ever made
+    deviation = float(abs(h - h.conj().T).max())
     if deviation > HERMITICITY_TOL:
         raise HermiticityError(
             f"max |H - H^dag| entry = {deviation:.3e} exceeds {HERMITICITY_TOL:g}"
         )
+    hd = h.toarray()
     dim = hd.shape[0]
     if want_occupations:
         vals, vecs = np.linalg.eigh(hd)
@@ -128,6 +125,51 @@ def _diagonalize(h, basis, n_atoms, n_max, sector_j, want_occupations):
     return SpectralData(vals, dim, basis, n_atoms, n_max, sector_j, occupations)
 
 
+def _hamiltonian(params, n_atoms, n_max, s_p, s_z, exchange):
+    """The five-term Hamiltonian on spin x Fock, boson index fastest:
+
+        (lam/N) X + Omega S^z + omega0 b'b
+        + (g1/sqrt N) (S^+ b + S^- b') + (g2/sqrt N) (S^- b + S^+ b'),
+
+    with S^- = (S^+)' and X the dipole exchange, given in the spin space of
+    whichever basis supplies s_p, s_z and exchange.
+    """
+    s_m = s_p.T.tocsr()
+    occ = np.arange(n_max + 1, dtype=float)
+    lower = sparse.diags(np.sqrt(occ[1:]), 1, format="csr")  # <n-1|b|n> = sqrt(n)
+    raise_op = lower.T.tocsr()
+    number = sparse.diags(occ, format="csr")
+    eye_s = sparse.identity(s_p.shape[0], format="csr")
+    eye_b = sparse.identity(n_max + 1, format="csr")
+    scale = 1.0 / math.sqrt(n_atoms)
+    return (
+        sparse.kron((params.lam / n_atoms) * exchange, eye_b)
+        + sparse.kron(params.Omega * s_z, eye_b)
+        + sparse.kron(eye_s, params.omega0 * number)
+        + params.g1 * scale * (sparse.kron(s_p, lower) + sparse.kron(s_m, raise_op))
+        + params.g2 * scale * (sparse.kron(s_m, lower) + sparse.kron(s_p, raise_op))
+    )
+
+
+def _site_sums(site_ops, n_atoms: int):
+    """(S^+, S^z, exchange) from one site's (sigma^z, sigma^+) blocks: the
+    site sums of sigma^+ and sigma^z/2, and the ordered-pair sum over i != j
+    of sigma^+_i sigma^-_j (never the collective identity, which the tests
+    check against this construction)."""
+    sz1, sp1 = (sparse.csr_matrix(op) for op in site_ops)
+    site_dim = sz1.shape[0]
+    sz = [_embed(sz1, i, n_atoms, site_dim) for i in range(n_atoms)]
+    sp = [_embed(sp1, i, n_atoms, site_dim) for i in range(n_atoms)]
+    sm = [op.T.tocsr() for op in sp]
+    dim = site_dim**n_atoms
+    exchange = sparse.csr_matrix((dim, dim))
+    for i in range(n_atoms):
+        for j in range(n_atoms):
+            if i != j:
+                exchange = exchange + sp[i] @ sm[j]
+    return sum(sp[1:], sp[0]), 0.5 * sum(sz[1:], sz[0]), exchange
+
+
 def build_full(
     params: ModelParams,
     n_atoms: int,
@@ -136,9 +178,8 @@ def build_full(
 ) -> SpectralData:
     """Dense spectrum in the full 2^N x (n_max+1) product basis.
 
-    The dipole term is assembled directly from ordered pairs of one-site
-    operators (never through the collective identity, which is checked
-    against this construction in the tests).
+    The dipole term is the ordered-pair sum of one-site operators (see
+    _site_sums).
     """
     validate(params)
     if not isinstance(n_atoms, int) or not 1 <= n_atoms <= MAX_ATOMS_FULL:
@@ -148,34 +189,8 @@ def build_full(
         raise DimensionError(
             f"full-product dimension {dim} exceeds the cap {FULL_DIM_CAP}"
         )
-    sz1 = sparse.diags([1.0, -1.0], format="csr")
-    sp1 = sparse.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    sz = [_embed(sz1, i, n_atoms, 2) for i in range(n_atoms)]
-    sp = [_embed(sp1, i, n_atoms, 2) for i in range(n_atoms)]
-    sm = [op.T.tocsr() for op in sp]
-
-    lower, number = _boson_ops(trunc.n_max)
-    raise_op = lower.T.tocsr()
-    spin_dim = 2**n_atoms
-    eye_s = sparse.identity(spin_dim, format="csr")
-    eye_b = sparse.identity(trunc.n_max + 1, format="csr")
-
-    dipole = sparse.csr_matrix((spin_dim, spin_dim))
-    for i in range(n_atoms):
-        for j in range(n_atoms):
-            if i != j:
-                dipole = dipole + sp[i] @ sm[j]
-
-    jp = sum(sp[1:], sp[0])
-    jm = sum(sm[1:], sm[0])
-    scale = 1.0 / math.sqrt(n_atoms)
-    h = (
-        sparse.kron((params.lam / n_atoms) * dipole, eye_b)
-        + sparse.kron((params.Omega / 2.0) * sum(sz[1:], sz[0]), eye_b)
-        + sparse.kron(eye_s, params.omega0 * number)
-        + params.g1 * scale * (sparse.kron(jp, lower) + sparse.kron(jm, raise_op))
-        + params.g2 * scale * (sparse.kron(jm, lower) + sparse.kron(jp, raise_op))
-    )
+    site_ops = (np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [0.0, 0.0]]))
+    h = _hamiltonian(params, n_atoms, trunc.n_max, *_site_sums(site_ops, n_atoms))
     return _diagonalize(h, "full_product", n_atoms, trunc.n_max, None, want_occupations)
 
 
@@ -221,22 +236,8 @@ def build_collective(
     m = -float(j) + np.arange(spin_dim, dtype=float)
     s_z = sparse.diags(m, format="csr")
     s_p = sparse.diags(np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0)), -1, format="csr")
-    s_m = s_p.T.tocsr()
-
-    lower, number = _boson_ops(trunc.n_max)
-    raise_op = lower.T.tocsr()
-    eye_s = sparse.identity(spin_dim, format="csr")
-    eye_b = sparse.identity(trunc.n_max + 1, format="csr")
-
-    exchange = s_p @ s_m - 0.5 * (n_atoms * eye_s + 2.0 * s_z)
-    scale = 1.0 / math.sqrt(n_atoms)
-    h = (
-        sparse.kron((params.lam / n_atoms) * exchange, eye_b)
-        + sparse.kron(params.Omega * s_z, eye_b)  # (Omega/2) J^z = Omega S^z
-        + sparse.kron(eye_s, params.omega0 * number)
-        + params.g1 * scale * (sparse.kron(s_p, lower) + sparse.kron(s_m, raise_op))
-        + params.g2 * scale * (sparse.kron(s_m, lower) + sparse.kron(s_p, raise_op))
-    )
+    exchange = s_p @ s_p.T - sparse.diags(0.5 * (n_atoms + 2.0 * m))
+    h = _hamiltonian(params, n_atoms, trunc.n_max, s_p, s_z, exchange)
     return _diagonalize(h, "collective", n_atoms, trunc.n_max, float(j), want_occupations)
 
 
@@ -408,13 +409,13 @@ def thermal_boson_occupation(
 
 
 def _fermion_site_ops():
-    """4x4 blocks on one site's {|00>, |01>, |10>, |11>} = |n_a n_b> space."""
+    """sigma^z, sigma^+ as 4x4 blocks on one site's {|00>, |01>, |10>, |11>} =
+    |n_a n_b> space, and the diagonal of that site's fermion number."""
     sz = np.diag([0.0, -1.0, 1.0, 0.0])  # a'a - b'b
     sp = np.zeros((4, 4))
     sp[2, 1] = 1.0  # a'b : |01> -> |10>, annihilated on |11> and |00>
-    sm = sp.T.copy()  # b'a
-    nf = np.diag([0.0, 1.0, 1.0, 2.0])  # a'a + b'b
-    return sz, sp, sm, nf
+    nf = np.array([0.0, 1.0, 1.0, 2.0])  # a'a + b'b
+    return sz, sp, nf
 
 
 def fermionic_identity_check(
@@ -438,36 +439,11 @@ def fermionic_identity_check(
 
     spin_side = build_full(params, n_atoms, trunc)
 
-    sz1, sp1, sm1, nf1 = (sparse.csr_matrix(op) for op in _fermion_site_ops())
-    sz = [_embed(sz1, i, n_atoms, 4) for i in range(n_atoms)]
-    sp = [_embed(sp1, i, n_atoms, 4) for i in range(n_atoms)]
-    sm = [_embed(sm1, i, n_atoms, 4) for i in range(n_atoms)]
-    nf = [_embed(nf1, i, n_atoms, 4) for i in range(n_atoms)]
+    sz1, sp1, nf1 = _fermion_site_ops()
+    h_f = _hamiltonian(params, n_atoms, trunc.n_max, *_site_sums((sz1, sp1), n_atoms)).toarray()
 
-    lower, number = _boson_ops(trunc.n_max)
-    raise_op = lower.T.tocsr()
-    site_dim = 4**n_atoms
-    eye_s = sparse.identity(site_dim, format="csr")
-    eye_b = sparse.identity(trunc.n_max + 1, format="csr")
-
-    exchange = sparse.csr_matrix((site_dim, site_dim))
-    for i in range(n_atoms):
-        for j in range(n_atoms):
-            if i != j:
-                exchange = exchange + sp[i] @ sm[j]
-
-    jp = sum(sp[1:], sp[0])
-    jm = sum(sm[1:], sm[0])
-    scale = 1.0 / math.sqrt(n_atoms)
-    h_f = (
-        sparse.kron((params.lam / n_atoms) * exchange, eye_b)
-        + sparse.kron((params.Omega / 2.0) * sum(sz[1:], sz[0]), eye_b)
-        + sparse.kron(eye_s, params.omega0 * number)
-        + params.g1 * scale * (sparse.kron(jp, lower) + sparse.kron(jm, raise_op))
-        + params.g2 * scale * (sparse.kron(jm, lower) + sparse.kron(jp, raise_op))
-    ).toarray()
-
-    nf_diag = sparse.kron(sum(nf[1:], nf[0]), eye_b).toarray().diagonal().copy()
+    # N_F of each basis state: the site occupations summed over an open mesh
+    nf_diag = np.repeat(sum(np.ix_(*[nf1] * n_atoms)).ravel(), trunc.n_max + 1)
     # [H_F, diag(N_F)]_{kl} = H_{kl} (n_l - n_k)
     commutator = h_f * (nf_diag[None, :] - nf_diag[:, None])
     worst = float(np.abs(commutator).max())

@@ -105,3 +105,34 @@ def product_basis_spin_ops(n_atoms):
         sz.append(oz)
         sp.append(op)
     return sz, sp
+
+
+def full_product_hamiltonian(omega0, Omega, g1, g2, lam, n_atoms, n_max):
+    """Dense N-atom Hamiltonian on 2^N spin states x Fock |0..n_max>.
+
+    The boson index is fastest.  Spin operators come from
+    product_basis_spin_ops, the boson from explicit matrices, and the dipole
+    exchange is the ordered-pair sum over i != j of sigma^+_i sigma^-_j:
+
+        H = omega0 b'b + (Omega/2) sum_i sigma^z_i + (lam/N) exchange
+            + (g1/sqrt N) (J^+ b + J^- b') + (g2/sqrt N) (J^- b + J^+ b').
+    """
+    sz, sp = product_basis_spin_ops(n_atoms)
+    spin_dim = 2**n_atoms
+    occ = np.arange(n_max + 1, dtype=float)
+    lower = np.diag(np.sqrt(occ[1:]), 1)
+    exchange = np.zeros((spin_dim, spin_dim))
+    for i in range(n_atoms):
+        for j in range(n_atoms):
+            if i != j:
+                exchange += sp[i] @ sp[j].T
+    jp = sum(sp)
+    jm = jp.T
+    spin_part = 0.5 * Omega * sum(sz) + (lam / n_atoms) * exchange
+    c = 1.0 / math.sqrt(n_atoms)
+    return (
+        np.kron(spin_part, np.eye(n_max + 1))
+        + np.kron(np.eye(spin_dim), omega0 * np.diag(occ))
+        + g1 * c * (np.kron(jp, lower) + np.kron(jm, lower.T))
+        + g2 * c * (np.kron(jm, lower) + np.kron(jp, lower.T))
+    )

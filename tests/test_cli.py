@@ -168,6 +168,22 @@ def test_oracle_table_output(capsys):
     assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "inf"]
 
 
+def test_oracle_table_golden(capsys):
+    code, out, _ = run(capsys, [
+        "oracle", "--omega0", "1", "--Omega", "1", "--g1", "0.4", "--g2", "0.4",
+        "--lambda", "0.1", "--beta", "1.0", "--N", "1,2,3", "--n-max", "8",
+        "--digits", "12",
+    ])
+    assert code == 0
+    assert out == (
+        "N,f_diff_exact,boson_occupation,f_diff_mf,b0_sq_mf\n"
+        "1,-0.148728184198,0.730996997007,0,0\n"
+        "2,-0.0782254988351,0.37446246199,0,0\n"
+        "3,-0.0531965374422,0.252306928279,0,0\n"
+        "inf,0,0,0,0\n"
+    )
+
+
 def test_fermion_check_passes(capsys):
     code, out, _ = run(capsys, [
         "fermion-check", "--omega0", "1", "--Omega", "1", "--g1", "0.7",

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from dicke_dipole import (
     DimensionError,
     DomainError,
+    HermiticityError,
     ModelParams,
     Thermo,
     TruncationConfig,
@@ -23,8 +25,8 @@ from dicke_dipole import (
     solve_gap,
     thermal_boson_occupation,
 )
-from dicke_dipole.exact import _ln_z_sectors
-from oracles import product_basis_spin_ops, rabi_hamiltonian
+from dicke_dipole.exact import _diagonalize, _ln_z_sectors
+from oracles import full_product_hamiltonian, product_basis_spin_ops, rabi_hamiltonian
 
 P_MIXED = ModelParams(1.0, 1.0, 0.5, 0.5, 0.3)
 
@@ -46,6 +48,16 @@ def test_noninteracting_two_atom_spectrum():
     bosons = [0.0, 0.9]
     expected = np.sort([s + b for s in spins for b in bosons])
     assert np.abs(spec.eigenvalues - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("lam", [0.35, -0.45])
+def test_full_spectrum_matches_dense_oracle(lam):
+    # g1, g2 and lam all nonzero, against a dense build that never calls the package
+    couplings = (1.1, 0.9, 0.5, 0.3, lam)
+    spec = build_full(ModelParams(*couplings), 3, TruncationConfig(6))
+    reference = np.linalg.eigvalsh(full_product_hamiltonian(*couplings, 3, 6))
+    assert spec.dimension == 56
+    assert np.abs(spec.eigenvalues - reference).max() < 1e-12
 
 
 def test_full_and_collective_ground_energies_agree():
@@ -83,6 +95,12 @@ def test_collective_exchange_identity_in_product_basis():
     jz = sum(sz)
     collective = jp @ jp.T - 0.5 * (n_atoms * np.eye(8) + jz)
     assert np.abs(direct - collective).max() < 1e-12
+
+
+def test_diagonalize_rejects_non_hermitian_matrix():
+    h = sparse.csr_matrix(np.array([[0.0, 1e-9], [0.0, 0.0]]))
+    with pytest.raises(HermiticityError, match="1.000e-09 exceeds 1e-12"):
+        _diagonalize(h, "full_product", 1, 0, None, False)
 
 
 def test_build_full_caps():
