@@ -23,7 +23,7 @@ from .errors import (
 )
 from .exact import TruncationConfig, fermionic_identity_check
 from .meanfield import critical_inverse_temperature, free_energy_diff, solve_gap
-from .model import CONFIG_KEYS, _check_mapping_keys, effective_coupling, params_from_mapping
+from .model import _check_mapping_keys, effective_coupling, params_from_mapping
 from .sweep import (
     GridSpec,
     evaluate_point,
@@ -113,12 +113,6 @@ def _merged_config(args) -> dict:
     return merged
 
 
-def _require_fields(config: dict, fields) -> None:
-    for field in fields:
-        if field not in config:
-            raise DomainError(f"missing required parameter: {field}")
-
-
 def _maybe_dump_config(args, config) -> bool:
     if getattr(args, "dump_config", False):
         print(json.dumps(config, sort_keys=True))
@@ -157,8 +151,7 @@ def _cmd_tc(args) -> int:
     config = _merged_config(args)
     if _maybe_dump_config(args, config):
         return 0
-    config.pop("beta", None)  # T_c needs no temperature; a given beta is not validated
-    params, _ = params_from_mapping(config)
+    params, _ = params_from_mapping(config)  # a given beta is validated, then unused
     G = effective_coupling(params).G
     ratio = params.omega0 * params.Omega / G if G != 0 else None
     beta_c = critical_inverse_temperature(params)
@@ -173,7 +166,6 @@ def _record_json(args) -> int:
     config = _merged_config(args)
     if _maybe_dump_config(args, config):
         return 0
-    _require_fields(config, CONFIG_KEYS)
     record = evaluate_point(config)
     _print_json(args, record_to_mapping(record))
     return 0
@@ -239,7 +231,9 @@ def _cmd_boundary(args) -> int:
     config = _merged_config(args)
     if _maybe_dump_config(args, config):
         return 0
-    _require_fields(config, ("omega0", "Omega", "g1", "g2"))
+    for field in ("omega0", "Omega", "g1", "g2"):
+        if field not in config:
+            raise DomainError(f"missing required parameter: {field}")
     points = phase_boundary(
         config["omega0"],
         config["Omega"],
@@ -277,7 +271,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="evaluate a 2-axis parameter grid")
     p_sweep.add_argument("--grid", required=True, help="JSON grid spec file")
-    p_sweep.add_argument("--jobs", type=int, default=1, action=_UniqueStore)
+    p_sweep.add_argument("--jobs", type=int, default=1, action=_UniqueStore,
+                         help="accepted for interface stability; the grid is solved in one pass")
     _add_output_flags(p_sweep, formats=True)
     p_sweep.set_defaults(handler=_cmd_sweep)
 

@@ -36,17 +36,19 @@ the products sqrt(lam)*r0 = lam*r0~, which stay real.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .model import ModelParams, Thermo, effective_coupling, validate
 
-# Bisection relative tolerance on Omega_Delta (overridable per solve_gap
-# call) and the acceptance threshold consumers compare residuals against.
+# Bisection relative tolerance on Omega_Delta, and the number of times the
+# upper bracket may double before the solve gives up.
 GAP_RTOL = 1e-13
-RESIDUAL_TOL = 1e-10
+MAX_DOUBLINGS = 200
 
 _LN2 = math.log(2.0)
 
@@ -111,17 +113,6 @@ class CurvePoint(NamedTuple):
     omega_delta: float
 
 
-def _ln_cosh(x: float) -> float:
-    # ln cosh x = |x| + ln((1 + exp(-2|x|))/2); overflow-free for any x
-    ax = abs(x)
-    return ax + math.log1p(math.exp(-2.0 * ax)) - _LN2
-
-
-def _ln_2cosh(x: float) -> float:
-    ax = abs(x)
-    return ax + math.log1p(math.exp(-2.0 * ax))
-
-
 def critical_inverse_temperature(params: ModelParams) -> float | None:
     """Inverse critical temperature beta_c, or None if no finite transition.
 
@@ -165,48 +156,97 @@ def critical_coupling_zero_temperature(
     return math.sqrt(product) / (1.0 + ratio)
 
 
-def _bisect_gap(beta, Omega, target, rtol, max_doublings):
-    """Unique root of tanh(beta*x/2)/x = target on [Omega, inf).
+def _gap_kernel(omega0, Omega, g1, g2, lam, beta):
+    """Solve the gap equation at every point of broadcast, validated inputs.
 
-    The left side is strictly decreasing, so plain bisection is
-    unconditionally convergent once the root is bracketed.  The upper
-    bracket starts at 2*max(Omega, 1/target) = 2*max(Omega, G/omega0) and
-    doubles; since tanh <= 1 the first candidate already satisfies
-    g(hi) < 0 unless floating-point pathologies intervene.
+    Returns 1-d arrays (superradiant, omega_delta, delta, b0, r0) with the
+    conventions of GapSolution.  The root of the strictly decreasing
+    tanh(beta*x/2)/x = omega0/G on [Omega, inf) is bracketed from
+    2*max(Omega, G/omega0) upward by doubling (as tanh <= 1 the first
+    candidate is already past it), then bisected.  An infinite bracket, one
+    still open after MAX_DOUBLINGS doublings, or a superradiant b0, r0 or
+    beta*omega_delta/2 that overflows a double raises ConvergenceError with
+    the flat index of the first such point as ``index``.
+    """
+    omega0, Omega, g1, g2, lam, beta = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (omega0, Omega, g1, g2, lam, beta))
+    )
+    G = (g1 + g2) * (g1 + g2) - omega0 * lam
+    safe_G = np.where(G > 0, G, 1.0)
+    target = omega0 / safe_G
+    half_beta = 0.5 * beta
+    superradiant = (G > 0) & (np.tanh(half_beta * Omega) / Omega > target)
+
+    def residual(x):
+        return np.tanh(half_beta * x) / x - target
+
+    def failure(mask, message):
+        k = int(np.flatnonzero(mask)[0])
+        exc = ConvergenceError(f"{message} (beta={beta[k]}, Omega={Omega[k]}, target={target[k]})")
+        exc.index = k
+        return exc
+
+    # 1/target overflows to inf for a subnormal or zero target, and the
+    # bracket check rejects it; beta*x may overflow to inf, where tanh is 1;
+    # b0, r0 and the beta*omega_delta/2 that f_diff needs may overflow, and
+    # are rejected below
+    with np.errstate(divide="ignore", over="ignore"):
+        lo, hi = Omega, 2.0 * np.maximum(Omega, 1.0 / target)
+        for _ in range(MAX_DOUBLINGS + 1):
+            unbracketed = superradiant & ~(np.isfinite(hi) & (residual(hi) < 0.0))
+            if not unbracketed.any():
+                break
+            hi = np.where(unbracketed, 2.0 * hi, hi)
+        else:
+            raise failure(
+                unbracketed,
+                f"failed to bracket the gap equation root within {MAX_DOUBLINGS} doublings",
+            )
+        active = superradiant
+        while (active := active & (hi - lo > GAP_RTOL * hi)).any():
+            mid = 0.5 * (lo + hi)
+            active &= (mid > lo) & (mid < hi)  # stop once the interval is two adjacent floats
+            above = residual(mid) >= 0.0
+            lo = np.where(active & above, mid, lo)
+            hi = np.where(active & ~above, mid, hi)
+        omega_delta = np.where(superradiant, 0.5 * (lo + hi), Omega)
+        excess, e = _gap_excess(omega_delta, Omega)
+        delta = np.ldexp(0.5 * np.sqrt(np.maximum(excess, 0.0)), e)
+        b0 = (g1 + g2) * delta / safe_G
+        r0 = np.sqrt(np.where(lam >= 0, lam, 1.0)) * delta * omega0 / safe_G
+        overflowed = superradiant & ~np.isfinite([b0, r0, half_beta * omega_delta]).all(axis=0)
+    if overflowed.any():
+        raise failure(overflowed, "the superradiant solution overflows a double")
+    return superradiant, omega_delta, delta, b0, r0
+
+
+def _gap_excess(omega_delta, Omega):
+    """(excess, e) with omega_delta**2 - Omega**2 == excess * 4.0**e, squared
+    after an exact scaling by 2**-e: it rounds as the unscaled difference
+    does wherever that is finite, and a gap above ~1e154 cannot overflow."""
+    e = np.frexp(omega_delta)[1]
+    x, w = np.ldexp(omega_delta, -e), np.ldexp(Omega, -e)
+    return x * x - w * w, e
+
+
+def _free_energy_arrays(omega0, Omega, g1, g2, lam, beta, omega_delta, superradiant):
+    """(f_diff, f0) at scalar or broadcast array inputs; f_diff = 0.0 off the mask.
+
+    Squares are written as products, so that scalars and arrays round alike.
     """
 
-    def g(x):
-        return math.tanh(0.5 * beta * x) / x - target
+    def ln_2cosh(x):
+        return np.abs(x) + np.log1p(np.exp(-2.0 * np.abs(x)))
 
-    lo = Omega
-    hi = 2.0 * max(Omega, 1.0 / target)
-    doublings = 0
-    while g(hi) >= 0.0:
-        hi *= 2.0
-        doublings += 1
-        if doublings > max_doublings:
-            raise ConvergenceError(
-                f"failed to bracket the gap equation root within "
-                f"{max_doublings} doublings (beta={beta}, Omega={Omega}, "
-                f"target={target})"
-            )
-    while hi - lo > rtol * hi:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # interval collapsed to adjacent floats
-        if g(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    ln_2cosh_x, ln_2cosh_omega = ln_2cosh(0.5 * beta * omega_delta), ln_2cosh(0.5 * beta * Omega)
+    G = np.where(superradiant, (g1 + g2) * (g1 + g2) - omega0 * lam, 1.0)
+    excess, e = _gap_excess(omega_delta, Omega)
+    quad = np.ldexp(omega0 * excess / (4.0 * G), 2 * e)
+    entropic = ((ln_2cosh_x - _LN2) - (ln_2cosh_omega - _LN2)) / beta
+    return np.where(superradiant, quad - entropic, 0.0), -ln_2cosh_omega / beta
 
 
-def solve_gap(
-    params: ModelParams,
-    thermo: Thermo,
-    rtol: float = GAP_RTOL,
-    max_doublings: int = 200,
-) -> GapSolution:
+def solve_gap(params: ModelParams, thermo: Thermo) -> GapSolution:
     """Solve the stationary-point system at inverse temperature beta.
 
     Returns the normal solution (omega_delta = Omega, b0 = r0 = delta = 0)
@@ -226,20 +266,9 @@ def solve_gap(
     ordered solution is reported with its lam-only observables.
     """
     validate(params)
-    beta = thermo.beta
-    G = effective_coupling(params).G
-    normal = GapSolution(params.Omega, 0.0, 0.0, 0.0, PhaseLabel.NORMAL)
-    if G <= 0:
-        return normal
-    target = params.omega0 / G
-    if math.tanh(0.5 * beta * params.Omega) / params.Omega <= target:
-        return normal
-    omega_delta = _bisect_gap(beta, params.Omega, target, rtol, max_doublings)
-    delta = 0.5 * math.sqrt(max(omega_delta * omega_delta - params.Omega * params.Omega, 0.0))
-    b0 = (params.g1 + params.g2) * delta / G
-    scale = math.sqrt(params.lam) if params.lam >= 0 else 1.0
-    r0 = scale * delta * params.omega0 / G
-    return GapSolution(omega_delta, delta, b0, r0, PhaseLabel.SUPERRADIANT)
+    superradiant, *values = _gap_kernel(*astuple(params), thermo.beta)
+    phase = PhaseLabel.SUPERRADIANT if superradiant[0] else PhaseLabel.NORMAL
+    return GapSolution(*(float(v[0]) for v in values), phase)
 
 
 def stationary_residuals(
@@ -297,16 +326,10 @@ def free_energy_diff(
     space so beta*Omega_Delta in the thousands cannot overflow.
     """
     validate(params)
-    beta = thermo.beta
-    f0 = -_ln_2cosh(0.5 * beta * params.Omega) / beta
-    if sol.phase is not PhaseLabel.SUPERRADIANT:
-        return FreeEnergyResult(0.0, f0)
-    G = effective_coupling(params).G
-    quad = params.omega0 * (sol.omega_delta**2 - params.Omega**2) / (4.0 * G)
-    entropic = (
-        _ln_cosh(0.5 * beta * sol.omega_delta) - _ln_cosh(0.5 * beta * params.Omega)
-    ) / beta
-    return FreeEnergyResult(quad - entropic, f0)
+    f_diff, f0 = _free_energy_arrays(
+        *astuple(params), thermo.beta, sol.omega_delta, sol.phase is PhaseLabel.SUPERRADIANT
+    )
+    return FreeEnergyResult(float(f_diff), float(f0))
 
 
 def order_parameter_curve(params: ModelParams, beta_list) -> list[CurvePoint]:
@@ -323,11 +346,13 @@ def order_parameter_curve(params: ModelParams, beta_list) -> list[CurvePoint]:
                 f"beta_list must be strictly increasing; "
                 f"beta_list[{i}]={betas[i]} after {betas[i - 1]}"
             )
-    points = []
     for i, beta in enumerate(betas):
         try:
-            sol = solve_gap(params, Thermo(beta))
-        except (DomainError, ConvergenceError) as exc:
-            raise type(exc)(f"beta_list[{i}]={beta}: {exc}") from exc
-        points.append(CurvePoint(beta, sol.b0, sol.omega_delta))
-    return points
+            Thermo(beta)
+        except DomainError as exc:
+            raise DomainError(f"beta_list[{i}]={beta}: {exc}") from exc
+    try:
+        _, omega_delta, _, b0, _ = _gap_kernel(*astuple(params), betas)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"beta_list[{exc.index}]={betas[exc.index]}: {exc}") from exc
+    return [CurvePoint(*point) for point in zip(betas, b0.tolist(), omega_delta.tolist())]

@@ -1,16 +1,14 @@
 """Parameter-grid engine: phase diagrams, boundary curves, oracle tables.
 
-Grid points are evaluated independently (solves cost microseconds, so no
-warm starting), which makes parallel evaluation trivially deterministic:
-results are gathered back into row-major input order, and numeric output
-uses the shortest round-trip decimal representation of each double, so a
-given grid spec always produces byte-identical files regardless of the
-worker count.
+A grid is evaluated in one call of the mean-field gap kernel over all its
+points (solves are independent, so there is no warm starting), and records
+come back in row-major input order.  Numeric output uses the shortest
+round-trip decimal representation of each double, so a given grid spec
+always produces byte-identical files.
 """
 
 import json
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -18,27 +16,19 @@ from .errors import ConvergenceError, DomainError
 from .exact import TruncationConfig, free_energy_exact, thermal_boson_occupation
 from .meanfield import (
     PhaseLabel,
+    _free_energy_arrays,
+    _gap_kernel,
     critical_inverse_temperature,
     free_energy_diff,
     solve_gap,
 )
-from .model import ModelParams, Thermo, validate
+from .model import ModelParams, Thermo, params_from_mapping, validate
 
 AXIS_NAMES = ("omega0", "Omega", "g1", "g2", "lambda", "beta")
 MAX_GRID_POINTS = 10**7
 
-SWEEP_COLUMNS = (
-    "omega0",
-    "Omega",
-    "g1",
-    "g2",
-    "lambda",
-    "beta",
-    "phase",
-    "b0",
-    "omega_delta",
-    "f_diff",
-)
+# SweepRecord's fields in order; run_grid builds records positionally
+SWEEP_COLUMNS = AXIS_NAMES + ("phase", "b0", "omega_delta", "f_diff")
 
 
 @dataclass(frozen=True)
@@ -137,58 +127,43 @@ class SweepRecord:
 
 def evaluate_point(values: dict) -> SweepRecord:
     """Mean-field record for one mapping of all six parameter values."""
-    params = ModelParams(
-        omega0=float(values["omega0"]),
-        Omega=float(values["Omega"]),
-        g1=float(values["g1"]),
-        g2=float(values["g2"]),
-        lam=float(values["lambda"]),
-    )
-    thermo = Thermo(float(values["beta"]))
+    params, thermo = params_from_mapping(values, require_beta=True)
     sol = solve_gap(params, thermo)
-    fe = free_energy_diff(params, thermo, sol)
-    return SweepRecord(
-        omega0=params.omega0,
-        Omega=params.Omega,
-        g1=params.g1,
-        g2=params.g2,
-        lam=params.lam,
-        beta=thermo.beta,
-        phase=sol.phase,
-        b0=sol.b0,
-        omega_delta=sol.omega_delta,
-        f_diff=fe.f_diff,
-    )
-
-
-def _evaluate_indexed(task):
-    (i1, i2), values = task
-    try:
-        return evaluate_point(values)
-    except (DomainError, ConvergenceError) as exc:
-        raise type(exc)(f"grid point ({i1}, {i2}): {exc}") from exc
+    f_diff = free_energy_diff(params, thermo, sol).f_diff
+    return SweepRecord(*astuple(params), thermo.beta, sol.phase, sol.b0, sol.omega_delta, f_diff)
 
 
 def run_grid(spec: GridSpec, jobs: int = 1) -> list[SweepRecord]:
     """Evaluate every grid point, axis1 as the outer (row-major) loop.
 
-    The record list is identical for any worker count; jobs > 1 fans the
-    points out over processes and gathers results in input order.
+    All points are solved in one vectorised call; jobs must be an integer
+    >= 1 and is otherwise ignored, for interface stability.
     """
     if not isinstance(jobs, int) or jobs < 1:
         raise DomainError(f"jobs must be an integer >= 1, got {jobs!r}")
-    tasks = []
-    for i1, v1 in enumerate(spec.axis1.values()):
-        for i2, v2 in enumerate(spec.axis2.values()):
-            values = dict(spec.fixed)
-            values[spec.axis1.name] = float(v1)
-            values[spec.axis2.name] = float(v2)
-            tasks.append(((i1, i2), values))
-    if jobs == 1:
-        return [_evaluate_indexed(task) for task in tasks]
-    chunk = max(1, len(tasks) // (8 * jobs))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_evaluate_indexed, tasks, chunksize=chunk))
+    a1, a2 = spec.axis1.values(), spec.axis2.values()
+    # Every check in validate and Thermo looks at one field, so once row 0 is
+    # valid the first invalid point in row-major order can only be (i1, 0):
+    # checking row 0 and column 0 finds it, and checks each axis value once.
+    for i1, i2 in [(0, i2) for i2 in range(a2.size)] + [(i1, 0) for i1 in range(1, a1.size)]:
+        point = dict(spec.fixed, **{spec.axis1.name: a1[i1], spec.axis2.name: a2[i2]})
+        try:
+            params_from_mapping(point, require_beta=True)
+        except DomainError as exc:
+            raise DomainError(f"grid point ({i1}, {i2}): {exc}") from exc
+    columns = {key: np.full(a1.size * a2.size, float(v)) for key, v in spec.fixed.items()}
+    columns[spec.axis1.name] = np.repeat(a1, a2.size)
+    columns[spec.axis2.name] = np.tile(a2, a1.size)
+    inputs = [columns[name] for name in AXIS_NAMES]
+    try:
+        superradiant, omega_delta, _, b0, _ = _gap_kernel(*inputs)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"grid point {divmod(exc.index, a2.size)}: {exc}") from exc
+    f_diff, _ = _free_energy_arrays(*inputs, omega_delta, superradiant)
+    phases = [PhaseLabel.SUPERRADIANT if s else PhaseLabel.NORMAL for s in superradiant.tolist()]
+    # tolist() gives plain Python floats, as evaluate_point records hold
+    outputs = [phases, b0.tolist(), omega_delta.tolist(), f_diff.tolist()]
+    return [SweepRecord(*row) for row in zip(*(c.tolist() for c in inputs), *outputs)]
 
 
 def phase_boundary(
@@ -236,7 +211,6 @@ def oracle_table(
     trunc: TruncationConfig,
 ) -> list[OracleRow]:
     """One row per finite N plus the N = infinity mean-field row."""
-    validate(params)
     sol = solve_gap(params, thermo)
     f_diff_mf = free_energy_diff(params, thermo, sol).f_diff
     b0_sq = sol.b0 ** 2

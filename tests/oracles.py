@@ -43,6 +43,43 @@ def bisect_critical_beta(omega0, Omega, g1, g2, lam, rtol=1e-12):
     return 0.5 * (lo + hi)
 
 
+def _ln_cosh(x):
+    ax = abs(x)
+    return ax + math.log((1.0 + math.exp(-2.0 * ax)) / 2.0)
+
+
+def mean_field_point(omega0, Omega, g1, g2, lam, beta):
+    """(phase, omega_delta, b0, f_diff) at one point, with math only.
+
+    The superradiant branch exists iff G > 0 and tanh(beta*Omega/2)/Omega
+    exceeds omega0/G (equality counts as normal).  Its gap is the root of
+    G*tanh(beta*x/2) - omega0*x on [Omega, G/omega0], bisected until the
+    midpoint is one of the two endpoints, i.e. to adjacent doubles.
+    """
+    G = (g1 + g2) ** 2 - omega0 * lam
+    if G <= 0 or math.tanh(0.5 * beta * Omega) * G <= omega0 * Omega:
+        return "normal", Omega, 0.0, 0.0
+
+    def h(x):
+        return G * math.tanh(0.5 * beta * x) - omega0 * x
+
+    lo, hi = Omega, G / omega0  # h(lo) > 0 >= h(hi) since tanh < 1
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if mid in (lo, hi):
+            break
+        if h(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    x = lo if abs(h(lo)) <= abs(h(hi)) else hi
+    delta_sq = (x - Omega) * (x + Omega) / 4.0
+    b0 = (g1 + g2) * math.sqrt(delta_sq) / G
+    entropic = (_ln_cosh(0.5 * beta * x) - _ln_cosh(0.5 * beta * Omega)) / beta
+    f_diff = omega0 * delta_sq / G - entropic
+    return "superradiant", x, b0, f_diff
+
+
 def draw_transition_params(rng, max_ratio=0.995):
     """One random parameter tuple guaranteed to have a finite transition.
 

@@ -40,6 +40,26 @@ def test_tc_boundary_lambda_is_no_transition(capsys):
     assert payload["ratio"] >= 1.0
 
 
+def test_tc_validates_but_ignores_beta(capsys):
+    code, out, err = run(capsys, ["tc", *TC_FLAGS, "--beta", "-1"])
+    assert code == 2 and out == ""
+    assert "beta" in err
+    _, with_beta, _ = run(capsys, ["tc", *TC_FLAGS, "--beta", "2"])
+    _, without, _ = run(capsys, ["tc", *TC_FLAGS])
+    assert with_beta == without
+
+
+def test_gap_bracket_failure_exits_3(capsys):
+    code, out, err = run(capsys, ["gap", "--omega0", "1e-300", "--Omega", "1", "--g1", "1e12",
+                                  "--g2", "0", "--lambda", "0", "--beta", "1"])
+    assert code == 3 and out == ""
+    assert "failed to bracket" in err
+    code, out, err = run(capsys, ["gap", "--omega0", "1e-290", "--Omega", "1", "--g1", "1e8",
+                                  "--g2", "0", "--lambda", "0", "--beta", "1"])
+    assert code == 3 and out == ""
+    assert "overflows a double" in err
+
+
 def test_tc_missing_field_exits_2(capsys):
     code, _, err = run(capsys, ["tc", "--omega0", "1", "--g1", "0.6",
                                 "--g2", "0.6", "--lambda", "0"])

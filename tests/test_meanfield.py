@@ -322,3 +322,43 @@ def test_order_parameter_curve_edge_cases():
     # solver errors come back with the index attached
     with pytest.raises(DomainError, match=r"beta_list\[0\]"):
         order_parameter_curve(P_WEAK, [-2.0, 1.0])
+    with pytest.raises(DomainError, match=r"beta_list\[2\]"):
+        order_parameter_curve(P_WEAK, [1.0, 2.0, 2e12])
+
+
+def test_order_parameter_curve_equals_solve_gap_per_beta():
+    for params in (P_WEAK, ModelParams(1.2, 0.8, 0.5, 0.7, -0.4)):
+        betas = list(np.geomspace(0.3, 1e6, 30)) + [2e6]
+        for point in order_parameter_curve(params, betas):
+            sol = solve_gap(params, Thermo(point.beta))
+            assert (point.b0, point.omega_delta) == (sol.b0, sol.omega_delta)
+
+
+def test_bracket_failure_raises_convergence_error():
+    # omega0/G underflows to 0, so the first bracket 1/target is inf
+    params = ModelParams(1e-300, 1.0, 1e12, 0.0, 0.0)
+    with pytest.raises(ConvergenceError, match="failed to bracket"):
+        solve_gap(params, Thermo(1.0))
+    with pytest.raises(ConvergenceError, match=r"^beta_list\[0\]=1.0: failed to bracket"):
+        order_parameter_curve(params, [1.0, 2.0])
+    # b0 = (g1 + g2)*Delta/G overflows on the way; beta*omega_delta/2 overflows
+    for params, beta in ((ModelParams(1e-290, 1.0, 1e8, 0.0, 0.0), 1.0),
+                         (ModelParams(1e-298, 1.0, 1.0, 0.0, 0.0), 1e12)):
+        with pytest.raises(ConvergenceError, match="overflows a double"):
+            solve_gap(params, Thermo(beta))
+        with pytest.raises(ConvergenceError, match=r"^beta_list\[1\]=.*overflows a double"):
+            order_parameter_curve(params, [1e-307, beta])  # normal at 1e-307
+
+
+def test_gap_beyond_1e154_stays_finite():
+    # omega_delta = G/omega0 = 1e174 squares past the largest double; at
+    # beta = 1 tanh is 1, so Delta = omega_delta/2, b0 = g1*Delta/G and
+    # f_diff = omega0*Delta**2/G - omega_delta/2 + ln cosh(1/2) = -G/(4*omega0)
+    params, thermo = ModelParams(1e-150, 1.0, 1e12, 0.0, 0.0), Thermo(1.0)
+    sol = solve_gap(params, thermo)
+    assert sol.phase is PhaseLabel.SUPERRADIANT
+    assert sol.omega_delta == pytest.approx(1e174, rel=1e-12)
+    assert sol.delta == pytest.approx(sol.omega_delta / 2, rel=1e-15)
+    assert sol.b0 == pytest.approx(1e12 * sol.delta / 1e24, rel=1e-15)
+    f = free_energy_diff(params, thermo, sol)
+    assert f.f_diff == pytest.approx(-0.25e174, rel=1e-15)

@@ -9,6 +9,7 @@ import pytest
 
 from dicke_dipole import (
     AxisSpec,
+    ConvergenceError,
     DomainError,
     GridSpec,
     ModelParams,
@@ -28,6 +29,11 @@ from dicke_dipole import (
     write_sweep_jsonl,
 )
 from dicke_dipole.sweep import SWEEP_COLUMNS, evaluate_point
+from oracles import bisect_critical_beta, mean_field_point
+
+# bounds on b0 and f_diff against the oracle: an absolute floor for values
+# near 0 plus a relative part (omega_delta is held to 1e-12 relative)
+B0_ATOL, F_DIFF_ATOL, VALUE_RTOL = 1e-9, 1e-12, 1e-8
 
 FIXED = {"omega0": 1.0, "Omega": 1.0, "g2": 0.6, "lambda": 0.0}
 
@@ -105,6 +111,53 @@ def test_single_point_grid_equals_direct_evaluation():
     assert record.omega_delta == sol.omega_delta
     assert record.f_diff == free_energy_diff(params, thermo, sol).f_diff
     assert record.phase is sol.phase
+    # one kernel: every point of a larger grid, including lambda < 0, is
+    # bit for bit what solve_gap and free_energy_diff give on its own
+    for lam in (-0.35, 0.25):
+        spec = GridSpec(
+            axis1=AxisSpec("g1", 0.1, 1.3, 7),
+            axis2=AxisSpec("beta", 0.5, 40.0, 6, scale="log"),
+            fixed={"omega0": 1.1, "Omega": 0.9, "g2": 0.3, "lambda": lam},
+        )
+        records = run_grid(spec)
+        assert {r.phase for r in records} == {PhaseLabel.NORMAL, PhaseLabel.SUPERRADIANT}
+        for r in records:
+            params = ModelParams(r.omega0, r.Omega, r.g1, r.g2, r.lam)
+            thermo = Thermo(r.beta)
+            sol = solve_gap(params, thermo)
+            assert (r.phase, r.b0, r.omega_delta) == (sol.phase, sol.b0, sol.omega_delta)
+            assert r.f_diff == free_energy_diff(params, thermo, sol).f_diff
+            assert all(type(getattr(r, f)) is float for f in ("b0", "omega_delta", "f_diff"))
+
+
+def _near_critical_grids():
+    # beta runs from just past beta_c(g2=0.5) to 1e6, for lambda of both signs
+    for lam in (-0.3, 0.3):
+        beta_c = bisect_critical_beta(1.0, 1.0, 0.8, 0.5, lam)
+        yield GridSpec(
+            axis1=AxisSpec("beta", beta_c * (1.0 + 1e-6), 1e6, 6, scale="log"),
+            axis2=AxisSpec("g2", 0.0, 1.0, 5),
+            fixed={"omega0": 1.0, "Omega": 1.0, "g1": 0.8, "lambda": lam},
+        )
+    # G <= 0 and G > 0 across lambda
+    yield GridSpec(
+        axis1=AxisSpec("lambda", -0.7, 2.3, 7),
+        axis2=AxisSpec("beta", 0.5, 1e6, 4, scale="log"),
+        fixed={"omega0": 0.8, "Omega": 1.2, "g1": 0.9, "g2": 0.4},
+    )
+
+
+def test_grid_matches_independent_oracle():
+    phases = set()
+    for spec in _near_critical_grids():
+        for r in run_grid(spec):
+            phase, x, b0, f_diff = mean_field_point(r.omega0, r.Omega, r.g1, r.g2, r.lam, r.beta)
+            assert r.phase.value == phase
+            assert abs(r.omega_delta - x) <= 1e-12 * x
+            assert abs(r.b0 - b0) <= B0_ATOL + VALUE_RTOL * abs(b0)
+            assert abs(r.f_diff - f_diff) <= F_DIFF_ATOL + VALUE_RTOL * abs(f_diff)
+            phases.add(phase)
+    assert phases == {"normal", "superradiant"}
 
 
 def test_grid_row_major_ordering():
@@ -287,3 +340,61 @@ def test_evaluate_point_attaches_grid_coordinates():
     assert evaluate_point(
         {"omega0": 1.0, "Omega": 1.0, "g1": 0.1, "g2": 0.0, "lambda": 0.0, "beta": 1.0}
     ).phase is PhaseLabel.NORMAL
+
+
+def _first_failure_point_by_point(spec):
+    for i1, v1 in enumerate(spec.axis1.values()):
+        for i2, v2 in enumerate(spec.axis2.values()):
+            values = dict(spec.fixed, **{spec.axis1.name: v1, spec.axis2.name: v2})
+            try:
+                evaluate_point(values)
+            except DomainError as exc:
+                return f"grid point ({i1}, {i2}): {exc}"
+    return None
+
+
+def test_grid_validation_names_first_invalid_point_row_major():
+    fixed = {"omega0": 1.0, "Omega": 1.0, "g2": 0.2}
+    specs = [
+        # beta is over the cap from column 1 on; lambda from row 1 on
+        GridSpec(AxisSpec("lambda", -1.0, 3e12, 3), AxisSpec("beta", 1.0, 2e12, 3),
+                 dict(fixed, g1=0.5)),
+        GridSpec(AxisSpec("lambda", -1.0, 3e12, 3), AxisSpec("beta", 1.0, 2.0, 3),
+                 dict(fixed, g1=0.5)),
+        # g1 < 0 in row 0, beta too large in column 2
+        GridSpec(AxisSpec("g1", -0.5, 0.5, 3), AxisSpec("beta", 1.0, 2e12, 3),
+                 {"omega0": 1.0, "Omega": 1.0, "g2": 0.2, "lambda": 0.0}),
+        # a fixed value fails every point, and validate's field order decides
+        GridSpec(AxisSpec("g1", -0.5, 0.5, 3), AxisSpec("beta", 1.0, 2.0, 3),
+                 {"omega0": -1.0, "Omega": math.inf, "g2": 0.2, "lambda": 0.0}),
+    ]
+    expected = [
+        "grid point (0, 1): beta exceeds",
+        "grid point (1, 0): lam exceeds",
+        "grid point (0, 0): g1 must be nonnegative",
+        "grid point (0, 0): Omega must be a finite",
+    ]
+    for spec, start in zip(specs, expected):
+        with pytest.raises(DomainError) as info:
+            run_grid(spec)
+        assert str(info.value) == _first_failure_point_by_point(spec)
+        assert str(info.value).startswith(start)
+
+
+def test_grid_bracket_failure_names_the_point():
+    # omega0/G underflows to 0 at g1 = 1e12, so the bracket 1/target is inf
+    spec = GridSpec(
+        AxisSpec("g1", 1.0, 1e12, 2),
+        AxisSpec("beta", 1.0, 2.0, 3),
+        {"omega0": 1e-300, "Omega": 1.0, "g2": 0.0, "lambda": 0.0},
+    )
+    with pytest.raises(ConvergenceError, match=r"^grid point \(1, 0\): failed to bracket"):
+        run_grid(spec)
+    # b0 overflows at beta = 1, g1 = 1e8; every point at beta = 1e-307 is normal
+    spec = GridSpec(
+        AxisSpec("beta", 1e-307, 1.0, 2),
+        AxisSpec("g1", 1.0, 1e8, 2),
+        {"omega0": 1e-290, "Omega": 1.0, "g2": 0.0, "lambda": 0.0},
+    )
+    with pytest.raises(ConvergenceError, match=r"^grid point \(1, 1\): .*overflows a double"):
+        run_grid(spec)
