@@ -22,8 +22,15 @@ build them alike, from per-site blocks (_site_sums):
     trace is recovered as i^N Tr exp(-beta H_F - i pi/2 N_F), where the two
     unphysical occupation sectors per atom cancel in pairs.
 
-Dense symmetric eigensolvers throughout; no sparsity is exploited at these
-dimensions.  Partition sums are accumulated in shifted (log-sum-exp) form.
+The full-product and fermion bases are diagonalized densely: they are the
+independent oracles.  A collective sector is instead split by the Dicke
+parity exp(i pi (b'b + S^z + j)) (Emary & Brandes, PRE 67, 066203, 2003),
+which commutes with H for any g1, g2 and lam, into its (n + m + j) even and
+odd classes.  Listed n-outer, m-inner, each class is a band matrix of
+half-bandwidth at most j+1, solved by LAPACK's banded eigensolver (dense eigh
+on the half-size block when eigenvectors are wanted).  An element coupling
+the two classes raises CommutationError.  Partition sums are accumulated in
+shifted (log-sum-exp) form.
 """
 
 import math
@@ -105,6 +112,69 @@ def _embed(site_op, i: int, n_sites: int, site_dim: int) -> sparse.csr_matrix:
     return sparse.kron(sparse.kron(left, site_op), right, format="csr")
 
 
+def _parity_blocks(n_max: int, spin_dim: int):
+    """Original indices of the two Dicke-parity classes of a collective
+    sector, (n + m + j) even and odd, each listed n-outer, m-inner.
+
+    In that order every term of H moves a state by at most j+1 places
+    within its class: b S^+ and b' S^- take (n, m) to (n-1, m+1) and back,
+    b S^- and b' S^+ take it to (n-1, m-1) and back, the rest is diagonal.
+    """
+    n, spin = np.divmod(np.arange(spin_dim * (n_max + 1)), spin_dim)
+    original = spin * (n_max + 1) + n  # the builder's layout, boson fastest
+    parity = (n + spin) % 2
+    return [original[parity == p] for p in (0, 1)]
+
+
+def _banded_eigh(h, blocks, occ_basis):
+    """Eigenvalues, and occupations if occ_basis is given, of the sparse
+    Hermitian h that the index classes in blocks split into diagonal blocks.
+
+    Each block's lower band goes into LAPACK band storage (kd+1, len) and is
+    solved on its own; the spectra are merged in ascending order.  A nonzero
+    element between two blocks raises CommutationError.
+    """
+    # imported here, so that the mean-field commands never load it
+    import scipy.linalg
+
+    block_of = np.empty(h.shape[0], dtype=int)
+    position = np.empty(h.shape[0], dtype=int)
+    for b, idx in enumerate(blocks):
+        block_of[idx] = b
+        position[idx] = np.arange(len(idx))
+    coo = h.tocoo(copy=True)
+    coo.sum_duplicates()
+    rows, cols, data = coo.row, coo.col, coo.data
+    # a kron in BSR form stores explicit zeros, the other block's included
+    inside = block_of[rows] == block_of[cols]
+    leak = ~inside & (data != 0)
+    if leak.any():
+        worst = float(np.abs(data[leak]).max())
+        raise CommutationError(
+            f"parity-breaking entry of magnitude {worst:.3e} couples the "
+            f"symmetry blocks ({int(leak.sum())} such entries)"
+        )
+    vals, occs = [], []
+    for b, idx in enumerate(blocks):
+        lower = inside & (block_of[rows] == b) & (position[rows] >= position[cols])
+        r, c = position[rows[lower]], position[cols[lower]]
+        if occ_basis is None:
+            band = np.zeros((int((r - c).max(initial=0)) + 1, len(idx)), dtype=h.dtype)
+            band[r - c, c] = data[lower]
+            vals.append(scipy.linalg.eigvals_banded(band, lower=True))
+            continue
+        # eigenvectors fill the block anyway, and dense eigh on the half-size
+        # block beats eig_banded there; it reads only the lower triangle
+        dense = np.zeros((len(idx), len(idx)), dtype=h.dtype)
+        dense[r, c] = data[lower]
+        block_vals, vecs = np.linalg.eigh(dense)
+        vals.append(block_vals)
+        occs.append((np.abs(vecs) ** 2 * occ_basis[idx, None]).sum(axis=0))
+    vals = np.concatenate(vals)
+    order = np.argsort(vals, kind="stable")
+    return vals[order], (np.concatenate(occs)[order] if occs else None)
+
+
 def _diagonalize(h, basis, n_atoms, n_max, sector_j, want_occupations):
     # checked on the sparse matrix, so only one dense copy is ever made
     deviation = float(abs(h - h.conj().T).max())
@@ -112,12 +182,16 @@ def _diagonalize(h, basis, n_atoms, n_max, sector_j, want_occupations):
         raise HermiticityError(
             f"max |H - H^dag| entry = {deviation:.3e} exceeds {HERMITICITY_TOL:g}"
         )
+    dim = h.shape[0]
+    # b'b is diagonal in every basis used here; the boson index is fastest
+    occ_basis = np.tile(np.arange(n_max + 1, dtype=float), dim // (n_max + 1))
+    if basis == "collective":
+        blocks = _parity_blocks(n_max, int(round(2 * sector_j)) + 1)
+        vals, occupations = _banded_eigh(h, blocks, occ_basis if want_occupations else None)
+        return SpectralData(vals, dim, basis, n_atoms, n_max, sector_j, occupations)
     hd = h.toarray()
-    dim = hd.shape[0]
     if want_occupations:
         vals, vecs = np.linalg.eigh(hd)
-        # b'b is diagonal in every basis used here; the boson index is fastest
-        occ_basis = np.tile(np.arange(n_max + 1, dtype=float), dim // (n_max + 1))
         occupations = (np.abs(vecs) ** 2 * occ_basis[:, None]).sum(axis=0)
     else:
         vals = np.linalg.eigvalsh(hd)

@@ -211,9 +211,13 @@ def _gap_kernel(omega0, Omega, g1, g2, lam, beta):
             hi = np.where(active & ~above, mid, hi)
         omega_delta = np.where(superradiant, 0.5 * (lo + hi), Omega)
         excess, e = _gap_excess(omega_delta, Omega)
-        delta = np.ldexp(0.5 * np.sqrt(np.maximum(excess, 0.0)), e)
-        b0 = (g1 + g2) * delta / safe_G
-        r0 = np.sqrt(np.where(lam >= 0, lam, 1.0)) * delta * omega0 / safe_G
+        # delta, b0 and r0 are formed at the scale 2**-e and scaled back
+        # exactly, so that an intermediate product cannot overflow a result
+        # that fits in a double
+        scaled_delta = 0.5 * np.sqrt(np.maximum(excess, 0.0))
+        delta = np.ldexp(scaled_delta, e)
+        b0 = np.ldexp((g1 + g2) * scaled_delta / safe_G, e)
+        r0 = np.ldexp(np.sqrt(np.where(lam >= 0, lam, 1.0)) * scaled_delta * omega0 / safe_G, e)
         overflowed = superradiant & ~np.isfinite([b0, r0, half_beta * omega_delta]).all(axis=0)
     if overflowed.any():
         raise failure(overflowed, "the superradiant solution overflows a double")

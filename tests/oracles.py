@@ -73,10 +73,12 @@ def mean_field_point(omega0, Omega, g1, g2, lam, beta):
         else:
             hi = mid
     x = lo if abs(h(lo)) <= abs(h(hi)) else hi
-    delta_sq = (x - Omega) * (x + Omega) / 4.0
-    b0 = (g1 + g2) * math.sqrt(delta_sq) / G
+    # ordered so that no intermediate overflows where the result fits:
+    # delta <= G/(2*omega0), so omega0*delta/G <= 1/2
+    delta = 0.5 * math.sqrt(x - Omega) * math.sqrt(x + Omega)
+    b0 = (g1 + g2) / G * delta
     entropic = (_ln_cosh(0.5 * beta * x) - _ln_cosh(0.5 * beta * Omega)) / beta
-    f_diff = omega0 * delta_sq / G - entropic
+    f_diff = omega0 * delta / G * delta - entropic
     return "superradiant", x, b0, f_diff
 
 
@@ -173,3 +175,45 @@ def full_product_hamiltonian(omega0, Omega, g1, g2, lam, n_atoms, n_max):
         + g1 * c * (np.kron(jp, lower) + np.kron(jm, lower.T))
         + g2 * c * (np.kron(jm, lower) + np.kron(jp, lower.T))
     )
+
+
+def collective_hamiltonian(omega0, Omega, g1, g2, lam, n_atoms, j, n_max):
+    """Dense total-spin-j sector on |j,m> x |n>, from closed-form elements.
+
+    Basis index k = (m + j)*(n_max+1) + n, m ascending.  With
+    S^+-|j,m> = sqrt(j(j+1) - m(m+-1)) |j,m+-1> and the dipole exchange
+    written as S^+ S^- - (N + 2 S^z)/2 (its ordered-pair sum), the elements
+    are
+
+        <m,n|H|m,n> = omega0 n + Omega m
+                      + (lam/N) ((j+m)(j-m+1) - (N + 2m)/2),
+        <m+1,n-1|H|m,n> = (g1/sqrt N) sqrt(j(j+1) - m(m+1)) sqrt(n),
+        <m-1,n-1|H|m,n> = (g2/sqrt N) sqrt(j(j+1) - m(m-1)) sqrt(n),
+
+    plus the transposes.  Loop-based on purpose, like rabi_hamiltonian.
+    """
+    spin_dim = int(round(2 * j)) + 1
+    dim = spin_dim * (n_max + 1)
+    c = 1.0 / math.sqrt(n_atoms)
+    h = np.zeros((dim, dim))
+
+    def index(m, n):
+        return int(round(m + j)) * (n_max + 1) + n
+
+    for s in range(spin_dim):
+        m = s - j
+        for n in range(n_max + 1):
+            k = index(m, n)
+            exchange = (j + m) * (j - m + 1) - 0.5 * (n_atoms + 2 * m)
+            h[k, k] = omega0 * n + Omega * m + (lam / n_atoms) * exchange
+            if n == 0:
+                continue
+            if m < j:  # g1: b S^+
+                amp = g1 * c * math.sqrt(j * (j + 1) - m * (m + 1)) * math.sqrt(n)
+                h[index(m + 1, n - 1), k] += amp
+                h[k, index(m + 1, n - 1)] += amp
+            if m > -j:  # g2: b S^-
+                amp = g2 * c * math.sqrt(j * (j + 1) - m * (m - 1)) * math.sqrt(n)
+                h[index(m - 1, n - 1), k] += amp
+                h[k, index(m - 1, n - 1)] += amp
+    return h

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from dicke_dipole.cli import main
+from oracles import mean_field_point
 
 TC_FLAGS = ["--omega0", "1", "--Omega", "1", "--g1", "0.6", "--g2", "0.6", "--lambda", "0"]
 POINT_FLAGS = TC_FLAGS + ["--beta", "3.0"]
@@ -54,10 +55,25 @@ def test_gap_bracket_failure_exits_3(capsys):
                                   "--g2", "0", "--lambda", "0", "--beta", "1"])
     assert code == 3 and out == ""
     assert "failed to bracket" in err
-    code, out, err = run(capsys, ["gap", "--omega0", "1e-290", "--Omega", "1", "--g1", "1e8",
-                                  "--g2", "0", "--lambda", "0", "--beta", "1"])
+    # beta*omega_delta/2 = 5e309 overflows
+    code, out, err = run(capsys, ["gap", "--omega0", "1e-298", "--Omega", "1", "--g1", "1",
+                                  "--g2", "0", "--lambda", "0", "--beta", "1e12"])
     assert code == 3 and out == ""
     assert "overflows a double" in err
+
+
+def test_gap_b0_near_the_largest_double(capsys):
+    # (g1 + g2)*Delta = 5e313 would overflow on the way to b0 = 5e297
+    code, out, _ = run(capsys, ["gap", "--omega0", "1e-290", "--Omega", "1", "--g1", "1e8",
+                                "--g2", "0", "--lambda", "0", "--beta", "1"])
+    assert code == 0
+    payload = json.loads(out)
+    phase, x, b0, f_diff = mean_field_point(1e-290, 1.0, 1e8, 0.0, 0.0, 1.0)
+    assert payload["phase"] == phase == "superradiant"
+    assert payload["omega_delta"] == pytest.approx(x, rel=1e-12)
+    assert payload["b0"] == pytest.approx(b0, rel=1e-12)
+    assert payload["b0"] == pytest.approx(5e297, rel=1e-12)
+    assert payload["f_diff"] == pytest.approx(f_diff, rel=1e-12)
 
 
 def test_tc_missing_field_exits_2(capsys):

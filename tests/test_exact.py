@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sparse
 
 from dicke_dipole import (
+    CommutationError,
     DimensionError,
     DomainError,
     HermiticityError,
@@ -26,7 +27,12 @@ from dicke_dipole import (
     thermal_boson_occupation,
 )
 from dicke_dipole.exact import _diagonalize, _ln_z_sectors
-from oracles import full_product_hamiltonian, product_basis_spin_ops, rabi_hamiltonian
+from oracles import (
+    collective_hamiltonian,
+    full_product_hamiltonian,
+    product_basis_spin_ops,
+    rabi_hamiltonian,
+)
 
 P_MIXED = ModelParams(1.0, 1.0, 0.5, 0.5, 0.3)
 
@@ -80,6 +86,36 @@ def test_decoupled_collective_ladder_is_diagonal():
         [1.1 * m + 0.7 * n for m in (-2, -1, 0, 1, 2) for n in range(4)]
     )
     assert np.abs(spec.eigenvalues - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("couplings, n_atoms, j, n_max", [
+    ((1.1, 0.9, 0.5, 0.3, 0.35), 6, 3, 9),  # integer j, all couplings on
+    ((1.1, 0.9, 0.5, 0.3, 0.35), 6, 1, 9),
+    ((0.8, 1.2, 0.6, 0.4, -0.45), 5, 2.5, 7),  # half-integer j, lam < 0
+    ((0.8, 1.2, 0.6, 0.4, -0.45), 5, 0.5, 7),
+    ((1.0, 0.7, 0.0, 0.8, 0.25), 4, 2, 6),  # g1 = 0
+    ((1.0, 0.7, 0.9, 0.0, 0.25), 3, 1.5, 6),  # g2 = 0
+    ((1.0, 0.7, 0.9, 0.4, -0.6), 4, 0, 5),  # singlet: one spin state
+    ((1.0, 0.7, 0.9, 0.4, 0.6), 7, 3.5, 1),  # n_max = 1, the smallest blocks
+    ((1.0, 0.7, 0.9, 0.4, 0.6), 2, 1, 1),
+])
+def test_collective_spectrum_matches_dense_oracle(couplings, n_atoms, j, n_max):
+    spec = build_collective(ModelParams(*couplings), n_atoms, j, TruncationConfig(n_max))
+    reference = np.linalg.eigvalsh(collective_hamiltonian(*couplings, n_atoms, j, n_max))
+    assert spec.dimension == len(reference) == (round(2 * j) + 1) * (n_max + 1)
+    assert np.abs(spec.eigenvalues - reference).max() < 1e-12
+
+
+def test_diagonalize_rejects_parity_breaking_element():
+    # j = 1/2, n_max = 1: index (m + j)*2 + n, parity (n + m + j) mod 2 gives
+    # the classes {0, 3} and {1, 2}
+    h = np.diag([0.1, 0.7, 1.3, 2.9])
+    h[0, 3] = h[3, 0] = 0.4
+    spec = _diagonalize(sparse.csr_matrix(h), "collective", 1, 1, 0.5, False)
+    assert np.abs(spec.eigenvalues - np.linalg.eigvalsh(h)).max() < 1e-14
+    h[0, 1] = h[1, 0] = 1e-13
+    with pytest.raises(CommutationError, match="1.000e-13"):
+        _diagonalize(sparse.csr_matrix(h), "collective", 1, 1, 0.5, False)
 
 
 def test_collective_exchange_identity_in_product_basis():
@@ -234,6 +270,16 @@ def test_boson_occupation_free_mode():
     weights = np.exp(-beta * np.arange(n_max + 1.0))
     expected = float((np.arange(n_max + 1.0) * weights).sum() / weights.sum()) / 2
     assert got == pytest.approx(expected, rel=1e-10)
+
+
+def test_thermal_occupation_matches_full_basis_all_couplings_on():
+    # every sector's eigenvectors come from two parity blocks and are merged
+    # by energy; a wrong permutation would pair occupations with wrong weights
+    params = ModelParams(1.0, 0.9, 0.7, 0.4, 0.35)
+    thermo, trunc = Thermo(1.3), TruncationConfig(10)
+    collective = thermal_boson_occupation(params, 3, thermo, trunc)
+    full = boson_occupation(build_full(params, 3, trunc, want_occupations=True), thermo)
+    assert collective == pytest.approx(full, abs=1e-10)
 
 
 def test_boson_occupation_requires_occupations():

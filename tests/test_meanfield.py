@@ -341,13 +341,12 @@ def test_bracket_failure_raises_convergence_error():
         solve_gap(params, Thermo(1.0))
     with pytest.raises(ConvergenceError, match=r"^beta_list\[0\]=1.0: failed to bracket"):
         order_parameter_curve(params, [1.0, 2.0])
-    # b0 = (g1 + g2)*Delta/G overflows on the way; beta*omega_delta/2 overflows
-    for params, beta in ((ModelParams(1e-290, 1.0, 1e8, 0.0, 0.0), 1.0),
-                         (ModelParams(1e-298, 1.0, 1.0, 0.0, 0.0), 1e12)):
-        with pytest.raises(ConvergenceError, match="overflows a double"):
-            solve_gap(params, Thermo(beta))
-        with pytest.raises(ConvergenceError, match=r"^beta_list\[1\]=.*overflows a double"):
-            order_parameter_curve(params, [1e-307, beta])  # normal at 1e-307
+    # omega_delta = 1e298 is finite, but beta*omega_delta/2 overflows
+    params, beta = ModelParams(1e-298, 1.0, 1.0, 0.0, 0.0), 1e12
+    with pytest.raises(ConvergenceError, match="overflows a double"):
+        solve_gap(params, Thermo(beta))
+    with pytest.raises(ConvergenceError, match=r"^beta_list\[1\]=.*overflows a double"):
+        order_parameter_curve(params, [1e-307, beta])  # normal at 1e-307
 
 
 def test_gap_beyond_1e154_stays_finite():

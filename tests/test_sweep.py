@@ -390,11 +390,12 @@ def test_grid_bracket_failure_names_the_point():
     )
     with pytest.raises(ConvergenceError, match=r"^grid point \(1, 0\): failed to bracket"):
         run_grid(spec)
-    # b0 overflows at beta = 1, g1 = 1e8; every point at beta = 1e-307 is normal
+    # beta*omega_delta/2 overflows at beta = 1e12, g1 = 1; every point at
+    # beta = 1e-307 is normal, and g1 = 1e-8 keeps omega_delta = 1e282
     spec = GridSpec(
-        AxisSpec("beta", 1e-307, 1.0, 2),
-        AxisSpec("g1", 1.0, 1e8, 2),
-        {"omega0": 1e-290, "Omega": 1.0, "g2": 0.0, "lambda": 0.0},
+        AxisSpec("beta", 1e-307, 1e12, 2),
+        AxisSpec("g1", 1e-8, 1.0, 2),
+        {"omega0": 1e-298, "Omega": 1.0, "g2": 0.0, "lambda": 0.0},
     )
     with pytest.raises(ConvergenceError, match=r"^grid point \(1, 1\): .*overflows a double"):
         run_grid(spec)
