@@ -3,6 +3,11 @@
 Subcommands: tc, gap, free-energy, sweep, oracle, fermion-check, boundary.
 Parameters come from inline flags, a JSON config file (--config), or both;
 flags override file values, and conflicting duplicate flags are rejected.
+main merges them, and handles --dump-config, once for every subcommand that
+takes parameter flags.  boundary scans lambda, so a given lambda or beta is
+validated, then unused.  Every output but fermion-check's PASS/FAIL line goes
+through one row writer (sweep._write_rows), so --digits means the same thing
+everywhere; fermion-check takes --out but no --digits.
 Exit codes: 0 success (no_transition is a success), 1 fermion-check FAIL,
 2 validation error, 3 convergence/truncation/consistency error, 4 I/O error.
 """
@@ -22,34 +27,23 @@ from .errors import (
     TruncationError,
 )
 from .exact import TruncationConfig, fermionic_identity_check
-from .meanfield import critical_inverse_temperature, free_energy_diff, solve_gap
-from .model import _check_mapping_keys, effective_coupling, params_from_mapping
+from .meanfield import critical_inverse_temperature
+from .model import CONFIG_KEYS, _check_mapping_keys, effective_coupling, params_from_mapping
 from .sweep import (
     GridSpec,
+    _write_rows,
     evaluate_point,
     oracle_table,
     phase_boundary,
-    record_to_mapping,
     run_grid,
     write_boundary_csv,
     write_oracle_csv,
     write_oracle_jsonl,
     write_sweep_csv,
     write_sweep_jsonl,
-    _format_number,
 )
 
 FERMION_PASS_TOL = 1e-10
-
-# argparse flag name -> config key ("--lambda" cannot use dest "lambda")
-_FLAG_DESTS = {
-    "omega0": "omega0",
-    "Omega": "Omega",
-    "g1": "g1",
-    "g2": "g2",
-    "lambda": "lam",
-    "beta": "beta",
-}
 
 
 class _UniqueStore(argparse.Action):
@@ -74,8 +68,8 @@ class _UniqueStore(argparse.Action):
 
 
 def _add_param_flags(parser):
-    for key, dest in _FLAG_DESTS.items():
-        parser.add_argument(f"--{key}", dest=dest, type=float, action=_UniqueStore)
+    for key in CONFIG_KEYS:
+        parser.add_argument(f"--{key}", dest=key, type=float, action=_UniqueStore)
     parser.add_argument("--config", help="JSON file with parameter values")
     parser.add_argument(
         "--dump-config",
@@ -84,10 +78,11 @@ def _add_param_flags(parser):
     )
 
 
-def _add_output_flags(parser, formats=False):
+def _add_output_flags(parser, digits=True, formats=False):
     parser.add_argument("--out", help="output file (default: stdout)", action=_UniqueStore)
-    parser.add_argument("--digits", type=int, action=_UniqueStore,
-                        help="significant digits for numeric output (default: full round-trip)")
+    if digits:
+        parser.add_argument("--digits", type=int, action=_UniqueStore,
+                            help="significant digits for numeric output (default: full round-trip)")
     if formats:
         parser.add_argument("--format", choices=("csv", "json"), default="csv",
                             action=_UniqueStore)
@@ -106,72 +101,55 @@ def _merged_config(args) -> dict:
             raise DomainError("config file must hold a JSON object")
         _check_mapping_keys(raw)
         merged.update(raw)
-    for key, dest in _FLAG_DESTS.items():
-        value = getattr(args, dest, None)
+    for key in CONFIG_KEYS:
+        value = getattr(args, key)
         if value is not None:
             merged[key] = value
     return merged
 
 
-def _maybe_dump_config(args, config) -> bool:
-    if getattr(args, "dump_config", False):
-        print(json.dumps(config, sort_keys=True))
-        return True
-    return False
-
-
 @contextlib.contextmanager
-def _open_out(args):
-    if getattr(args, "out", None):
-        with open(args.out, "w", newline="") as handle:
-            yield handle
-    else:
-        yield sys.stdout
-
-
-def _digits(args):
+def _output(args):
+    """(stream, digits) for the result; --digits is checked before --out is opened."""
     digits = getattr(args, "digits", None)
     if digits is not None and digits < 1:
         raise DomainError(f"--digits must be >= 1, got {digits}")
-    return digits
+    if args.out:
+        with open(args.out, "w", newline="") as handle:
+            yield handle, digits
+    else:
+        yield sys.stdout, digits
 
 
-def _print_json(args, mapping) -> None:
-    digits = _digits(args)
-    if digits:
-        mapping = {
-            key: (float(_format_number(value, digits)) if isinstance(value, float) else value)
-            for key, value in mapping.items()
-        }
-    with _open_out(args) as stream:
-        stream.write(json.dumps(mapping) + "\n")
+def _truncation(args, params, thermo) -> TruncationConfig:
+    """--n-max as the starting boson cutoff, else the seeded heuristic."""
+    if args.n_max is not None:
+        return TruncationConfig(args.n_max, args.tol)
+    return TruncationConfig.seeded(params, thermo, args.tol)
 
 
-def _cmd_tc(args) -> int:
-    config = _merged_config(args)
-    if _maybe_dump_config(args, config):
-        return 0
+def _cmd_tc(args, config) -> int:
     params, _ = params_from_mapping(config)  # a given beta is validated, then unused
     G = effective_coupling(params).G
     ratio = params.omega0 * params.Omega / G if G != 0 else None
     beta_c = critical_inverse_temperature(params)
     if beta_c is None:
-        _print_json(args, {"phase": "no_transition", "ratio": ratio})
+        columns, row = ("phase", "ratio"), ("no_transition", ratio)
     else:
-        _print_json(args, {"beta_c": beta_c, "T_c": 1.0 / beta_c, "ratio": ratio})
+        columns, row = ("beta_c", "T_c", "ratio"), (beta_c, 1.0 / beta_c, ratio)
+    with _output(args) as (stream, digits):
+        _write_rows(stream, columns, [row], digits, "json")
     return 0
 
 
-def _record_json(args) -> int:
-    config = _merged_config(args)
-    if _maybe_dump_config(args, config):
-        return 0
+def _cmd_point(args, config) -> int:
     record = evaluate_point(config)
-    _print_json(args, record_to_mapping(record))
+    with _output(args) as (stream, digits):
+        write_sweep_jsonl([record], stream, digits)
     return 0
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args, _config) -> int:
     with open(args.grid) as handle:
         try:
             mapping = json.load(handle)
@@ -179,71 +157,49 @@ def _cmd_sweep(args) -> int:
             raise DomainError(f"grid file is not valid JSON: {exc}") from exc
     spec = GridSpec.from_mapping(mapping)
     records = run_grid(spec, jobs=args.jobs)
-    digits = _digits(args)
-    with _open_out(args) as stream:
-        if args.format == "json":
-            write_sweep_jsonl(records, stream, digits)
-        else:
-            write_sweep_csv(records, stream, digits)
+    write = write_sweep_jsonl if args.format == "json" else write_sweep_csv
+    with _output(args) as (stream, digits):
+        write(records, stream, digits)
     return 0
 
 
-def _cmd_oracle(args) -> int:
-    config = _merged_config(args)
-    if _maybe_dump_config(args, config):
-        return 0
+def _cmd_oracle(args, config) -> int:
     params, thermo = params_from_mapping(config, require_beta=True)
     try:
         n_list = [int(chunk) for chunk in str(args.N).split(",")]
     except ValueError as exc:
         raise DomainError(f"--N must be a comma-separated integer list: {exc}") from exc
-    if args.n_max is not None:
-        trunc = TruncationConfig(args.n_max, args.tol)
-    else:
-        trunc = TruncationConfig.seeded(params, thermo, args.tol)
-    rows = oracle_table(params, thermo, n_list, trunc)
-    digits = _digits(args)
-    with _open_out(args) as stream:
-        if args.format == "json":
-            write_oracle_jsonl(rows, stream, digits)
-        else:
-            write_oracle_csv(rows, stream, digits)
+    rows = oracle_table(params, thermo, n_list, _truncation(args, params, thermo))
+    write = write_oracle_jsonl if args.format == "json" else write_oracle_csv
+    with _output(args) as (stream, digits):
+        write(rows, stream, digits)
     return 0
 
 
-def _cmd_fermion_check(args) -> int:
-    config = _merged_config(args)
-    if _maybe_dump_config(args, config):
-        return 0
+def _cmd_fermion_check(args, config) -> int:
     params, thermo = params_from_mapping(config, require_beta=True)
-    if args.n_max is not None:
-        trunc = TruncationConfig(args.n_max, args.tol)
-    else:
-        trunc = TruncationConfig.seeded(params, thermo, args.tol)
+    trunc = _truncation(args, params, thermo)
     discrepancy = fermionic_identity_check(params, args.N, thermo, trunc)
     verdict = "PASS" if discrepancy < FERMION_PASS_TOL else "FAIL"
-    with _open_out(args) as stream:
+    with _output(args) as (stream, _):
         stream.write(f"{verdict} {discrepancy:.1e}\n")
     return 0 if verdict == "PASS" else 1
 
 
-def _cmd_boundary(args) -> int:
-    config = _merged_config(args)
-    if _maybe_dump_config(args, config):
-        return 0
-    for field in ("omega0", "Omega", "g1", "g2"):
-        if field not in config:
-            raise DomainError(f"missing required parameter: {field}")
+def _cmd_boundary(args, config) -> int:
+    # lambda is scanned, so it may be absent; a given lambda or beta is
+    # validated, then unused
+    params, _ = params_from_mapping({"lambda": 0.0, **config})
     points = phase_boundary(
-        config["omega0"],
-        config["Omega"],
-        config["g1"],
-        config["g2"],
+        params.omega0,
+        params.Omega,
+        params.g1,
+        params.g2,
         (args.lambda_min, args.lambda_max),
         args.count,
     )
-    with _open_out(args) as stream:
-        write_boundary_csv(points, stream, _digits(args))
+    with _output(args) as (stream, digits):
+        write_boundary_csv(points, stream, digits)
     return 0
 
 
@@ -267,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         _add_param_flags(p)
         _add_output_flags(p)
-        p.set_defaults(handler=_record_json)
+        p.set_defaults(handler=_cmd_point)
 
     p_sweep = sub.add_parser("sweep", help="evaluate a 2-axis parameter grid")
     p_sweep.add_argument("--grid", required=True, help="JSON grid spec file")
@@ -292,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fermion.add_argument("--N", type=int, required=True, choices=(1, 2))
     p_fermion.add_argument("--n-max", dest="n_max", type=int, action=_UniqueStore)
     p_fermion.add_argument("--tol", type=float, default=1e-8, action=_UniqueStore)
-    _add_output_flags(p_fermion)
+    _add_output_flags(p_fermion, digits=False)
     p_fermion.set_defaults(handler=_cmd_fermion_check)
 
     p_boundary = sub.add_parser("boundary", help="T_c versus lambda curve")
@@ -313,7 +269,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        config = None
+        if hasattr(args, "dump_config"):  # the subcommand takes parameter flags
+            config = _merged_config(args)
+            if args.dump_config:
+                print(json.dumps(config, sort_keys=True))
+                return 0
+        return args.handler(args, config)
     except (DomainError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -178,6 +178,8 @@ def phase_boundary(
     lambda = ((g1+g2)**2 - omega0*Omega)/omega0 where the transition dies."""
     if not isinstance(count, int) or count < 1:
         raise DomainError(f"count must be an integer >= 1, got {count!r}")
+    if count > MAX_GRID_POINTS:
+        raise DomainError(f"count is {count}, cap is {MAX_GRID_POINTS}")
     lo, hi = float(lambda_range[0]), float(lambda_range[1])
     if not lo < hi:
         raise DomainError(f"lambda_range must satisfy min < max, got ({lo}, {hi})")
@@ -232,67 +234,62 @@ def _format_number(value: float, digits: int | None) -> str:
     return format(float(value), f".{digits}g")
 
 
-def record_to_mapping(record: SweepRecord, digits: int | None = None) -> dict:
-    """SweepRecord as a JSON-ready mapping with the CSV column names."""
-    out = {}
-    for column in SWEEP_COLUMNS:
-        if column == "phase":
-            out[column] = record.phase.value
-            continue
-        value = record.lam if column == "lambda" else getattr(record, column)
-        out[column] = float(_format_number(value, digits)) if digits else value
-    return out
+def _write_rows(stream, columns, rows, digits: int | None = None, fmt: str = "csv") -> None:
+    """Write rows as CSV (a header, then one line per row) or as JSON lines.
+
+    A CSV cell is a float through _format_number, a str as is, an int through
+    str, and None as an empty field.  A JSON line maps columns to the row's
+    values; floats are rounded through _format_number only when digits is set.
+    """
+    if fmt == "json":
+        for row in rows:
+            if digits:
+                row = [float(_format_number(v, digits)) if isinstance(v, float) else v
+                       for v in row]
+            stream.write(json.dumps(dict(zip(columns, row))) + "\n")
+        return
+    stream.write(",".join(columns) + "\n")
+    for row in rows:
+        # float first: nearly every cell is one
+        stream.write(",".join([
+            _format_number(v, digits) if isinstance(v, float) else "" if v is None else str(v)
+            for v in row
+        ]) + "\n")
+
+
+def _sweep_rows(records):
+    for r in records:
+        yield (r.omega0, r.Omega, r.g1, r.g2, r.lam, r.beta, r.phase.value,
+               r.b0, r.omega_delta, r.f_diff)
 
 
 def write_sweep_csv(records, stream, digits: int | None = None) -> None:
     """RFC 4180 CSV, LF line endings, header row, fixed column order."""
-    stream.write(",".join(SWEEP_COLUMNS) + "\n")
-    for record in records:
-        row = record_to_mapping(record, digits=None)
-        cells = [
-            row["phase"] if column == "phase" else _format_number(row[column], digits)
-            for column in SWEEP_COLUMNS
-        ]
-        stream.write(",".join(cells) + "\n")
+    _write_rows(stream, SWEEP_COLUMNS, _sweep_rows(records), digits)
 
 
 def write_sweep_jsonl(records, stream, digits: int | None = None) -> None:
     """JSON-lines mirror of the CSV with identical field names."""
-    for record in records:
-        stream.write(json.dumps(record_to_mapping(record, digits)) + "\n")
+    _write_rows(stream, SWEEP_COLUMNS, _sweep_rows(records), digits, "json")
 
 
 def write_boundary_csv(points, stream, digits: int | None = None) -> None:
     """lambda,T_c rows; the T_c field is empty where no transition exists."""
-    stream.write("lambda,T_c\n")
-    for lam, t_c in points:
-        cell = "" if t_c is None else _format_number(t_c, digits)
-        stream.write(f"{_format_number(lam, digits)},{cell}\n")
+    _write_rows(stream, ("lambda", "T_c"), points, digits)
+
+
+_ORACLE_COLUMNS = ("N", "f_diff_exact", "boson_occupation", "f_diff_mf", "b0_sq_mf")
+
+
+def _oracle_rows(rows):
+    for row in rows:
+        yield ("inf" if row.n_atoms is None else row.n_atoms, row.f_diff,
+               row.boson_occupation, row.f_diff_mf, row.b0_sq_mf)
 
 
 def write_oracle_csv(rows, stream, digits: int | None = None) -> None:
-    stream.write("N,f_diff_exact,boson_occupation,f_diff_mf,b0_sq_mf\n")
-    for row in rows:
-        label = "inf" if row.n_atoms is None else str(row.n_atoms)
-        cells = [
-            _format_number(value, digits)
-            for value in (row.f_diff, row.boson_occupation, row.f_diff_mf, row.b0_sq_mf)
-        ]
-        stream.write(label + "," + ",".join(cells) + "\n")
+    _write_rows(stream, _ORACLE_COLUMNS, _oracle_rows(rows), digits)
 
 
 def write_oracle_jsonl(rows, stream, digits: int | None = None) -> None:
-    for row in rows:
-        mapping = {
-            "N": "inf" if row.n_atoms is None else row.n_atoms,
-            "f_diff_exact": row.f_diff,
-            "boson_occupation": row.boson_occupation,
-            "f_diff_mf": row.f_diff_mf,
-            "b0_sq_mf": row.b0_sq_mf,
-        }
-        if digits:
-            mapping = {
-                key: (float(_format_number(v, digits)) if isinstance(v, float) else v)
-                for key, v in mapping.items()
-            }
-        stream.write(json.dumps(mapping) + "\n")
+    _write_rows(stream, _ORACLE_COLUMNS, _oracle_rows(rows), digits, "json")

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from dicke_dipole.cli import main
+from dicke_dipole.sweep import MAX_GRID_POINTS
 from oracles import mean_field_point
 
 TC_FLAGS = ["--omega0", "1", "--Omega", "1", "--g1", "0.6", "--g2", "0.6", "--lambda", "0"]
@@ -244,6 +245,42 @@ def test_boundary_csv(capsys):
     assert lines[-1].endswith(",")  # past the cut: empty T_c field
 
 
+BOUNDARY_FLAGS = ["--omega0", "1", "--Omega", "1", "--g1", "0.6", "--g2", "0.6",
+                  "--lambda-min", "0", "--lambda-max", "0.5"]
+
+
+def test_boundary_rejects_digits_before_opening_out(tmp_path, capsys):
+    out_file = tmp_path / "boundary.csv"
+    out_file.write_text("lambda,T_c\n")
+    code, out, err = run(capsys, ["boundary", *BOUNDARY_FLAGS, "--digits", "0",
+                                  "--out", str(out_file)])
+    assert code == 2 and out == ""
+    assert err == "error: --digits must be >= 1, got 0\n"
+    assert out_file.read_text() == "lambda,T_c\n"
+
+
+def test_boundary_validates_beta_lambda_and_count(capsys):
+    code, _, tc_err = run(capsys, ["tc", *TC_FLAGS, "--beta", "-1"])
+    assert code == 2
+    code, out, err = run(capsys, ["boundary", *BOUNDARY_FLAGS, "--beta", "-1", "--lambda", "99"])
+    assert code == 2 and out == "" and err == tc_err
+    code, out, err = run(capsys, ["boundary", *BOUNDARY_FLAGS, "--lambda", "1e13"])
+    assert code == 2 and out == "" and "lam exceeds the magnitude cap" in err
+    code, out, err = run(capsys, ["boundary", *BOUNDARY_FLAGS, "--count",
+                                  str(MAX_GRID_POINTS + 1)])
+    assert code == 2 and out == ""
+    assert err == f"error: count is {MAX_GRID_POINTS + 1}, cap is {MAX_GRID_POINTS}\n"
+
+
+def test_fermion_check_has_no_digits_flag(capsys):
+    code, out, err = run(capsys, [
+        "fermion-check", "--omega0", "1", "--Omega", "1", "--g1", "0.4", "--g2", "0.4",
+        "--lambda", "0.1", "--beta", "1", "--N", "1", "--n-max", "8", "--digits", "3",
+    ])
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --digits 3" in err
+
+
 def test_digits_flag_truncates(capsys):
     code, out, _ = run(capsys, ["tc", *TC_FLAGS, "--digits", "6"])
     assert code == 0
@@ -257,3 +294,100 @@ def test_version_and_help(capsys):
     assert code == 0 and "dicke-dipole" in out
     code, out, _ = run(capsys, ["--help"])
     assert code == 0 and "fermion-check" in out
+
+
+_GOLDEN_TC = "tc --omega0 1 --Omega 1 --g1 0.6 --g2 0.6"
+_GOLDEN_POINT = "--omega0 1 --Omega 1 --g1 0.6 --g2 0.6 --lambda 0 --beta 3"
+_GOLDEN_RECORD = ('{"omega0": 1.0, "Omega": 1.0, "g1": 0.6, "g2": 0.6, "lambda": 0.0, '
+                  '"beta": 3.0, "phase": "superradiant", ')
+_GOLDEN_SWEEP_JSON = (
+    '{"omega0": 1.0, "Omega": 1.0, "g1": 0.3, "g2": 0.6, "lambda": 0.0, "beta": 0.5, '
+    '"phase": "normal", "b0": 0.0, "omega_delta": 1.0, "f_diff": 0.0}\n'
+    '{"omega0": 1.0, "Omega": 1.0, "g1": 0.3, "g2": 0.6, "lambda": 0.0, "beta": 8.0, '
+    '"phase": "normal", "b0": 0.0, "omega_delta": 1.0, "f_diff": 0.0}\n'
+    '{"omega0": 1.0, "Omega": 1.0, "g1": 0.9, "g2": 0.6, "lambda": 0.0, "beta": 0.5, '
+    '"phase": "normal", "b0": 0.0, "omega_delta": 1.0, "f_diff": 0.0}\n'
+    '{"omega0": 1.0, "Omega": 1.0, "g1": 0.9, "g2": 0.6, "lambda": 0.0, "beta": 8.0, '
+    '"phase": "superradiant", '
+)
+_GOLDEN_BOUNDARY = ("boundary --omega0 1 --Omega 1 --g1 0.6 --g2 0.6 "
+                    "--lambda-min 0 --lambda-max 0.5 --count 3")
+_GOLDEN_ORACLE = ("oracle --omega0 1 --Omega 1 --g1 0.4 --g2 0.4 --lambda 0.1 --beta 1 "
+                  "--N 1,2 --n-max 8 --format json")
+_GOLDEN_ORACLE_MF = '"f_diff_mf": 0.0, "b0_sq_mf": 0.0}\n'
+_GOLDEN_ORACLE_INF = ('{"N": "inf", "f_diff_exact": 0.0, "boson_occupation": 0.0, '
+                      + _GOLDEN_ORACLE_MF)
+
+# Every printed format, with and without --digits: the bytes the CLI wrote
+# before its outputs shared one row writer.
+GOLDEN = [
+    (f"{_GOLDEN_TC} --lambda 0",
+     '{"beta_c": 1.7129785913749407, "T_c": 0.5837784576147792, '
+     '"ratio": 0.6944444444444444}\n'),
+    (f"{_GOLDEN_TC} --lambda 0 --digits 4",
+     '{"beta_c": 1.713, "T_c": 0.5838, "ratio": 0.6944}\n'),
+    (f"{_GOLDEN_TC} --lambda 0.44",
+     '{"phase": "no_transition", "ratio": 1.0}\n'),
+    (f"{_GOLDEN_TC} --lambda 0.44 --digits 4",
+     '{"phase": "no_transition", "ratio": 1.0}\n'),
+    (f"gap {_GOLDEN_POINT}",
+     _GOLDEN_RECORD + '"b0": 0.4065093026725514, "omega_delta": 1.3970822895583876, '
+     '"f_diff": -0.022100258730361866}\n'),
+    (f"gap {_GOLDEN_POINT} --digits 4",
+     _GOLDEN_RECORD + '"b0": 0.4065, "omega_delta": 1.397, "f_diff": -0.0221}\n'),
+    (f"free-energy {_GOLDEN_POINT}",
+     _GOLDEN_RECORD + '"b0": 0.4065093026725514, "omega_delta": 1.3970822895583876, '
+     '"f_diff": -0.022100258730361866}\n'),
+    (f"free-energy {_GOLDEN_POINT} --digits 4",
+     _GOLDEN_RECORD + '"b0": 0.4065, "omega_delta": 1.397, "f_diff": -0.0221}\n'),
+    ("sweep --grid grid.json",
+     "omega0,Omega,g1,g2,lambda,beta,phase,b0,omega_delta,f_diff\n"
+     "1.0,1.0,0.3,0.6,0.0,0.5,normal,0.0,1.0,0.0\n"
+     "1.0,1.0,0.3,0.6,0.0,8.0,normal,0.0,1.0,0.0\n"
+     "1.0,1.0,0.9,0.6,0.0,0.5,normal,0.0,1.0,0.0\n"
+     "1.0,1.0,0.9,0.6,0.0,8.0,superradiant,0.6718547868560659,2.249999931465041,"
+     "-0.1735691872182471\n"),
+    ("sweep --grid grid.json --digits 4",
+     "omega0,Omega,g1,g2,lambda,beta,phase,b0,omega_delta,f_diff\n"
+     "1,1,0.3,0.6,0,0.5,normal,0,1,0\n"
+     "1,1,0.3,0.6,0,8,normal,0,1,0\n"
+     "1,1,0.9,0.6,0,0.5,normal,0,1,0\n"
+     "1,1,0.9,0.6,0,8,superradiant,0.6719,2.25,-0.1736\n"),
+    ("sweep --grid grid.json --format json",
+     _GOLDEN_SWEEP_JSON + '"b0": 0.6718547868560659, "omega_delta": 2.249999931465041, '
+     '"f_diff": -0.1735691872182471}\n'),
+    ("sweep --grid grid.json --format json --digits 4",
+     _GOLDEN_SWEEP_JSON + '"b0": 0.6719, "omega_delta": 2.25, "f_diff": -0.1736}\n'),
+    (_GOLDEN_BOUNDARY,
+     "lambda,T_c\n0.0,0.5837784576147792\n0.25,0.409059397463315\n0.5,\n"),
+    (f"{_GOLDEN_BOUNDARY} --digits 4",
+     "lambda,T_c\n0,0.5838\n0.25,0.4091\n0.5,\n"),
+    (_GOLDEN_ORACLE,
+     '{"N": 1, "f_diff_exact": -0.14872818419846023, '
+     '"boson_occupation": 0.7309969970072565, ' + _GOLDEN_ORACLE_MF
+     + '{"N": 2, "f_diff_exact": -0.07822549883514585, '
+     '"boson_occupation": 0.37446246199018396, ' + _GOLDEN_ORACLE_MF + _GOLDEN_ORACLE_INF),
+    (f"{_GOLDEN_ORACLE} --digits 4",
+     '{"N": 1, "f_diff_exact": -0.1487, "boson_occupation": 0.731, ' + _GOLDEN_ORACLE_MF
+     + '{"N": 2, "f_diff_exact": -0.07823, "boson_occupation": 0.3745, ' + _GOLDEN_ORACLE_MF
+     + _GOLDEN_ORACLE_INF),
+]
+
+
+GOLDEN_IDS = [
+    f"{name}{suffix}"
+    for name in ("tc", "tc-no_transition", "gap", "free-energy", "sweep-csv", "sweep-json",
+                 "boundary", "oracle-json")
+    for suffix in ("", "-digits")
+]
+
+
+@pytest.mark.parametrize("command, expected", GOLDEN, ids=GOLDEN_IDS)
+def test_printed_formats_golden(command, expected, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "grid.json").write_text(json.dumps({
+        "axis1": {"name": "g1", "min": 0.3, "max": 0.9, "count": 2},
+        "axis2": {"name": "beta", "min": 0.5, "max": 8.0, "count": 2, "scale": "log"},
+        "fixed": {"omega0": 1.0, "Omega": 1.0, "g2": 0.6, "lambda": 0.0},
+    }))
+    assert run(capsys, command.split()) == (0, expected, "")

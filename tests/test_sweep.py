@@ -28,7 +28,7 @@ from dicke_dipole import (
     write_sweep_csv,
     write_sweep_jsonl,
 )
-from dicke_dipole.sweep import SWEEP_COLUMNS, evaluate_point
+from dicke_dipole.sweep import MAX_GRID_POINTS, SWEEP_COLUMNS, evaluate_point
 from oracles import bisect_critical_beta, mean_field_point
 
 # bounds on b0 and f_diff against the oracle: an absolute floor for values
@@ -243,6 +243,8 @@ def test_phase_boundary_validation():
         phase_boundary(1, 1, 0.6, 0.6, (0.0, 1.0), 0)
     with pytest.raises(DomainError, match="lambda_range"):
         phase_boundary(1, 1, 0.6, 0.6, (1.0, 0.0), 5)
+    with pytest.raises(DomainError, match="cap"):
+        phase_boundary(1, 1, 0.6, 0.6, (0.0, 1.0), MAX_GRID_POINTS + 1)
 
 
 # --- oracle table ----------------------------------------------------------------
