@@ -7,7 +7,8 @@ main merges them, and handles --dump-config, once for every subcommand that
 takes parameter flags.  boundary scans lambda, so a given lambda or beta is
 validated, then unused.  Every output but fermion-check's PASS/FAIL line goes
 through one row writer (sweep._write_rows), so --digits means the same thing
-everywhere; fermion-check takes --out but no --digits.
+everywhere; fermion-check takes --out but no --digits.  --digits is
+checked after the config merge and --dump-config, before any other work.
 Exit codes: 0 success (no_transition is a success), 1 fermion-check FAIL,
 2 validation error, 3 convergence/truncation/consistency error, 4 I/O error.
 """
@@ -26,7 +27,6 @@ from .errors import (
     HermiticityError,
     TruncationError,
 )
-from .exact import TruncationConfig, fermionic_identity_check
 from .meanfield import critical_inverse_temperature
 from .model import CONFIG_KEYS, _check_mapping_keys, effective_coupling, params_from_mapping
 from .sweep import (
@@ -70,7 +70,7 @@ class _UniqueStore(argparse.Action):
 def _add_param_flags(parser):
     for key in CONFIG_KEYS:
         parser.add_argument(f"--{key}", dest=key, type=float, action=_UniqueStore)
-    parser.add_argument("--config", help="JSON file with parameter values")
+    parser.add_argument("--config", action=_UniqueStore, help="JSON file with parameter values")
     parser.add_argument(
         "--dump-config",
         action="store_true",
@@ -110,10 +110,8 @@ def _merged_config(args) -> dict:
 
 @contextlib.contextmanager
 def _output(args):
-    """(stream, digits) for the result; --digits is checked before --out is opened."""
+    """(stream, digits) for the result; main has checked --digits."""
     digits = getattr(args, "digits", None)
-    if digits is not None and digits < 1:
-        raise DomainError(f"--digits must be >= 1, got {digits}")
     if args.out:
         with open(args.out, "w", newline="") as handle:
             yield handle, digits
@@ -121,8 +119,12 @@ def _output(args):
         yield sys.stdout, digits
 
 
-def _truncation(args, params, thermo) -> TruncationConfig:
+def _truncation(args, params, thermo):
     """--n-max as the starting boson cutoff, else the seeded heuristic."""
+    # imported here, as in the fermion-check handler, so that the mean-field
+    # commands never load SciPy
+    from .exact import TruncationConfig
+
     if args.n_max is not None:
         return TruncationConfig(args.n_max, args.tol)
     return TruncationConfig.seeded(params, thermo, args.tol)
@@ -177,6 +179,8 @@ def _cmd_oracle(args, config) -> int:
 
 
 def _cmd_fermion_check(args, config) -> int:
+    from .exact import fermionic_identity_check
+
     params, thermo = params_from_mapping(config, require_beta=True)
     trunc = _truncation(args, params, thermo)
     discrepancy = fermionic_identity_check(params, args.N, thermo, trunc)
@@ -226,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=_cmd_point)
 
     p_sweep = sub.add_parser("sweep", help="evaluate a 2-axis parameter grid")
-    p_sweep.add_argument("--grid", required=True, help="JSON grid spec file")
+    p_sweep.add_argument("--grid", required=True, action=_UniqueStore, help="JSON grid spec file")
     p_sweep.add_argument("--jobs", type=int, default=1, action=_UniqueStore,
                          help="accepted for interface stability; the grid is solved in one pass")
     _add_output_flags(p_sweep, formats=True)
@@ -234,7 +238,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="finite-N vs mean-field comparison table")
     _add_param_flags(p_oracle)
-    p_oracle.add_argument("--N", required=True, help="comma-separated atom counts, e.g. 2,4,6,8")
+    p_oracle.add_argument("--N", required=True, action=_UniqueStore,
+                          help="comma-separated atom counts, e.g. 2,4,6,8")
     p_oracle.add_argument("--n-max", dest="n_max", type=int, action=_UniqueStore,
                           help="starting boson cutoff (default: seeded heuristic)")
     p_oracle.add_argument("--tol", type=float, default=1e-8, action=_UniqueStore)
@@ -245,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_fermion = sub.add_parser("fermion-check", help="fermionic trace identity check")
     _add_param_flags(p_fermion)
-    p_fermion.add_argument("--N", type=int, required=True, choices=(1, 2))
+    p_fermion.add_argument("--N", type=int, required=True, choices=(1, 2), action=_UniqueStore)
     p_fermion.add_argument("--n-max", dest="n_max", type=int, action=_UniqueStore)
     p_fermion.add_argument("--tol", type=float, default=1e-8, action=_UniqueStore)
     _add_output_flags(p_fermion, digits=False)
@@ -253,8 +258,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_boundary = sub.add_parser("boundary", help="T_c versus lambda curve")
     _add_param_flags(p_boundary)
-    p_boundary.add_argument("--lambda-min", dest="lambda_min", type=float, required=True)
-    p_boundary.add_argument("--lambda-max", dest="lambda_max", type=float, required=True)
+    p_boundary.add_argument("--lambda-min", dest="lambda_min", type=float, required=True,
+                            action=_UniqueStore)
+    p_boundary.add_argument("--lambda-max", dest="lambda_max", type=float, required=True,
+                            action=_UniqueStore)
     p_boundary.add_argument("--count", type=int, default=50, action=_UniqueStore)
     _add_output_flags(p_boundary)
     p_boundary.set_defaults(handler=_cmd_boundary)
@@ -275,6 +282,10 @@ def main(argv=None) -> int:
             if args.dump_config:
                 print(json.dumps(config, sort_keys=True))
                 return 0
+        # before any work, so that a bad value cannot cost a whole oracle table
+        digits = getattr(args, "digits", None)
+        if digits is not None and digits < 1:
+            raise DomainError(f"--digits must be >= 1, got {digits}")
         return args.handler(args, config)
     except (DomainError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,8 +29,25 @@ which commutes with H for any g1, g2 and lam, into its (n + m + j) even and
 odd classes.  Listed n-outer, m-inner, each class is a band matrix of
 half-bandwidth at most j+1, solved by LAPACK's banded eigensolver (dense eigh
 on the half-size block when eigenvectors are wanted).  An element coupling
-the two classes raises CommutationError.  Partition sums are accumulated in
-shifted (log-sum-exp) form.
+the two classes raises CommutationError.  build_collective always returns
+the full spectrum.  Partition sums are accumulated in shifted (log-sum-exp)
+form.
+
+The thermal sums (free_energy_exact's sector sum, thermal_boson_occupation)
+need only the states below a window top e_min + W, with
+W = (ln(n_max * sum_j d_j dim_j) + 53 ln 2) / beta: all the others together
+weigh less than 2^-53/n_max of Z and move <b'b> by less than 2^-53.  A block
+of at least WINDOW_MIN_DIM states is factored once as H - top = L D L' by
+SuperLU, in natural order and without pivoting; the negative pivots count
+the eigenvalues below the top (Sylvester's law of inertia), and shift-invert
+Lanczos (Ericsson & Ruhe, Math. Comp. 35, 1251, 1980) on the same factor
+finds exactly that many.  A block with none below the top is skipped.  The
+full banded or dense solve is used instead when the window holds a large
+share of the block, a pivot was permuted or is tiny, Lanczos fails or
+returns a value above, or within rounding of, the top, or returns a
+different number of values than the count.  Where every block takes the
+full solve (all blocks small, or a high temperature), the sums are bit for
+bit those of the full spectra.
 """
 
 import math
@@ -53,6 +70,16 @@ COLLECTIVE_DIM_CAP = 100_000
 MAX_ATOMS_FULL = 12
 HERMITICITY_TOL = 1e-12
 COMMUTATOR_TOL = 1e-12
+# Thermal-window sector solves.  A parity block of at least WINDOW_MIN_DIM
+# states is windowed when at most WINDOW_MAX_SHARE of it lies below the top,
+# or WINDOW_MAX_SHARE_VECTORS when eigenvectors are wanted: past those shares
+# the full solve (banded O(dim^2), dense eigh O(dim^3)) is the faster.  A
+# pivot within PIVOT_TOL of the largest |H - top| element, or an eigenvalue
+# that close below the top, sends the block to the full solve.
+WINDOW_MIN_DIM = 256
+WINDOW_MAX_SHARE = 1 / 24
+WINDOW_MAX_SHARE_VECTORS = 1 / 6
+PIVOT_TOL = 2.0**-26
 
 
 @dataclass(frozen=True)
@@ -126,17 +153,13 @@ def _parity_blocks(n_max: int, spin_dim: int):
     return [original[parity == p] for p in (0, 1)]
 
 
-def _banded_eigh(h, blocks, occ_basis):
-    """Eigenvalues, and occupations if occ_basis is given, of the sparse
-    Hermitian h that the index classes in blocks split into diagonal blocks.
+def _block_lowers(h, blocks):
+    """Lower triangle (rows, cols, values) of each diagonal block of the
+    sparse Hermitian h, in the block's own coordinates.
 
-    Each block's lower band goes into LAPACK band storage (kd+1, len) and is
-    solved on its own; the spectra are merged in ascending order.  A nonzero
-    element between two blocks raises CommutationError.
+    The index classes in blocks must split h: a nonzero element between two
+    blocks raises CommutationError.
     """
-    # imported here, so that the mean-field commands never load it
-    import scipy.linalg
-
     block_of = np.empty(h.shape[0], dtype=int)
     position = np.empty(h.shape[0], dtype=int)
     for b, idx in enumerate(blocks):
@@ -154,40 +177,133 @@ def _banded_eigh(h, blocks, occ_basis):
             f"parity-breaking entry of magnitude {worst:.3e} couples the "
             f"symmetry blocks ({int(leak.sum())} such entries)"
         )
-    vals, occs = [], []
-    for b, idx in enumerate(blocks):
+    lowers = []
+    for b in range(len(blocks)):
         lower = inside & (block_of[rows] == b) & (position[rows] >= position[cols])
-        r, c = position[rows[lower]], position[cols[lower]]
-        if occ_basis is None:
-            band = np.zeros((int((r - c).max(initial=0)) + 1, len(idx)), dtype=h.dtype)
-            band[r - c, c] = data[lower]
-            vals.append(scipy.linalg.eigvals_banded(band, lower=True))
-            continue
-        # eigenvectors fill the block anyway, and dense eigh on the half-size
-        # block beats eig_banded there; it reads only the lower triangle
-        dense = np.zeros((len(idx), len(idx)), dtype=h.dtype)
-        dense[r, c] = data[lower]
-        block_vals, vecs = np.linalg.eigh(dense)
-        vals.append(block_vals)
-        occs.append((np.abs(vecs) ** 2 * occ_basis[idx, None]).sum(axis=0))
-    vals = np.concatenate(vals)
+        lowers.append((position[rows[lower]], position[cols[lower]], data[lower]))
+    return lowers
+
+
+def _block_eigh(size, lower, occ):
+    """Every eigenvalue of one block given by its lower triangle, and the
+    <b'b> of each eigenvector when occ (the basis occupations) is given."""
+    # imported here, so that the mean-field commands never load it
+    import scipy.linalg
+
+    r, c, data = lower
+    if occ is None:
+        band = np.zeros((int((r - c).max(initial=0)) + 1, size), dtype=data.dtype)
+        band[r - c, c] = data
+        return scipy.linalg.eigvals_banded(band, lower=True), None
+    # eigenvectors fill the block anyway, and dense eigh on the half-size
+    # block beats eig_banded there; it reads only the lower triangle
+    dense = np.zeros((size, size), dtype=data.dtype)
+    dense[r, c] = data
+    vals, vecs = np.linalg.eigh(dense)
+    return vals, (np.abs(vecs) ** 2 * occ[:, None]).sum(axis=0)
+
+
+def _lowest_ritz_value(a) -> float:
+    """An upper bound on the lowest eigenvalue of the sparse symmetric a,
+    close to it: a Lanczos Ritz value, else the smallest diagonal element
+    (both are Rayleigh quotients)."""
+    import scipy.sparse.linalg as splinalg
+
+    v0 = np.random.default_rng(0).standard_normal(a.shape[0])
+    try:
+        # a loose tolerance still gives an upper bound, which is all a window needs
+        return float(splinalg.eigsh(a, 1, which="SA", v0=v0, tol=1e-6,
+                                    return_eigenvectors=False)[0])
+    except RuntimeError:  # ArpackError
+        return float(a.diagonal().min())
+
+
+def _window_eigh(a, top, occ):
+    """Every eigenpair of the sparse symmetric block a below top, or None
+    when the full solve must be used instead.
+
+    H - top is factored once by SuperLU in natural order without pivoting,
+    so its negative pivots count the eigenvalues below top (Sylvester's law
+    of inertia); shift-invert Lanczos on the same factor then finds them.
+    None when a pivot was permuted or is tiny, when the window holds too
+    large a share of the block, or when Lanczos does not return exactly that
+    many values, all clear of top.
+    """
+    # imported here, so that only the window branch loads it
+    import scipy.sparse.linalg as splinalg
+
+    size = a.shape[0]
+    shifted = (a - top * sparse.identity(size, format="csc")).tocsc()
+    tiny = PIVOT_TOL * float(abs(shifted).max())
+    try:
+        lu = splinalg.splu(shifted, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+    except RuntimeError:  # an exactly zero pivot
+        return None
+    pivots = lu.U.diagonal()
+    natural = np.arange(size)
+    if not (np.array_equal(lu.perm_r, natural) and np.array_equal(lu.perm_c, natural)
+            and (np.abs(pivots) > tiny).all()):
+        return None
+    count = int((pivots < 0).sum())
+    if count == 0:
+        return np.empty(0), None if occ is None else np.empty(0)
+    if count > (WINDOW_MAX_SHARE if occ is None else WINDOW_MAX_SHARE_VECTORS) * size:
+        return None
+    inverse = splinalg.LinearOperator((size, size), matvec=lu.solve, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(size)
+    try:
+        # which="SA" on 1/(E - top): the most negative values are those below top
+        found = splinalg.eigsh(a, count, sigma=top, which="SA", OPinv=inverse, v0=v0,
+                               return_eigenvectors=occ is not None)
+    except RuntimeError:  # ArpackError, no convergence included
+        return None
+    vals, vecs = found if occ is not None else (found, None)
+    # a value within rounding of top may have been counted on the wrong side
+    if vals.shape != (count,) or not (vals < top - tiny).all():
+        return None
+    return vals, None if occ is None else (np.abs(vecs) ** 2 * occ[:, None]).sum(axis=0)
+
+
+def _symmetric_block(size, lower):
+    """The block with the given lower triangle, as a symmetric CSC matrix."""
+    r, c, data = lower
+    off = r != c
+    return sparse.csc_matrix(
+        (np.concatenate([data, data[off]]), (np.concatenate([r, c[off]]), np.concatenate([c, r[off]]))),
+        shape=(size, size),
+    )
+
+
+def _merge_blocks(parts):
+    """One ascending spectrum, occupations permuted alike, from per-block
+    (eigenvalues, occupations) pairs."""
+    vals = np.concatenate([v for v, _ in parts])
     order = np.argsort(vals, kind="stable")
-    return vals[order], (np.concatenate(occs)[order] if occs else None)
+    if parts[0][1] is None:
+        return vals[order], None
+    return vals[order], np.concatenate([o for _, o in parts])[order]
 
 
-def _diagonalize(h, basis, n_atoms, n_max, sector_j, want_occupations):
+def _check_hermitian(h) -> None:
     # checked on the sparse matrix, so only one dense copy is ever made
     deviation = float(abs(h - h.conj().T).max())
     if deviation > HERMITICITY_TOL:
         raise HermiticityError(
             f"max |H - H^dag| entry = {deviation:.3e} exceeds {HERMITICITY_TOL:g}"
         )
+
+
+def _diagonalize(h, basis, n_atoms, n_max, sector_j, want_occupations):
+    _check_hermitian(h)
     dim = h.shape[0]
     # b'b is diagonal in every basis used here; the boson index is fastest
     occ_basis = np.tile(np.arange(n_max + 1, dtype=float), dim // (n_max + 1))
     if basis == "collective":
         blocks = _parity_blocks(n_max, int(round(2 * sector_j)) + 1)
-        vals, occupations = _banded_eigh(h, blocks, occ_basis if want_occupations else None)
+        vals, occupations = _merge_blocks([
+            _block_eigh(len(idx), lower, occ_basis[idx] if want_occupations else None)
+            for idx, lower in zip(blocks, _block_lowers(h, blocks))
+        ])
         return SpectralData(vals, dim, basis, n_atoms, n_max, sector_j, occupations)
     hd = h.toarray()
     if want_occupations:
@@ -299,10 +415,15 @@ def build_collective(
     J^z = 2 S^z, and the dipole exchange enters as
     (lam/N) * (S^+ S^- - (N + 2 S^z)/2).
     """
+    h = _collective_hamiltonian(params, n_atoms, j, trunc.n_max)
+    return _diagonalize(h, "collective", n_atoms, trunc.n_max, float(j), want_occupations)
+
+
+def _collective_hamiltonian(params, n_atoms, j, n_max):
     validate(params)
     _check_sector(n_atoms, j)
     spin_dim = int(round(2 * j)) + 1
-    dim = spin_dim * (trunc.n_max + 1)
+    dim = spin_dim * (n_max + 1)
     if dim > COLLECTIVE_DIM_CAP:
         raise DimensionError(
             f"collective-sector dimension {dim} exceeds the cap {COLLECTIVE_DIM_CAP}"
@@ -311,8 +432,7 @@ def build_collective(
     s_z = sparse.diags(m, format="csr")
     s_p = sparse.diags(np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0)), -1, format="csr")
     exchange = s_p @ s_p.T - sparse.diags(0.5 * (n_atoms + 2.0 * m))
-    h = _hamiltonian(params, n_atoms, trunc.n_max, s_p, s_z, exchange)
-    return _diagonalize(h, "collective", n_atoms, trunc.n_max, float(j), want_occupations)
+    return _hamiltonian(params, n_atoms, n_max, s_p, s_z, exchange)
 
 
 def sector_multiplicity(n_atoms: int, j) -> int:
@@ -349,25 +469,51 @@ def partition_function(spectral: SpectralData, thermo: Thermo) -> LogPartition:
     return LogPartition(shifted, e_min, thermo.beta)
 
 
-def _sector_spectra(params, n_atoms, n_max, want_occupations=False):
-    trunc = TruncationConfig(n_max)
-    return [
-        (
-            sector_multiplicity(n_atoms, j),
-            build_collective(params, n_atoms, j, trunc, want_occupations),
-        )
-        for j in sector_spins(n_atoms)
-    ]
+def _thermal_sectors(params, n_atoms, beta, n_max, want_occupations=False):
+    """(multiplicity, ascending eigenvalues, occupations or None) of every
+    spin sector, holding at least each eigenpair below e_min + width.
+
+    With width = (ln(n_max * sum_j d_j dim_j) + 53 ln 2) / beta, the states
+    left out weigh less than 2^-53/n_max of Z, and as none holds more than
+    n_max bosons, they move <b'b> by less than 2^-53.  The top starts at the
+    first windowed block's lowest Ritz value + width, which is above
+    e_min + width, and falls to each solved block's lowest eigenvalue +
+    width; as it only falls, every window taken stays complete.
+    """
+    spins = sector_spins(n_atoms)
+    multiplicities = [sector_multiplicity(n_atoms, j) for j in spins]
+    states = sum(d * (round(2 * j) + 1) for d, j in zip(multiplicities, spins)) * (n_max + 1)
+    width = (math.log(n_max * states) + 53 * math.log(2)) / beta
+    top = math.inf
+    sectors = []
+    for d, j in zip(multiplicities, spins):
+        h = _collective_hamiltonian(params, n_atoms, j, n_max)
+        _check_hermitian(h)
+        blocks = _parity_blocks(n_max, round(2 * j) + 1)
+        parts = []
+        for idx, lower in zip(blocks, _block_lowers(h, blocks)):
+            occ = (idx % (n_max + 1)).astype(float) if want_occupations else None
+            part = None
+            if len(idx) >= WINDOW_MIN_DIM and math.isfinite(width):
+                a = _symmetric_block(len(idx), lower)
+                if math.isinf(top):
+                    top = _lowest_ritz_value(a) + width
+                part = _window_eigh(a, top, occ)
+            if part is None:
+                part = _block_eigh(len(idx), lower, occ)
+            if part[0].size:
+                top = min(top, float(part[0].min()) + width)
+            parts.append(part)
+        sectors.append((d, *_merge_blocks(parts)))
+    return sectors
 
 
 def _ln_z_sectors(params, n_atoms, thermo, n_max) -> float:
-    spectra = _sector_spectra(params, n_atoms, n_max)
-    e_min = min(float(spec.eigenvalues[0]) for _, spec in spectra)
+    sectors = _thermal_sectors(params, n_atoms, thermo.beta, n_max)
+    e_min = min(float(vals[0]) for _, vals, _ in sectors if vals.size)
     total = 0.0
-    for degeneracy, spec in spectra:
-        total += degeneracy * float(
-            np.exp(-thermo.beta * (spec.eigenvalues - e_min)).sum()
-        )
+    for degeneracy, vals, _ in sectors:
+        total += degeneracy * float(np.exp(-thermo.beta * (vals - e_min)).sum())
     return math.log(total) - thermo.beta * e_min
 
 
@@ -471,13 +617,13 @@ def thermal_boson_occupation(
     """<b'b>/N of the full thermal state, assembled from collective sectors
     with their multiplicities at the fixed cutoff trunc.n_max."""
     validate(params)
-    spectra = _sector_spectra(params, n_atoms, trunc.n_max, want_occupations=True)
-    e_min = min(float(spec.eigenvalues[0]) for _, spec in spectra)
+    sectors = _thermal_sectors(params, n_atoms, thermo.beta, trunc.n_max, want_occupations=True)
+    e_min = min(float(vals[0]) for _, vals, _ in sectors if vals.size)
     numerator = 0.0
     denominator = 0.0
-    for degeneracy, spec in spectra:
-        weights = np.exp(-thermo.beta * (spec.eigenvalues - e_min))
-        numerator += degeneracy * float((weights * spec.occupations).sum())
+    for degeneracy, vals, occupations in sectors:
+        weights = np.exp(-thermo.beta * (vals - e_min))
+        numerator += degeneracy * float((weights * occupations).sum())
         denominator += degeneracy * float(weights.sum())
     return numerator / denominator / n_atoms
 

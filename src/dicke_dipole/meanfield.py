@@ -45,10 +45,8 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .model import ModelParams, Thermo, effective_coupling, validate
 
-# Bisection relative tolerance on Omega_Delta, and the number of times the
-# upper bracket may double before the solve gives up.
+# Bisection relative tolerance on Omega_Delta.
 GAP_RTOL = 1e-13
-MAX_DOUBLINGS = 200
 
 _LN2 = math.log(2.0)
 
@@ -161,12 +159,12 @@ def _gap_kernel(omega0, Omega, g1, g2, lam, beta):
 
     Returns 1-d arrays (superradiant, omega_delta, delta, b0, r0) with the
     conventions of GapSolution.  The root of the strictly decreasing
-    tanh(beta*x/2)/x = omega0/G on [Omega, inf) is bracketed from
-    2*max(Omega, G/omega0) upward by doubling (as tanh <= 1 the first
-    candidate is already past it), then bisected.  An infinite bracket, one
-    still open after MAX_DOUBLINGS doublings, or a superradiant b0, r0 or
-    beta*omega_delta/2 that overflows a double raises ConvergenceError with
-    the flat index of the first such point as ``index``.
+    tanh(beta*x/2)/x = omega0/G on [Omega, inf) is bracketed by
+    [Omega, 2*max(Omega, G/omega0)] (as tanh <= 1, the residual at the upper
+    end is at most -omega0/(2G)), then bisected.  An upper end that
+    overflows a double, or a superradiant b0, r0 or beta*omega_delta/2 that
+    does, raises ConvergenceError with the flat index of the first such
+    point as ``index``.
     """
     omega0, Omega, g1, g2, lam, beta = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (omega0, Omega, g1, g2, lam, beta))
@@ -186,21 +184,17 @@ def _gap_kernel(omega0, Omega, g1, g2, lam, beta):
         exc.index = k
         return exc
 
-    # 1/target overflows to inf for a subnormal or zero target, and the
-    # bracket check rejects it; beta*x may overflow to inf, where tanh is 1;
-    # b0, r0 and the beta*omega_delta/2 that f_diff needs may overflow, and
-    # are rejected below
+    # hi overflows to inf for a tiny or zero target, and is rejected; beta*x
+    # may overflow to inf, where tanh is 1; b0, r0 and the beta*omega_delta/2
+    # that f_diff needs may overflow, and are rejected below
     with np.errstate(divide="ignore", over="ignore"):
         lo, hi = Omega, 2.0 * np.maximum(Omega, 1.0 / target)
-        for _ in range(MAX_DOUBLINGS + 1):
-            unbracketed = superradiant & ~(np.isfinite(hi) & (residual(hi) < 0.0))
-            if not unbracketed.any():
-                break
-            hi = np.where(unbracketed, 2.0 * hi, hi)
-        else:
+        unbracketed = superradiant & ~np.isfinite(hi)
+        if unbracketed.any():
             raise failure(
                 unbracketed,
-                f"failed to bracket the gap equation root within {MAX_DOUBLINGS} doublings",
+                "failed to bracket the gap equation root: the upper end "
+                "2*max(Omega, G/omega0) overflows a double",
             )
         active = superradiant
         while (active := active & (hi - lo > GAP_RTOL * hi)).any():

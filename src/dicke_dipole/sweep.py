@@ -9,11 +9,11 @@ always produces byte-identical files.
 
 import json
 from dataclasses import astuple, dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .exact import TruncationConfig, free_energy_exact, thermal_boson_occupation
 from .meanfield import (
     PhaseLabel,
     _free_energy_arrays,
@@ -23,6 +23,9 @@ from .meanfield import (
     solve_gap,
 )
 from .model import ModelParams, Thermo, params_from_mapping, validate
+
+if TYPE_CHECKING:
+    from .exact import TruncationConfig
 
 AXIS_NAMES = ("omega0", "Omega", "g1", "g2", "lambda", "beta")
 MAX_GRID_POINTS = 10**7
@@ -210,9 +213,12 @@ def oracle_table(
     params: ModelParams,
     thermo: Thermo,
     n_list,
-    trunc: TruncationConfig,
+    trunc: "TruncationConfig",
 ) -> list[OracleRow]:
     """One row per finite N plus the N = infinity mean-field row."""
+    # imported here, so that the mean-field commands never load SciPy
+    from .exact import TruncationConfig, free_energy_exact, thermal_boson_occupation
+
     sol = solve_gap(params, thermo)
     f_diff_mf = free_energy_diff(params, thermo, sol).f_diff
     b0_sq = sol.b0 ** 2

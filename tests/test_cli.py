@@ -1,6 +1,10 @@
 """Command-line interface: flags, config files, outputs, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -136,6 +140,56 @@ def test_conflicting_duplicate_flag_rejected(capsys):
     # an identical repeat is not a conflict
     code, out, _ = run(capsys, ["tc", *TC_FLAGS, "--g1", "0.6"])
     assert code == 0 and "beta_c" in json.loads(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["boundary", *TC_FLAGS[:-2], "--lambda-max", "0.5", "--lambda-min", "0",
+     "--lambda-min", "0.4"],
+    ["boundary", *TC_FLAGS[:-2], "--lambda-min", "0", "--lambda-max", "0.5",
+     "--lambda-max", "0.4"],
+    ["tc", "--config", "a.json", "--config", "b.json"],
+    ["sweep", "--grid", "a.json", "--grid", "b.json"],
+    ["oracle", *POINT_FLAGS, "--N", "2,4", "--N", "2"],
+    ["fermion-check", *POINT_FLAGS, "--N", "1", "--N", "2"],
+])
+def test_every_flag_rejects_a_conflicting_repeat(capsys, argv):
+    # none of these files exist: the conflict is reported before any is opened
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert f"conflicting duplicate flag {argv[-2]}" in err
+
+
+def test_digits_checked_before_any_work(tmp_path, capsys):
+    # the --digits error now wins over the errors the work would raise
+    missing = str(tmp_path / "missing.json")
+    for argv in (["oracle", *POINT_FLAGS, "--N", "x", "--digits", "0"],
+                 ["sweep", "--grid", missing, "--digits", "0"],
+                 ["gap", *TC_FLAGS, "--beta", "-1", "--digits", "-2"]):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == f"error: --digits must be >= 1, got {argv[-1]}\n"
+    # --dump-config still prints the merged parameters
+    code, out, _ = run(capsys, ["tc", *TC_FLAGS, "--digits", "0", "--dump-config"])
+    assert code == 0 and json.loads(out)["g1"] == 0.6
+
+
+def test_mean_field_commands_never_import_scipy(tmp_path):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(GRID))
+    requests = [["tc", *TC_FLAGS], ["gap", *POINT_FLAGS], ["free-energy", *POINT_FLAGS],
+                ["sweep", "--grid", str(grid)],
+                ["boundary", *TC_FLAGS[:-2], "--lambda-min", "0", "--lambda-max", "0.5"]]
+    script = (
+        "import sys\n"
+        "from dicke_dipole.cli import main\n"
+        f"codes = [main(argv) for argv in {requests!r}]\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "sys.stderr.write(repr((codes, loaded)))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.stderr == repr(([0] * len(requests), []))
 
 
 def test_dump_config_round_trips(tmp_path, capsys):

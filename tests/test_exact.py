@@ -26,6 +26,7 @@ from dicke_dipole import (
     solve_gap,
     thermal_boson_occupation,
 )
+from dicke_dipole import exact
 from dicke_dipole.exact import _diagonalize, _ln_z_sectors
 from oracles import (
     collective_hamiltonian,
@@ -353,3 +354,135 @@ def test_finite_n_results_not_symmetric_in_g1_g2():
         build_full(ModelParams(1, 1, 0.2, 0.7, 0.1), 2, TruncationConfig(25)), thermo
     ).ln_z
     assert abs(a - b) > 1e-6
+
+
+# --- thermal-window sector solves ----------------------------------------------
+
+def _parity_block(couplings, n_atoms, j, n_max, parity=0):
+    """(sparse block, lower triangle, size, basis occupations) of one
+    Dicke-parity block of a collective sector."""
+    h = exact._collective_hamiltonian(ModelParams(*couplings), n_atoms, j, n_max)
+    blocks = exact._parity_blocks(n_max, round(2 * j) + 1)
+    lower = exact._block_lowers(h, blocks)[parity]
+    size = len(blocks[parity])
+    occ = (blocks[parity] % (n_max + 1)).astype(float)
+    return exact._symmetric_block(size, lower), lower, size, occ
+
+
+def _thermal_sum(vals, occs, beta):
+    # invariant under rotations inside a degenerate eigenspace, unlike occs
+    weights = np.exp(-beta * (vals - vals.min()))
+    return float(weights.sum()), float((weights * occs).sum())
+
+
+@pytest.mark.parametrize("couplings, parity", [
+    ((1.1, 0.9, 0.5, 0.3, 0.35), 0),
+    ((0.8, 1.2, 0.6, 0.4, -0.45), 1),  # lam < 0
+    ((1.0, 0.7, 0.9, 0.0, 0.25), 0),  # g2 = 0: a U(1) number is conserved
+    ((1.0, 0.5, 0.0, 0.0, 0.3), 1),  # g1 = g2 = 0: a diagonal block
+    ((1.0, 1.0, 0.0, 0.0, 0.0), 0),  # ... with Omega = omega0: degenerate levels
+])
+def test_window_matches_full_banded_spectrum_on_random_sectors(couplings, parity):
+    a, lower, size, occ = _parity_block(couplings, 12, 6, 60, parity)
+    vals, occs = exact._block_eigh(size, lower, occ)
+    order = np.argsort(vals)
+    vals, occs = vals[order], occs[order]
+    # window tops between two distinct levels, holding up to 1/16 of the block
+    level_ends = np.flatnonzero(np.diff(vals[: size // 16]) > 1e-6) + 1
+    certified = 0
+    for count in np.random.default_rng(7).choice(level_ends, 4, replace=False):
+        top = 0.5 * (vals[count - 1] + vals[count])
+        got = exact._window_eigh(a, top, occ)
+        if got is None:  # Lanczos could not certify it; the caller solves in full
+            continue
+        certified += 1
+        assert got[0].shape == (count,)  # the inertia count
+        assert np.abs(np.sort(got[0]) - vals[:count]).max() < 1e-11
+        for beta in (0.3, 5.0):
+            assert _thermal_sum(*got, beta) == pytest.approx(
+                _thermal_sum(vals[:count], occs[:count], beta), rel=1e-11
+            )
+    assert certified > 0
+    empty = exact._window_eigh(a, vals[0] - 1.0, occ)
+    assert empty[0].size == 0 and empty[1].size == 0
+
+
+def test_window_falls_back_when_it_cannot_certify(monkeypatch):
+    import scipy.sparse.linalg as splinalg
+
+    a, lower, size, occ = _parity_block((1.1, 0.9, 0.5, 0.3, 0.35), 12, 6, 60)
+    vals = np.sort(exact._block_eigh(size, lower, None)[0])
+    top = 0.5 * (vals[9] + vals[10])
+    assert exact._window_eigh(a, top, None)[0].shape == (10,)
+    # more than WINDOW_MAX_SHARE of the block below the top
+    assert exact._window_eigh(a, 0.5 * (vals[size // 8] + vals[size // 8 + 1]), None) is None
+    # a top on an eigenvalue of a diagonal block gives a zero pivot
+    diag, _, _, _ = _parity_block((1.0, 0.5, 0.0, 0.0, 0.3), 12, 6, 60)
+    assert exact._window_eigh(diag, float(np.sort(diag.diagonal())[5]), None) is None
+    # a tiny first pivot, though no level lies near the top (10.5)
+    levels = np.arange(400.0)
+    levels[0] = 10.5 + 1e-12
+    coupled = sparse.diags(levels) + sparse.coo_matrix(([1.0, 1.0], ([0, 1], [1, 0])), shape=(400, 400))
+    assert exact._window_eigh(coupled.tocsc(), 10.5, None) is None
+
+    eigsh = splinalg.eigsh
+    for damage in (lambda w: w[1:],  # Lanczos misses an eigenvalue
+                   lambda w: np.where(w == w.max(), top + 1.0, w),  # or finds one above the top
+                   lambda w: np.where(w == w.max(), top - 1e-15, w)):  # or one at the top
+        monkeypatch.setattr(
+            splinalg, "eigsh",
+            lambda *args, damage=damage, **kwargs: damage(eigsh(*args, **kwargs)),
+        )
+        assert exact._window_eigh(a, top, None) is None
+
+
+def _full_path(monkeypatch, fn, *args):
+    with monkeypatch.context() as m:
+        m.setattr(exact, "WINDOW_MIN_DIM", math.inf)
+        return fn(*args)
+
+
+@pytest.mark.parametrize("beta", [1e-300, 0.05])
+def test_window_holding_every_state_is_the_full_solve(monkeypatch, beta):
+    # the window's top lies above every level, so every block is solved in full
+    thermo, n_max = Thermo(beta), 60
+    for fn, args in ((_ln_z_sectors, (P_MIXED, 12, thermo, n_max)),
+                     (thermal_boson_occupation, (P_MIXED, 12, thermo, TruncationConfig(n_max)))):
+        assert fn(*args) == _full_path(monkeypatch, fn, *args)
+
+
+def test_window_falls_back_bit_identically(monkeypatch):
+    thermo, n_max = Thermo(5.0), 60
+    windowed = _ln_z_sectors(P_MIXED, 12, thermo, n_max)
+    full = _full_path(monkeypatch, _ln_z_sectors, P_MIXED, 12, thermo, n_max)
+    assert windowed == pytest.approx(full, abs=1e-12)
+    monkeypatch.setattr(exact, "_window_eigh", lambda a, top, occ: None)
+    assert _ln_z_sectors(P_MIXED, 12, thermo, n_max) == full
+
+
+def _bench_inputs(seed):
+    """The ed_oracle workload's draw for one seed (perfbench/workloads.py)."""
+    rng = np.random.default_rng([seed, 2])
+    g1 = 1.0 + rng.uniform(0.0, 0.05)
+    params = ModelParams(1.0, 1.0 + rng.uniform(-0.03, 0.03), g1, 2.0 - g1,
+                         0.5 + rng.uniform(-0.03, 0.03))
+    return params, Thermo(5.0 + rng.uniform(-0.2, 0.2))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_window_matches_full_path_on_bench_inputs(monkeypatch, seed):
+    params, thermo = _bench_inputs(seed)
+    trunc = TruncationConfig.seeded(params, thermo)
+    for n_atoms in (4, 8, 12, 16, 20):
+        result = free_energy_exact(params, n_atoms, thermo, trunc)
+        ln_z = _full_path(monkeypatch, _ln_z_sectors, params, n_atoms, thermo, result.n_max)
+        f_full = -ln_z / (n_atoms * thermo.beta) + exact._ln_z_free(
+            params, n_atoms, thermo.beta, result.n_max) / (n_atoms * thermo.beta)
+        assert result.f_diff == pytest.approx(f_full, abs=1e-12)
+        if n_atoms < 20:  # the ed_oracle table's rows
+            conv = TruncationConfig(result.n_max)
+            occupation = thermal_boson_occupation(params, n_atoms, thermo, conv)
+            assert occupation == pytest.approx(
+                _full_path(monkeypatch, thermal_boson_occupation, params, n_atoms, thermo, conv),
+                abs=1e-11,
+            )
