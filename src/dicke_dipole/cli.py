@@ -10,7 +10,8 @@ through one row writer (sweep._write_rows), so --digits means the same thing
 everywhere; fermion-check takes --out but no --digits.  --digits is
 checked after the config merge and --dump-config, before any other work.
 Exit codes: 0 success (no_transition is a success), 1 fermion-check FAIL,
-2 validation error, 3 convergence/truncation/consistency error, 4 I/O error.
+2 validation error, 3 convergence/truncation/consistency error or out of
+memory, 4 I/O error.
 """
 
 import argparse
@@ -292,6 +293,10 @@ def main(argv=None) -> int:
         return 2
     except (ConvergenceError, TruncationError, HermiticityError, CommutationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,9 +1,9 @@
 """Finite-N exact diagonalization oracle for the dipole-coupled Dicke model.
 
 The N-atom Hamiltonian on a truncated boson Fock space is assembled once, by
-_hamiltonian, from a spin space's S^+, S^z and dipole exchange.  The three
-bases differ only in those spin operators; the product and fermion bases
-build them alike, from per-site blocks (_site_sums):
+_hamiltonian in four sparse krons, from a spin space's S^+, S^z and dipole
+exchange.  The three bases differ only in those spin operators; the product
+and fermion bases build them alike, from per-site blocks (_site_sums):
 
   * full product basis: N spin-1/2 tensor factors (sigma^z = diag(+1,-1),
     sigma^+ = |up><down| per site) times Fock states |0..n_max>, with the
@@ -23,15 +23,17 @@ build them alike, from per-site blocks (_site_sums):
     unphysical occupation sectors per atom cancel in pairs.
 
 The full-product and fermion bases are diagonalized densely: they are the
-independent oracles.  A collective sector is instead split by the Dicke
-parity exp(i pi (b'b + S^z + j)) (Emary & Brandes, PRE 67, 066203, 2003),
-which commutes with H for any g1, g2 and lam, into its (n + m + j) even and
-odd classes.  Listed n-outer, m-inner, each class is a band matrix of
-half-bandwidth at most j+1, solved by LAPACK's banded eigensolver (dense eigh
-on the half-size block when eigenvectors are wanted).  An element coupling
-the two classes raises CommutationError.  build_collective always returns
-the full spectrum.  Partition sums are accumulated in shifted (log-sum-exp)
-form.
+independent oracles.  One sector solve, _sector_spectrum, serves
+build_collective and the thermal sums.  It splits a collective sector once
+(_parity_split) by the Dicke parity exp(i pi (b'b + S^z + j)) (Emary &
+Brandes, PRE 67, 066203, 2003), which commutes with H for any g1, g2 and
+lam, into its (n + m + j) even and odd classes, each a band matrix of
+half-bandwidth at most j+1; an element coupling the two raises
+CommutationError.  Each block takes the thermal window below, or the full
+solve: LAPACK's banded eigensolver, or dense eigh on the half-size block
+when eigenvectors are wanted.  build_collective is the window path with
+W = inf, so it returns full spectra.  One reducer, _thermal_sums, forms
+every shifted (log-sum-exp) sum but the fermion check's own.
 
 The thermal sums (free_energy_exact's sector sum, thermal_boson_occupation)
 need only the states below a window top e_min + W, with
@@ -42,12 +44,12 @@ SuperLU, in natural order and without pivoting; the negative pivots count
 the eigenvalues below the top (Sylvester's law of inertia), and shift-invert
 Lanczos (Ericsson & Ruhe, Math. Comp. 35, 1251, 1980) on the same factor
 finds exactly that many.  A block with none below the top is skipped.  The
-full banded or dense solve is used instead when the window holds a large
-share of the block, a pivot was permuted or is tiny, Lanczos fails or
-returns a value above, or within rounding of, the top, or returns a
-different number of values than the count.  Where every block takes the
-full solve (all blocks small, or a high temperature), the sums are bit for
-bit those of the full spectra.
+full solve is used instead when the window holds a large share of the
+block, a pivot was permuted or is tiny, Lanczos fails or returns a value
+above, or within rounding of, the top, or returns a different number of
+values than the count.  Where every block takes the full solve (all blocks
+small, or a high temperature), the sums are bit for bit those of the full
+spectra.
 """
 
 import math
@@ -95,8 +97,9 @@ class TruncationConfig:
             raise DomainError(f"n_max must be an integer, got {self.n_max!r}")
         if self.n_max < 1:
             raise DomainError(f"n_max must be >= 1, got {self.n_max}")
-        if not (isinstance(self.tol, (int, float)) and self.tol > 0):
-            raise DomainError(f"tol must be positive, got {self.tol!r}")
+        if (isinstance(self.tol, bool) or not isinstance(self.tol, (int, float))
+                or not (math.isfinite(self.tol) and self.tol > 0)):
+            raise DomainError(f"tol must be a positive finite number, got {self.tol!r}")
 
     @classmethod
     def seeded(cls, params: ModelParams, thermo: Thermo, tol: float = 1e-8):
@@ -139,9 +142,11 @@ def _embed(site_op, i: int, n_sites: int, site_dim: int) -> sparse.csr_matrix:
     return sparse.kron(sparse.kron(left, site_op), right, format="csr")
 
 
-def _parity_blocks(n_max: int, spin_dim: int):
-    """Original indices of the two Dicke-parity classes of a collective
-    sector, (n + m + j) even and odd, each listed n-outer, m-inner.
+def _parity_split(h, n_max: int, spin_dim: int):
+    """[(block, basis occupations)] of the sector Hamiltonian h on its
+    (n + m + j) even and odd classes, each block a symmetric CSC slice of h
+    listed n-outer, m-inner; a nonzero element between them raises
+    CommutationError.
 
     In that order every term of H moves a state by at most j+1 places
     within its class: b S^+ and b' S^- take (n, m) to (n-1, m+1) and back,
@@ -150,47 +155,36 @@ def _parity_blocks(n_max: int, spin_dim: int):
     n, spin = np.divmod(np.arange(spin_dim * (n_max + 1)), spin_dim)
     original = spin * (n_max + 1) + n  # the builder's layout, boson fastest
     parity = (n + spin) % 2
-    return [original[parity == p] for p in (0, 1)]
-
-
-def _block_lowers(h, blocks):
-    """Lower triangle (rows, cols, values) of each diagonal block of the
-    sparse Hermitian h, in the block's own coordinates.
-
-    The index classes in blocks must split h: a nonzero element between two
-    blocks raises CommutationError.
-    """
-    block_of = np.empty(h.shape[0], dtype=int)
-    position = np.empty(h.shape[0], dtype=int)
-    for b, idx in enumerate(blocks):
-        block_of[idx] = b
-        position[idx] = np.arange(len(idx))
-    coo = h.tocoo(copy=True)
-    coo.sum_duplicates()
-    rows, cols, data = coo.row, coo.col, coo.data
-    # a kron in BSR form stores explicit zeros, the other block's included
-    inside = block_of[rows] == block_of[cols]
-    leak = ~inside & (data != 0)
+    h = h.tocsc()
+    h.sum_duplicates()
+    coo = h.tocoo()
+    parity_of = np.empty_like(parity)
+    parity_of[original] = parity
+    # a kron in BSR form stores explicit zeros, the other class's included
+    leak = (parity_of[coo.row] != parity_of[coo.col]) & (coo.data != 0)
     if leak.any():
-        worst = float(np.abs(data[leak]).max())
+        worst = float(np.abs(coo.data[leak]).max())
         raise CommutationError(
             f"parity-breaking entry of magnitude {worst:.3e} couples the "
             f"symmetry blocks ({int(leak.sum())} such entries)"
         )
-    lowers = []
-    for b in range(len(blocks)):
-        lower = inside & (block_of[rows] == b) & (position[rows] >= position[cols])
-        lowers.append((position[rows[lower]], position[cols[lower]], data[lower]))
-    return lowers
+    blocks = []
+    for p in (0, 1):
+        idx = original[parity == p]
+        blocks.append((h[idx][:, idx], n[parity == p].astype(float)))
+    return blocks
 
 
-def _block_eigh(size, lower, occ):
-    """Every eigenvalue of one block given by its lower triangle, and the
-    <b'b> of each eigenvector when occ (the basis occupations) is given."""
+def _block_eigh(a, occ):
+    """Every eigenvalue of the sparse symmetric block a, read from its lower
+    triangle, and the <b'b> of each eigenvector when occ (the basis
+    occupations) is given."""
     # imported here, so that the mean-field commands never load it
     import scipy.linalg
 
-    r, c, data = lower
+    lower = sparse.tril(a, format="coo")
+    r, c, data = lower.row, lower.col, lower.data
+    size = a.shape[0]
     if occ is None:
         band = np.zeros((int((r - c).max(initial=0)) + 1, size), dtype=data.dtype)
         band[r - c, c] = data
@@ -264,26 +258,6 @@ def _window_eigh(a, top, occ):
     return vals, None if occ is None else (np.abs(vecs) ** 2 * occ[:, None]).sum(axis=0)
 
 
-def _symmetric_block(size, lower):
-    """The block with the given lower triangle, as a symmetric CSC matrix."""
-    r, c, data = lower
-    off = r != c
-    return sparse.csc_matrix(
-        (np.concatenate([data, data[off]]), (np.concatenate([r, c[off]]), np.concatenate([c, r[off]]))),
-        shape=(size, size),
-    )
-
-
-def _merge_blocks(parts):
-    """One ascending spectrum, occupations permuted alike, from per-block
-    (eigenvalues, occupations) pairs."""
-    vals = np.concatenate([v for v, _ in parts])
-    order = np.argsort(vals, kind="stable")
-    if parts[0][1] is None:
-        return vals[order], None
-    return vals[order], np.concatenate([o for _, o in parts])[order]
-
-
 def _check_hermitian(h) -> None:
     # checked on the sparse matrix, so only one dense copy is ever made
     deviation = float(abs(h - h.conj().T).max())
@@ -293,28 +267,6 @@ def _check_hermitian(h) -> None:
         )
 
 
-def _diagonalize(h, basis, n_atoms, n_max, sector_j, want_occupations):
-    _check_hermitian(h)
-    dim = h.shape[0]
-    # b'b is diagonal in every basis used here; the boson index is fastest
-    occ_basis = np.tile(np.arange(n_max + 1, dtype=float), dim // (n_max + 1))
-    if basis == "collective":
-        blocks = _parity_blocks(n_max, int(round(2 * sector_j)) + 1)
-        vals, occupations = _merge_blocks([
-            _block_eigh(len(idx), lower, occ_basis[idx] if want_occupations else None)
-            for idx, lower in zip(blocks, _block_lowers(h, blocks))
-        ])
-        return SpectralData(vals, dim, basis, n_atoms, n_max, sector_j, occupations)
-    hd = h.toarray()
-    if want_occupations:
-        vals, vecs = np.linalg.eigh(hd)
-        occupations = (np.abs(vecs) ** 2 * occ_basis[:, None]).sum(axis=0)
-    else:
-        vals = np.linalg.eigvalsh(hd)
-        occupations = None
-    return SpectralData(vals, dim, basis, n_atoms, n_max, sector_j, occupations)
-
-
 def _hamiltonian(params, n_atoms, n_max, s_p, s_z, exchange):
     """The five-term Hamiltonian on spin x Fock, boson index fastest:
 
@@ -322,22 +274,21 @@ def _hamiltonian(params, n_atoms, n_max, s_p, s_z, exchange):
         + (g1/sqrt N) (S^+ b + S^- b') + (g2/sqrt N) (S^- b + S^+ b'),
 
     with S^- = (S^+)' and X the dipole exchange, given in the spin space of
-    whichever basis supplies s_p, s_z and exchange.
+    whichever basis supplies s_p, s_z and exchange.  S^- b' = (S^+ b)' and
+    S^+ b' = (S^- b)', so four krons build it, and it is exactly symmetric.
     """
-    s_m = s_p.T.tocsr()
     occ = np.arange(n_max + 1, dtype=float)
     lower = sparse.diags(np.sqrt(occ[1:]), 1, format="csr")  # <n-1|b|n> = sqrt(n)
-    raise_op = lower.T.tocsr()
-    number = sparse.diags(occ, format="csr")
-    eye_s = sparse.identity(s_p.shape[0], format="csr")
-    eye_b = sparse.identity(n_max + 1, format="csr")
+    rotating = sparse.kron(s_p, lower)
+    counter = sparse.kron(s_p.T, lower)
     scale = 1.0 / math.sqrt(n_atoms)
     return (
-        sparse.kron((params.lam / n_atoms) * exchange, eye_b)
-        + sparse.kron(params.Omega * s_z, eye_b)
-        + sparse.kron(eye_s, params.omega0 * number)
-        + params.g1 * scale * (sparse.kron(s_p, lower) + sparse.kron(s_m, raise_op))
-        + params.g2 * scale * (sparse.kron(s_m, lower) + sparse.kron(s_p, raise_op))
+        sparse.kron((params.lam / n_atoms) * exchange + params.Omega * s_z,
+                    sparse.identity(n_max + 1, format="csr"))
+        + sparse.kron(sparse.identity(s_p.shape[0], format="csr"),
+                      params.omega0 * sparse.diags(occ, format="csr"))
+        + params.g1 * scale * (rotating + rotating.T)
+        + params.g2 * scale * (counter + counter.T)
     )
 
 
@@ -381,7 +332,16 @@ def build_full(
         )
     site_ops = (np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [0.0, 0.0]]))
     h = _hamiltonian(params, n_atoms, trunc.n_max, *_site_sums(site_ops, n_atoms))
-    return _diagonalize(h, "full_product", n_atoms, trunc.n_max, None, want_occupations)
+    _check_hermitian(h)
+    hd = h.toarray()
+    if want_occupations:
+        vals, vecs = np.linalg.eigh(hd)
+        # b'b is diagonal; the boson index is fastest
+        occ = np.tile(np.arange(trunc.n_max + 1, dtype=float), 2**n_atoms)
+        occupations = (np.abs(vecs) ** 2 * occ[:, None]).sum(axis=0)
+    else:
+        vals, occupations = np.linalg.eigvalsh(hd), None
+    return SpectralData(vals, dim, "full_product", n_atoms, trunc.n_max, None, occupations)
 
 
 def _check_sector(n_atoms: int, j) -> None:
@@ -415,8 +375,8 @@ def build_collective(
     J^z = 2 S^z, and the dipole exchange enters as
     (lam/N) * (S^+ S^- - (N + 2 S^z)/2).
     """
-    h = _collective_hamiltonian(params, n_atoms, j, trunc.n_max)
-    return _diagonalize(h, "collective", n_atoms, trunc.n_max, float(j), want_occupations)
+    vals, occupations, _ = _sector_spectrum(params, n_atoms, j, trunc.n_max, want_occupations)
+    return SpectralData(vals, vals.size, "collective", n_atoms, trunc.n_max, float(j), occupations)
 
 
 def _collective_hamiltonian(params, n_atoms, j, n_max):
@@ -433,6 +393,36 @@ def _collective_hamiltonian(params, n_atoms, j, n_max):
     s_p = sparse.diags(np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0)), -1, format="csr")
     exchange = s_p @ s_p.T - sparse.diags(0.5 * (n_atoms + 2.0 * m))
     return _hamiltonian(params, n_atoms, n_max, s_p, s_z, exchange)
+
+
+def _sector_spectrum(params, n_atoms, j, n_max, want_occupations, width=math.inf, top=math.inf):
+    """(ascending eigenvalues, occupations or None, top) of the spin-j
+    sector: each eigenpair below top, or all of them when width is infinite.
+
+    A parity block of at least WINDOW_MIN_DIM states is windowed (an
+    infinite top starts at its lowest Ritz value + width); any other, or one
+    the window cannot certify, is solved in full.  top falls to each solved
+    block's lowest eigenvalue + width and is returned for the next sector.
+    """
+    h = _collective_hamiltonian(params, n_atoms, j, n_max)
+    _check_hermitian(h)
+    parts = []
+    for a, occ in _parity_split(h, n_max, round(2 * j) + 1):
+        occ = occ if want_occupations else None
+        part = None
+        if a.shape[0] >= WINDOW_MIN_DIM and math.isfinite(width):
+            if math.isinf(top):
+                top = _lowest_ritz_value(a) + width
+            part = _window_eigh(a, top, occ)
+        if part is None:
+            part = _block_eigh(a, occ)
+        if part[0].size:
+            top = min(top, float(part[0].min()) + width)
+        parts.append(part)
+    vals = np.concatenate([v for v, _ in parts])
+    order = np.argsort(vals, kind="stable")  # occupations permuted alike
+    occupations = np.concatenate([o for _, o in parts])[order] if want_occupations else None
+    return vals[order], occupations, top
 
 
 def sector_multiplicity(n_atoms: int, j) -> int:
@@ -461,11 +451,24 @@ class LogPartition:
         return math.log(self.shifted_sum) - self.beta * self.e_min
 
 
+def _thermal_sums(sectors, beta):
+    """(sum_k d exp(-beta (E_k - E_min)), E_min, the same sum weighted by
+    <b'b>_k) over (multiplicity d, ascending eigenvalues, occupations or
+    None) sectors; a sector without occupations adds nothing to the last."""
+    e_min = min(float(vals[0]) for _, vals, _ in sectors if vals.size)
+    shifted = 0.0
+    occupation = 0.0
+    for degeneracy, vals, occupations in sectors:
+        weights = np.exp(-beta * (vals - e_min))
+        shifted += degeneracy * float(weights.sum())
+        if occupations is not None:
+            occupation += degeneracy * float((weights * occupations).sum())
+    return shifted, e_min, occupation
+
+
 def partition_function(spectral: SpectralData, thermo: Thermo) -> LogPartition:
     """Z = sum_k exp(-beta*(E_k - E_min)) together with the shift E_min."""
-    energies = spectral.eigenvalues
-    e_min = float(energies[0])
-    shifted = float(np.exp(-thermo.beta * (energies - e_min)).sum())
+    shifted, e_min, _ = _thermal_sums([(1, spectral.eigenvalues, None)], thermo.beta)
     return LogPartition(shifted, e_min, thermo.beta)
 
 
@@ -475,10 +478,8 @@ def _thermal_sectors(params, n_atoms, beta, n_max, want_occupations=False):
 
     With width = (ln(n_max * sum_j d_j dim_j) + 53 ln 2) / beta, the states
     left out weigh less than 2^-53/n_max of Z, and as none holds more than
-    n_max bosons, they move <b'b> by less than 2^-53.  The top starts at the
-    first windowed block's lowest Ritz value + width, which is above
-    e_min + width, and falls to each solved block's lowest eigenvalue +
-    width; as it only falls, every window taken stays complete.
+    n_max bosons, they move <b'b> by less than 2^-53.  The top starts above
+    e_min + width and only falls, so every window taken stays complete.
     """
     spins = sector_spins(n_atoms)
     multiplicities = [sector_multiplicity(n_atoms, j) for j in spins]
@@ -487,39 +488,16 @@ def _thermal_sectors(params, n_atoms, beta, n_max, want_occupations=False):
     top = math.inf
     sectors = []
     for d, j in zip(multiplicities, spins):
-        h = _collective_hamiltonian(params, n_atoms, j, n_max)
-        _check_hermitian(h)
-        blocks = _parity_blocks(n_max, round(2 * j) + 1)
-        parts = []
-        for idx, lower in zip(blocks, _block_lowers(h, blocks)):
-            occ = (idx % (n_max + 1)).astype(float) if want_occupations else None
-            part = None
-            if len(idx) >= WINDOW_MIN_DIM and math.isfinite(width):
-                a = _symmetric_block(len(idx), lower)
-                if math.isinf(top):
-                    top = _lowest_ritz_value(a) + width
-                part = _window_eigh(a, top, occ)
-            if part is None:
-                part = _block_eigh(len(idx), lower, occ)
-            if part[0].size:
-                top = min(top, float(part[0].min()) + width)
-            parts.append(part)
-        sectors.append((d, *_merge_blocks(parts)))
+        vals, occupations, top = _sector_spectrum(
+            params, n_atoms, j, n_max, want_occupations, width, top)
+        sectors.append((d, vals, occupations))
     return sectors
 
 
 def _ln_z_sectors(params, n_atoms, thermo, n_max) -> float:
-    sectors = _thermal_sectors(params, n_atoms, thermo.beta, n_max)
-    e_min = min(float(vals[0]) for _, vals, _ in sectors if vals.size)
-    total = 0.0
-    for degeneracy, vals, _ in sectors:
-        total += degeneracy * float(np.exp(-thermo.beta * (vals - e_min)).sum())
-    return math.log(total) - thermo.beta * e_min
-
-
-def _ln_z_full(params, n_atoms, thermo, n_max) -> float:
-    spec = build_full(params, n_atoms, TruncationConfig(n_max))
-    return partition_function(spec, thermo).ln_z
+    shifted, e_min, _ = _thermal_sums(
+        _thermal_sectors(params, n_atoms, thermo.beta, n_max), thermo.beta)
+    return math.log(shifted) - thermo.beta * e_min
 
 
 def _ln_z_free(params, n_atoms, beta, n_max) -> float:
@@ -564,29 +542,24 @@ def free_energy_exact(
         raise DomainError(f"n_atoms must be an integer in [1, {MAX_ATOMS_FULL}], got {n_atoms!r}")
     if basis == "collective" and (not isinstance(n_atoms, int) or n_atoms < 1):
         raise DomainError(f"n_atoms must be a positive integer, got {n_atoms!r}")
-    cap = max_dim if max_dim is not None else (
-        FULL_DIM_CAP if basis == "full" else COLLECTIVE_DIM_CAP
-    )
-
-    def dimension(n_max):
-        if basis == "full":
-            return 2**n_atoms * (n_max + 1)
-        return (n_atoms + 1) * (n_max + 1)  # largest sector, j = N/2
+    full = basis == "full"
+    cap = max_dim if max_dim is not None else FULL_DIM_CAP if full else COLLECTIVE_DIM_CAP
+    spin_dim = 2**n_atoms if full else n_atoms + 1  # the largest sector, j = N/2
 
     def ln_z(n_max):
-        if basis == "full":
-            return _ln_z_full(params, n_atoms, thermo, n_max)
+        if full:
+            return partition_function(build_full(params, n_atoms, TruncationConfig(n_max)), thermo).ln_z
         return _ln_z_sectors(params, n_atoms, thermo, n_max)
 
     n_max = trunc.n_max
-    if dimension(n_max) > cap:
+    if spin_dim * (n_max + 1) > cap:
         raise DimensionError(
             f"starting cutoff n_max={n_max} already exceeds the dimension cap {cap}"
         )
     scale = -1.0 / (n_atoms * thermo.beta)
     f_prev = scale * ln_z(n_max)
     while True:
-        if dimension(2 * n_max) > cap:
+        if spin_dim * (2 * n_max + 1) > cap:
             raise TruncationError(
                 f"free energy not stable to tol={trunc.tol:g} before the "
                 f"dimension cap {cap} (last n_max={n_max}, f={f_prev!r})"
@@ -607,8 +580,9 @@ def boson_occupation(spectral: SpectralData, thermo: Thermo) -> float:
     """
     if spectral.occupations is None:
         raise DomainError("spectral data was built without occupation expectations")
-    weights = np.exp(-thermo.beta * (spectral.eigenvalues - spectral.eigenvalues[0]))
-    return float((weights * spectral.occupations).sum() / weights.sum()) / spectral.n_atoms
+    shifted, _, occupation = _thermal_sums(
+        [(1, spectral.eigenvalues, spectral.occupations)], thermo.beta)
+    return occupation / shifted / spectral.n_atoms
 
 
 def thermal_boson_occupation(
@@ -617,15 +591,10 @@ def thermal_boson_occupation(
     """<b'b>/N of the full thermal state, assembled from collective sectors
     with their multiplicities at the fixed cutoff trunc.n_max."""
     validate(params)
-    sectors = _thermal_sectors(params, n_atoms, thermo.beta, trunc.n_max, want_occupations=True)
-    e_min = min(float(vals[0]) for _, vals, _ in sectors if vals.size)
-    numerator = 0.0
-    denominator = 0.0
-    for degeneracy, vals, occupations in sectors:
-        weights = np.exp(-thermo.beta * (vals - e_min))
-        numerator += degeneracy * float((weights * occupations).sum())
-        denominator += degeneracy * float(weights.sum())
-    return numerator / denominator / n_atoms
+    shifted, _, occupation = _thermal_sums(
+        _thermal_sectors(params, n_atoms, thermo.beta, trunc.n_max, want_occupations=True),
+        thermo.beta)
+    return occupation / shifted / n_atoms
 
 
 def _fermion_site_ops():
@@ -656,6 +625,10 @@ def fermionic_identity_check(
     validate(params)
     if n_atoms not in (1, 2):
         raise DomainError(f"fermionic check supports n_atoms in {{1, 2}}, got {n_atoms!r}")
+    # checked before either side is built: the dense fermion arrays are the largest
+    dim = 4**n_atoms * (trunc.n_max + 1)
+    if dim > FULL_DIM_CAP:
+        raise DimensionError(f"fermion-basis dimension {dim} exceeds the cap {FULL_DIM_CAP}")
 
     spin_side = build_full(params, n_atoms, trunc)
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from dicke_dipole import cli
 from dicke_dipole.cli import main
 from dicke_dipole.sweep import MAX_GRID_POINTS
 from oracles import mean_field_point
@@ -171,6 +172,34 @@ def test_digits_checked_before_any_work(tmp_path, capsys):
     # --dump-config still prints the merged parameters
     code, out, _ = run(capsys, ["tc", *TC_FLAGS, "--digits", "0", "--dump-config"])
     assert code == 0 and json.loads(out)["g1"] == 0.6
+
+
+def test_non_finite_tol_exits_2(capsys):
+    for tol in ("inf", "nan"):
+        code, out, err = run(capsys, ["oracle", *POINT_FLAGS, "--N", "2", "--tol", tol])
+        assert code == 2 and out == ""
+        assert err.startswith("error: tol must be a positive finite number")
+
+
+def test_fermion_basis_past_the_cap_exits_2(capsys):
+    # 16 * 2001 fermion states: refused before any matrix is built
+    code, out, err = run(capsys, ["fermion-check", *POINT_FLAGS, "--N", "2", "--n-max", "2000"])
+    assert code == 2 and out == ""
+    assert "fermion-basis dimension 32016 exceeds the cap" in err
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError(), "error: out of memory\n"),
+    (MemoryError("Unable to allocate 7.6 GiB"),
+     "error: out of memory: Unable to allocate 7.6 GiB\n"),
+])
+def test_memory_error_exits_3(monkeypatch, capsys, exc, message):
+    def exhausted(args, config):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_tc", exhausted)
+    code, out, err = run(capsys, ["tc", *TC_FLAGS])
+    assert code == 3 and out == "" and err == message
 
 
 def test_mean_field_commands_never_import_scipy(tmp_path):

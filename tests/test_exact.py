@@ -27,7 +27,7 @@ from dicke_dipole import (
     thermal_boson_occupation,
 )
 from dicke_dipole import exact
-from dicke_dipole.exact import _diagonalize, _ln_z_sectors
+from dicke_dipole.exact import _ln_z_sectors
 from oracles import (
     collective_hamiltonian,
     full_product_hamiltonian,
@@ -107,16 +107,17 @@ def test_collective_spectrum_matches_dense_oracle(couplings, n_atoms, j, n_max):
     assert np.abs(spec.eigenvalues - reference).max() < 1e-12
 
 
-def test_diagonalize_rejects_parity_breaking_element():
+def test_parity_split_rejects_parity_breaking_element():
     # j = 1/2, n_max = 1: index (m + j)*2 + n, parity (n + m + j) mod 2 gives
     # the classes {0, 3} and {1, 2}
     h = np.diag([0.1, 0.7, 1.3, 2.9])
     h[0, 3] = h[3, 0] = 0.4
-    spec = _diagonalize(sparse.csr_matrix(h), "collective", 1, 1, 0.5, False)
-    assert np.abs(spec.eigenvalues - np.linalg.eigvalsh(h)).max() < 1e-14
+    blocks = exact._parity_split(sparse.csr_matrix(h), 1, 2)
+    vals = np.sort(np.concatenate([exact._block_eigh(a, None)[0] for a, _ in blocks]))
+    assert np.abs(vals - np.linalg.eigvalsh(h)).max() < 1e-14
     h[0, 1] = h[1, 0] = 1e-13
     with pytest.raises(CommutationError, match="1.000e-13"):
-        _diagonalize(sparse.csr_matrix(h), "collective", 1, 1, 0.5, False)
+        exact._parity_split(sparse.csr_matrix(h), 1, 2)
 
 
 def test_collective_exchange_identity_in_product_basis():
@@ -134,10 +135,24 @@ def test_collective_exchange_identity_in_product_basis():
     assert np.abs(direct - collective).max() < 1e-12
 
 
-def test_diagonalize_rejects_non_hermitian_matrix():
+def test_check_hermitian_rejects_non_hermitian_matrix():
     h = sparse.csr_matrix(np.array([[0.0, 1e-9], [0.0, 0.0]]))
     with pytest.raises(HermiticityError, match="1.000e-09 exceeds 1e-12"):
-        _diagonalize(h, "full_product", 1, 0, None, False)
+        exact._check_hermitian(h)
+
+
+@pytest.mark.parametrize("basis", ["collective", "full", "fermion"])
+def test_assembled_hamiltonian_is_exactly_symmetric(basis):
+    # the window reads the whole block, the full solve its lower triangle
+    params = ModelParams(1.1, 0.9, 0.5, 0.3, -0.35)
+    if basis == "collective":
+        h = exact._collective_hamiltonian(params, 5, 1.5, 7)
+    else:
+        site_ops = ((np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [0.0, 0.0]]))
+                    if basis == "full" else exact._fermion_site_ops()[:2])
+        h = exact._hamiltonian(params, 2, 7, *exact._site_sums(site_ops, 2))
+    assert h.count_nonzero() > h.shape[0]  # off-diagonal terms are present
+    assert (h - h.T).count_nonzero() == 0
 
 
 def test_build_full_caps():
@@ -158,8 +173,10 @@ def test_build_collective_validates_sector():
 def test_truncation_config_validation():
     with pytest.raises(DomainError, match="n_max"):
         TruncationConfig(0)
-    with pytest.raises(DomainError, match="tol"):
-        TruncationConfig(4, tol=0.0)
+    for bad_tol in (0.0, math.inf, math.nan, -math.inf, True, False):
+        with pytest.raises(DomainError, match="tol"):
+            TruncationConfig(4, tol=bad_tol)
+    assert TruncationConfig(4, 1).tol == 1
     seeded = TruncationConfig.seeded(P_MIXED, Thermo(5.0))
     assert seeded.n_max >= 18  # 8*(g1+g2)^2/omega0^2 + 10
 
@@ -338,6 +355,13 @@ def test_fermionic_identity_noninteracting_factorizes():
     assert ln_z == pytest.approx(expected, rel=1e-12)
 
 
+def test_fermionic_identity_caps_the_fermion_basis_before_building(monkeypatch):
+    # 16 * 2001 fermion states pass the cap that the 4 * 2001 spin states meet
+    monkeypatch.setattr(exact, "_hamiltonian", lambda *args: pytest.fail("H was built"))
+    with pytest.raises(DimensionError, match="fermion-basis dimension 32016"):
+        fermionic_identity_check(P_MIXED, 2, Thermo(1.0), TruncationConfig(2000))
+
+
 def test_fermionic_identity_rejects_large_n():
     with pytest.raises(DomainError, match="n_atoms"):
         fermionic_identity_check(P_MIXED, 3, Thermo(1.0), TruncationConfig(4))
@@ -359,14 +383,10 @@ def test_finite_n_results_not_symmetric_in_g1_g2():
 # --- thermal-window sector solves ----------------------------------------------
 
 def _parity_block(couplings, n_atoms, j, n_max, parity=0):
-    """(sparse block, lower triangle, size, basis occupations) of one
-    Dicke-parity block of a collective sector."""
+    """(sparse block, basis occupations) of one Dicke-parity block of a
+    collective sector."""
     h = exact._collective_hamiltonian(ModelParams(*couplings), n_atoms, j, n_max)
-    blocks = exact._parity_blocks(n_max, round(2 * j) + 1)
-    lower = exact._block_lowers(h, blocks)[parity]
-    size = len(blocks[parity])
-    occ = (blocks[parity] % (n_max + 1)).astype(float)
-    return exact._symmetric_block(size, lower), lower, size, occ
+    return exact._parity_split(h, n_max, round(2 * j) + 1)[parity]
 
 
 def _thermal_sum(vals, occs, beta):
@@ -383,8 +403,9 @@ def _thermal_sum(vals, occs, beta):
     ((1.0, 1.0, 0.0, 0.0, 0.0), 0),  # ... with Omega = omega0: degenerate levels
 ])
 def test_window_matches_full_banded_spectrum_on_random_sectors(couplings, parity):
-    a, lower, size, occ = _parity_block(couplings, 12, 6, 60, parity)
-    vals, occs = exact._block_eigh(size, lower, occ)
+    a, occ = _parity_block(couplings, 12, 6, 60, parity)
+    size = a.shape[0]
+    vals, occs = exact._block_eigh(a, occ)
     order = np.argsort(vals)
     vals, occs = vals[order], occs[order]
     # window tops between two distinct levels, holding up to 1/16 of the block
@@ -410,14 +431,15 @@ def test_window_matches_full_banded_spectrum_on_random_sectors(couplings, parity
 def test_window_falls_back_when_it_cannot_certify(monkeypatch):
     import scipy.sparse.linalg as splinalg
 
-    a, lower, size, occ = _parity_block((1.1, 0.9, 0.5, 0.3, 0.35), 12, 6, 60)
-    vals = np.sort(exact._block_eigh(size, lower, None)[0])
+    a, occ = _parity_block((1.1, 0.9, 0.5, 0.3, 0.35), 12, 6, 60)
+    size = a.shape[0]
+    vals = np.sort(exact._block_eigh(a, None)[0])
     top = 0.5 * (vals[9] + vals[10])
     assert exact._window_eigh(a, top, None)[0].shape == (10,)
     # more than WINDOW_MAX_SHARE of the block below the top
     assert exact._window_eigh(a, 0.5 * (vals[size // 8] + vals[size // 8 + 1]), None) is None
     # a top on an eigenvalue of a diagonal block gives a zero pivot
-    diag, _, _, _ = _parity_block((1.0, 0.5, 0.0, 0.0, 0.3), 12, 6, 60)
+    diag, _ = _parity_block((1.0, 0.5, 0.0, 0.0, 0.3), 12, 6, 60)
     assert exact._window_eigh(diag, float(np.sort(diag.diagonal())[5]), None) is None
     # a tiny first pivot, though no level lies near the top (10.5)
     levels = np.arange(400.0)
