@@ -7,7 +7,7 @@ main merges them, and handles --dump-config, once for every subcommand that
 takes parameter flags.  boundary scans lambda, so a given lambda or beta is
 validated, then unused.  Every output but fermion-check's PASS/FAIL line goes
 through one row writer (sweep._write_rows), so --digits means the same thing
-everywhere; fermion-check takes --out but no --digits.  --digits is
+everywhere; fermion-check takes --out but no --digits or --tol.  --digits is
 checked after the config merge and --dump-config, before any other work.
 Exit codes: 0 success (no_transition is a success), 1 fermion-check FAIL,
 2 validation error, 3 convergence/truncation/consistency error or out of
@@ -126,9 +126,10 @@ def _truncation(args, params, thermo):
     # commands never load SciPy
     from .exact import TruncationConfig
 
+    tol = getattr(args, "tol", TruncationConfig.tol)  # fermion-check reads no tol
     if args.n_max is not None:
-        return TruncationConfig(args.n_max, args.tol)
-    return TruncationConfig.seeded(params, thermo, args.tol)
+        return TruncationConfig(args.n_max, tol)
+    return TruncationConfig.seeded(params, thermo, tol)
 
 
 def _cmd_tc(args, config) -> int:
@@ -253,7 +254,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p_fermion)
     p_fermion.add_argument("--N", type=int, required=True, choices=(1, 2), action=_UniqueStore)
     p_fermion.add_argument("--n-max", dest="n_max", type=int, action=_UniqueStore)
-    p_fermion.add_argument("--tol", type=float, default=1e-8, action=_UniqueStore)
     _add_output_flags(p_fermion, digits=False)
     p_fermion.set_defaults(handler=_cmd_fermion_check)
 

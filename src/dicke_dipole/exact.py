@@ -65,7 +65,7 @@ from .errors import (
     HermiticityError,
     TruncationError,
 )
-from .model import ModelParams, Thermo, validate
+from .model import ModelParams, Thermo, _check_count, _check_real
 
 FULL_DIM_CAP = 30_000
 COLLECTIVE_DIM_CAP = 100_000
@@ -93,13 +93,8 @@ class TruncationConfig:
     tol: float = 1e-8
 
     def __post_init__(self):
-        if not isinstance(self.n_max, int) or isinstance(self.n_max, bool):
-            raise DomainError(f"n_max must be an integer, got {self.n_max!r}")
-        if self.n_max < 1:
-            raise DomainError(f"n_max must be >= 1, got {self.n_max}")
-        if (isinstance(self.tol, bool) or not isinstance(self.tol, (int, float))
-                or not (math.isfinite(self.tol) and self.tol > 0)):
-            raise DomainError(f"tol must be a positive finite number, got {self.tol!r}")
+        _check_count("n_max", self.n_max)
+        _check_real("tol", self.tol, positive=True)
 
     @classmethod
     def seeded(cls, params: ModelParams, thermo: Thermo, tol: float = 1e-8):
@@ -322,9 +317,7 @@ def build_full(
     The dipole term is the ordered-pair sum of one-site operators (see
     _site_sums).
     """
-    validate(params)
-    if not isinstance(n_atoms, int) or not 1 <= n_atoms <= MAX_ATOMS_FULL:
-        raise DomainError(f"n_atoms must be an integer in [1, {MAX_ATOMS_FULL}], got {n_atoms!r}")
+    _check_count("n_atoms", n_atoms, 1, MAX_ATOMS_FULL)
     dim = 2**n_atoms * (trunc.n_max + 1)
     if dim > FULL_DIM_CAP:
         raise DimensionError(
@@ -345,12 +338,10 @@ def build_full(
 
 
 def _check_sector(n_atoms: int, j) -> None:
-    if not isinstance(n_atoms, int) or n_atoms < 1:
-        raise DomainError(f"n_atoms must be a positive integer, got {n_atoms!r}")
-    two_j = 2.0 * j
+    _check_count("n_atoms", n_atoms)
+    two_j = 2.0 * _check_real("j", j)
     if not (
-        isinstance(j, (int, float))
-        and math.isfinite(two_j)
+        math.isfinite(two_j)  # 2*j overflows for j above ~9e307
         and two_j >= 0
         and abs(two_j - round(two_j)) < 1e-12
         and (n_atoms - round(two_j)) % 2 == 0
@@ -380,7 +371,6 @@ def build_collective(
 
 
 def _collective_hamiltonian(params, n_atoms, j, n_max):
-    validate(params)
     _check_sector(n_atoms, j)
     spin_dim = int(round(2 * j)) + 1
     dim = spin_dim * (n_max + 1)
@@ -435,6 +425,7 @@ def sector_multiplicity(n_atoms: int, j) -> int:
 
 def sector_spins(n_atoms: int) -> list[float]:
     """All total-spin values N/2, N/2-1, ... down to 0 or 1/2."""
+    _check_count("n_atoms", n_atoms)
     return [n_atoms / 2.0 - k for k in range(n_atoms // 2 + 1)]
 
 
@@ -535,14 +526,10 @@ def free_energy_exact(
     weighted sector sum; basis="full" uses the product basis (both agree,
     which the tests assert).
     """
-    validate(params)
     if basis not in ("collective", "full"):
         raise DomainError(f"basis must be 'collective' or 'full', got {basis!r}")
-    if basis == "full" and not (isinstance(n_atoms, int) and 1 <= n_atoms <= MAX_ATOMS_FULL):
-        raise DomainError(f"n_atoms must be an integer in [1, {MAX_ATOMS_FULL}], got {n_atoms!r}")
-    if basis == "collective" and (not isinstance(n_atoms, int) or n_atoms < 1):
-        raise DomainError(f"n_atoms must be a positive integer, got {n_atoms!r}")
     full = basis == "full"
+    _check_count("n_atoms", n_atoms, 1, MAX_ATOMS_FULL if full else None)
     cap = max_dim if max_dim is not None else FULL_DIM_CAP if full else COLLECTIVE_DIM_CAP
     spin_dim = 2**n_atoms if full else n_atoms + 1  # the largest sector, j = N/2
 
@@ -590,7 +577,6 @@ def thermal_boson_occupation(
 ) -> float:
     """<b'b>/N of the full thermal state, assembled from collective sectors
     with their multiplicities at the fixed cutoff trunc.n_max."""
-    validate(params)
     shifted, _, occupation = _thermal_sums(
         _thermal_sectors(params, n_atoms, thermo.beta, trunc.n_max, want_occupations=True),
         thermo.beta)
@@ -622,10 +608,8 @@ def fermionic_identity_check(
     attaching the phase (-i)^{n_F} to each block; no complex matrix
     exponential is needed.  Restricted to N <= 2 to keep 4^N harmless.
     """
-    validate(params)
-    if n_atoms not in (1, 2):
-        raise DomainError(f"fermionic check supports n_atoms in {{1, 2}}, got {n_atoms!r}")
-    # checked before either side is built: the dense fermion arrays are the largest
+    _check_count("n_atoms", n_atoms, 1, 2)
+    # checked before either side is built: the dense fermion blocks are the largest
     dim = 4**n_atoms * (trunc.n_max + 1)
     if dim > FULL_DIM_CAP:
         raise DimensionError(f"fermion-basis dimension {dim} exceeds the cap {FULL_DIM_CAP}")
@@ -633,13 +617,14 @@ def fermionic_identity_check(
     spin_side = build_full(params, n_atoms, trunc)
 
     sz1, sp1, nf1 = _fermion_site_ops()
-    h_f = _hamiltonian(params, n_atoms, trunc.n_max, *_site_sums((sz1, sp1), n_atoms)).toarray()
+    h_f = _hamiltonian(params, n_atoms, trunc.n_max, *_site_sums((sz1, sp1), n_atoms)).tocsr()
 
     # N_F of each basis state: the site occupations summed over an open mesh
     nf_diag = np.repeat(sum(np.ix_(*[nf1] * n_atoms)).ravel(), trunc.n_max + 1)
-    # [H_F, diag(N_F)]_{kl} = H_{kl} (n_l - n_k)
-    commutator = h_f * (nf_diag[None, :] - nf_diag[:, None])
-    worst = float(np.abs(commutator).max())
+    # [H_F, diag(N_F)]_{kl} = H_{kl} (n_l - n_k), zero off H_F's stored entries
+    stored = h_f.tocoo()
+    commutator = stored.data * (nf_diag[stored.col] - nf_diag[stored.row])
+    worst = float(np.abs(commutator).max(initial=0.0))
     if worst > COMMUTATOR_TOL:
         raise CommutationError(
             f"max |[H_F, N_F]| entry = {worst:.3e} exceeds {COMMUTATOR_TOL:g}"
@@ -648,8 +633,8 @@ def fermionic_identity_check(
     block_energies = []
     for n_f in range(2 * n_atoms + 1):
         (block_idx,) = np.nonzero(np.abs(nf_diag - n_f) < 0.5)
-        block = h_f[np.ix_(block_idx, block_idx)]
-        block_energies.append(np.linalg.eigvalsh(block))
+        # sliced while sparse, so that only one N_F block is ever dense
+        block_energies.append(np.linalg.eigvalsh(h_f[block_idx][:, block_idx].toarray()))
     # one common shift keeps both sides' shifted sums of comparable size
     e_ref = min(
         float(spin_side.eigenvalues[0]),

@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .model import ModelParams, Thermo, effective_coupling, validate
+from .model import ModelParams, Thermo, _check_real, effective_coupling
 
 # Bisection relative tolerance on Omega_Delta.
 GAP_RTOL = 1e-13
@@ -118,7 +118,6 @@ def critical_inverse_temperature(params: ModelParams) -> float | None:
     for G <= 0 or omega0*Omega/G >= 1 the critical condition has no solution
     at any beta > 0 and None is returned (a normal outcome, not an error).
     """
-    validate(params)
     G = effective_coupling(params).G
     if G <= 0:
         return None
@@ -141,9 +140,8 @@ def critical_coupling_zero_temperature(
     ``ratio`` is g2/g1 >= 0.  Raises DomainError when omega0*(Omega + lam)
     <= 0, i.e. lam <= -Omega, where no transition exists at any coupling.
     """
-    probe = ModelParams(omega0=omega0, Omega=Omega, g1=0.0, g2=0.0, lam=lam)
-    validate(probe)
-    if not (isinstance(ratio, (int, float)) and math.isfinite(ratio)) or ratio < 0:
+    ModelParams(omega0=omega0, Omega=Omega, g1=0.0, g2=0.0, lam=lam)  # validates the three
+    if _check_real("ratio g2/g1", ratio) < 0:
         raise DomainError(f"ratio g2/g1 must be finite and nonnegative, got {ratio!r}")
     product = omega0 * (Omega + lam)
     if product <= 0:
@@ -263,7 +261,6 @@ def solve_gap(params: ModelParams, thermo: Thermo) -> GapSolution:
     exchange ordering with b0 = 0; the boson is a spectator there and the
     ordered solution is reported with its lam-only observables.
     """
-    validate(params)
     superradiant, *values = _gap_kernel(*astuple(params), thermo.beta)
     phase = PhaseLabel.SUPERRADIANT if superradiant[0] else PhaseLabel.NORMAL
     return GapSolution(*(float(v[0]) for v in values), phase)
@@ -286,7 +283,6 @@ def stationary_residuals(
     and the auxiliary-field entries are evaluated in the sqrt(lam)-divided
     form, which keeps every residual real.
     """
-    validate(params)
     b0, r0 = sol.b0, sol.r0
     g1, g2 = params.g1, params.g2
     if params.lam >= 0:
@@ -323,7 +319,6 @@ def free_energy_diff(
     formula from the module docstring, evaluated through ln cosh in log
     space so beta*Omega_Delta in the thousands cannot overflow.
     """
-    validate(params)
     f_diff, f0 = _free_energy_arrays(
         *astuple(params), thermo.beta, sol.omega_delta, sol.phase is PhaseLabel.SUPERRADIANT
     )
@@ -336,7 +331,6 @@ def order_parameter_curve(params: ModelParams, beta_list) -> list[CurvePoint]:
     Returns one (beta, b0, omega_delta) point per entry; b0 is nondecreasing
     along the list.  Solver errors are re-raised with the offending index.
     """
-    validate(params)
     betas = list(beta_list)
     for i in range(1, len(betas)):
         if not betas[i] > betas[i - 1]:

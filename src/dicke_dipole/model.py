@@ -26,6 +26,24 @@ MAGNITUDE_CAP = 1e12
 CONFIG_KEYS = ("omega0", "Omega", "g1", "g2", "lambda", "beta")
 
 
+def _check_real(name, value, finite=True, positive=False):
+    """value if it is a number (an int or float, not a bool), finite if finite, > 0 if positive."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or finite and not math.isfinite(value) or positive and not value > 0):
+        kind = "positive finite number" if positive else "finite number" if finite else "number"
+        raise DomainError(f"{name} must be a {kind}, got {value!r}")
+    return value
+
+
+def _check_count(name, value, lo=1, hi=None):
+    """value if it is an int (not a bool) in [lo, hi], or >= lo when hi is None."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or value < lo or hi is not None and value > hi):
+        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise DomainError(f"{name} must be an integer {bounds}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """The five couplings of the dipole-coupled Dicke Hamiltonian.
@@ -40,8 +58,8 @@ class ModelParams:
             extrapolation past where the underlying derivation was developed;
             results there should be treated accordingly.
 
-    Instances are plain immutable records; call :func:`validate` to enforce
-    the domain constraints.
+    Construction runs :func:`validate`, so every instance lies in the
+    domain; an invalid field raises DomainError naming it.
     """
 
     omega0: float
@@ -49,6 +67,9 @@ class ModelParams:
     g1: float
     g2: float
     lam: float
+
+    def __post_init__(self):
+        validate(self)
 
 
 @dataclass(frozen=True)
@@ -63,11 +84,7 @@ class Thermo:
     beta: float
 
     def __post_init__(self):
-        if not (isinstance(self.beta, (int, float)) and math.isfinite(self.beta)):
-            raise DomainError(f"beta must be a finite number, got {self.beta!r}")
-        if self.beta <= 0:
-            raise DomainError(f"beta must be strictly positive, got {self.beta}")
-        if self.beta > MAGNITUDE_CAP:
+        if _check_real("beta", self.beta, positive=True) > MAGNITUDE_CAP:
             raise DomainError(f"beta exceeds the magnitude cap {MAGNITUDE_CAP:g}")
 
 
@@ -83,7 +100,8 @@ class EffectiveCoupling:
 
 
 def validate(params: ModelParams) -> ModelParams:
-    """Check all ModelParams invariants, returning the params unchanged.
+    """Check all ModelParams invariants, returning the params unchanged;
+    every ModelParams runs it on construction.
 
     Raises DomainError naming the offending field otherwise.  Negative g1/g2
     are rejected because a sign flip of either coupling is a unitary spin
@@ -91,10 +109,7 @@ def validate(params: ModelParams) -> ModelParams:
     space.  lam may take either sign.
     """
     for name in ("omega0", "Omega", "g1", "g2", "lam"):
-        value = getattr(params, name)
-        if not (isinstance(value, (int, float)) and math.isfinite(value)):
-            raise DomainError(f"{name} must be a finite number, got {value!r}")
-        if abs(value) > MAGNITUDE_CAP:
+        if abs(_check_real(name, getattr(params, name))) > MAGNITUDE_CAP:
             raise DomainError(f"{name} exceeds the magnitude cap {MAGNITUDE_CAP:g}")
     if params.omega0 <= 0:
         raise DomainError(f"omega0 must be strictly positive, got {params.omega0}")
@@ -113,7 +128,6 @@ def effective_coupling(params: ModelParams) -> EffectiveCoupling:
     G depends on the couplings only through g1 + g2 and may be negative,
     which signals that no superradiant transition exists downstream.
     """
-    validate(params)
     return EffectiveCoupling((params.g1 + params.g2) ** 2 - params.omega0 * params.lam)
 
 
@@ -122,9 +136,8 @@ def _check_mapping_keys(mapping) -> None:
     if unknown:
         raise DomainError(f"unknown parameter key(s): {', '.join(unknown)}")
     for key, value in mapping.items():
-        # bool is an int subclass but is not a number here
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise DomainError(f"{key} must be a number, got {value!r}")
+        # float() below would take "1.0"; the records check the range
+        _check_real(key, value, finite=False)
 
 
 def params_from_mapping(mapping, require_beta: bool = False):
@@ -142,14 +155,12 @@ def params_from_mapping(mapping, require_beta: bool = False):
     for key in required:
         if key not in mapping:
             raise DomainError(f"missing required parameter: {key}")
-    params = validate(
-        ModelParams(
-            omega0=float(mapping["omega0"]),
-            Omega=float(mapping["Omega"]),
-            g1=float(mapping["g1"]),
-            g2=float(mapping["g2"]),
-            lam=float(mapping["lambda"]),
-        )
+    params = ModelParams(
+        omega0=float(mapping["omega0"]),
+        Omega=float(mapping["Omega"]),
+        g1=float(mapping["g1"]),
+        g2=float(mapping["g2"]),
+        lam=float(mapping["lambda"]),
     )
     thermo = Thermo(float(mapping["beta"])) if "beta" in mapping else None
     return params, thermo

@@ -22,7 +22,7 @@ from .meanfield import (
     free_energy_diff,
     solve_gap,
 )
-from .model import ModelParams, Thermo, params_from_mapping, validate
+from .model import ModelParams, Thermo, _check_count, _check_real, params_from_mapping
 
 if TYPE_CHECKING:
     from .exact import TruncationConfig
@@ -47,8 +47,7 @@ class AxisSpec:
     def __post_init__(self):
         if self.name not in AXIS_NAMES:
             raise DomainError(f"axis name must be one of {AXIS_NAMES}, got {self.name!r}")
-        if not isinstance(self.count, int) or isinstance(self.count, bool) or self.count < 1:
-            raise DomainError(f"axis count must be an integer >= 1, got {self.count!r}")
+        _check_count("axis count", self.count)
         if not self.min < self.max:
             raise DomainError(f"axis {self.name}: min must be < max, got [{self.min}, {self.max}]")
         if self.scale not in ("linear", "log"):
@@ -80,8 +79,8 @@ class GridSpec:
                 f"fixed keys must be exactly {sorted(expected)}, got {sorted(got)}"
             )
         for key, value in self.fixed.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise DomainError(f"fixed value {key} must be a number, got {value!r}")
+            # run_grid checks the range, naming the first failing grid point
+            _check_real(f"fixed value {key}", value, finite=False)
         if self.axis1.count * self.axis2.count > MAX_GRID_POINTS:
             raise DomainError(
                 f"grid has {self.axis1.count * self.axis2.count} points, "
@@ -142,8 +141,7 @@ def run_grid(spec: GridSpec, jobs: int = 1) -> list[SweepRecord]:
     All points are solved in one vectorised call; jobs must be an integer
     >= 1 and is otherwise ignored, for interface stability.
     """
-    if not isinstance(jobs, int) or jobs < 1:
-        raise DomainError(f"jobs must be an integer >= 1, got {jobs!r}")
+    _check_count("jobs", jobs)
     a1, a2 = spec.axis1.values(), spec.axis2.values()
     # Every check in validate and Thermo looks at one field, so once row 0 is
     # valid the first invalid point in row-major order can only be (i1, 0):
@@ -179,17 +177,14 @@ def phase_boundary(
 ) -> list[tuple]:
     """(lambda, T_c) along a lambda scan; T_c is None past the endpoint
     lambda = ((g1+g2)**2 - omega0*Omega)/omega0 where the transition dies."""
-    if not isinstance(count, int) or count < 1:
-        raise DomainError(f"count must be an integer >= 1, got {count!r}")
-    if count > MAX_GRID_POINTS:
+    if _check_count("count", count) > MAX_GRID_POINTS:
         raise DomainError(f"count is {count}, cap is {MAX_GRID_POINTS}")
     lo, hi = float(lambda_range[0]), float(lambda_range[1])
     if not lo < hi:
         raise DomainError(f"lambda_range must satisfy min < max, got ({lo}, {hi})")
     points = []
     for lam in np.linspace(lo, hi, count):
-        params = validate(ModelParams(omega0, Omega, g1, g2, float(lam)))
-        beta_c = critical_inverse_temperature(params)
+        beta_c = critical_inverse_temperature(ModelParams(omega0, Omega, g1, g2, float(lam)))
         points.append((float(lam), None if beta_c is None else 1.0 / beta_c))
     return points
 

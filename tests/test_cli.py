@@ -364,6 +364,16 @@ def test_fermion_check_has_no_digits_flag(capsys):
     assert "unrecognized arguments: --digits 3" in err
 
 
+def test_fermion_check_has_no_tol_flag(capsys):
+    # the identity check never reads the cutoff-doubling tolerance
+    code, out, err = run(capsys, [
+        "fermion-check", "--omega0", "1", "--Omega", "1", "--g1", "0.4", "--g2", "0.4",
+        "--lambda", "0.1", "--beta", "1", "--N", "1", "--n-max", "8", "--tol", "1e-8",
+    ])
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --tol 1e-8" in err
+
+
 def test_digits_flag_truncates(capsys):
     code, out, _ = run(capsys, ["tc", *TC_FLAGS, "--digits", "6"])
     assert code == 0

@@ -1,6 +1,7 @@
 """Finite-N diagonalization: bases, partition sums, fermionic identity."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,6 +169,37 @@ def test_build_collective_validates_sector():
             build_collective(P_MIXED, 3, bad_j, TruncationConfig(4))
     with pytest.raises(DimensionError):
         build_collective(P_MIXED, 2, 1, TruncationConfig(40000))
+
+
+# every entry point that takes an atom count, called with a valid rest
+_ATOM_COUNT_CALLS = {
+    "build_full": lambda n: build_full(P_MIXED, n, TruncationConfig(2)),
+    "build_collective": lambda n: build_collective(P_MIXED, n, 0.5, TruncationConfig(2)),
+    "free_energy_exact/collective": lambda n: free_energy_exact(
+        P_MIXED, n, Thermo(1.0), TruncationConfig(2)),
+    "free_energy_exact/full": lambda n: free_energy_exact(
+        P_MIXED, n, Thermo(1.0), TruncationConfig(2), basis="full"),
+    "thermal_boson_occupation": lambda n: thermal_boson_occupation(
+        P_MIXED, n, Thermo(1.0), TruncationConfig(2)),
+    "sector_multiplicity": lambda n: sector_multiplicity(n, 0.5),
+    "sector_spins": sector_spins,
+    "fermionic_identity_check": lambda n: fermionic_identity_check(
+        P_MIXED, n, Thermo(1.0), TruncationConfig(2)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ATOM_COUNT_CALLS))
+def test_atom_count_must_be_a_positive_int(entry):
+    # a bool is not a count, and a float is not one even when integral
+    for bad in (True, 2.0, 0, -2):
+        with pytest.raises(DomainError, match="n_atoms"):
+            _ATOM_COUNT_CALLS[entry](bad)
+
+
+def test_sector_spin_must_be_a_finite_number():
+    for bad in (math.nan, math.inf, 1e308, "1", True):
+        with pytest.raises(DomainError, match=r"^j\b"):
+            build_collective(P_MIXED, 2, bad, TruncationConfig(2))
 
 
 def test_truncation_config_validation():
@@ -360,6 +392,20 @@ def test_fermionic_identity_caps_the_fermion_basis_before_building(monkeypatch):
     monkeypatch.setattr(exact, "_hamiltonian", lambda *args: pytest.fail("H was built"))
     with pytest.raises(DimensionError, match="fermion-basis dimension 32016"):
         fermionic_identity_check(P_MIXED, 2, Thermo(1.0), TruncationConfig(2000))
+
+
+def test_fermionic_identity_never_densifies_the_fermion_hamiltonian():
+    # N=2, n_max=150: one dense H_F is 2416^2 doubles, 46.7 MB; the N_F
+    # blocks are at most 906 states, 6.6 MB
+    dense_bytes = (16 * 151) ** 2 * 8
+    tracemalloc.start()
+    try:
+        discrepancy = fermionic_identity_check(P_MIXED, 2, Thermo(1.0), TruncationConfig(150))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert discrepancy < 1e-10
+    assert peak < dense_bytes
 
 
 def test_fermionic_identity_rejects_large_n():

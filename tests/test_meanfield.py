@@ -95,6 +95,9 @@ def test_zero_temperature_coupling_domain_errors():
         critical_coupling_zero_temperature(1.0, 1.0, -1.0, 1.0)  # lam = -Omega
     with pytest.raises(DomainError):
         critical_coupling_zero_temperature(1.0, 1.0, 0.0, -0.2)
+    for bad in (True, math.nan, "1"):
+        with pytest.raises(DomainError, match="ratio"):
+            critical_coupling_zero_temperature(1.0, 1.0, 0.0, bad)
 
 
 def _phase_flip_coupling(omega0, Omega, lam, ratio, beta=1e6):

@@ -1,5 +1,6 @@
 """Parameter validation, the effective coupling, and the JSON interface."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,6 +25,23 @@ def test_validate_accepts_standard_point():
 def test_validate_rejects_zero_omega0_naming_field():
     with pytest.raises(DomainError, match="omega0"):
         validate(ModelParams(0.0, 1.0, 0.0, 0.0, 0.0))
+
+
+def test_params_validate_at_construction():
+    with pytest.raises(DomainError, match="omega0"):
+        ModelParams(0.0, 1, 0, 0, 0)
+    # a copy with a changed field is a new construction, and is checked too
+    with pytest.raises(DomainError, match="g2"):
+        dataclasses.replace(ModelParams(1.0, 1.0, 0.1, 0.1, 0.0), g2=-0.1)
+
+
+def test_bool_is_not_a_number():
+    fields = ("omega0", "Omega", "g1", "g2", "lam")
+    for i, name in enumerate(fields):
+        values = [1.0, 1.0, 0.1, 0.1, 0.0]
+        values[i] = True
+        with pytest.raises(DomainError, match=f"^{name} must be a finite number"):
+            ModelParams(*values)
 
 
 def test_validate_accepts_negative_lambda():
@@ -53,7 +71,7 @@ def test_validate_enforces_magnitude_cap():
 
 
 def test_thermo_rejects_bad_beta():
-    for bad in (0.0, -1.0, math.nan, math.inf, 1e13):
+    for bad in (0.0, -1.0, math.nan, math.inf, 1e13, True):
         with pytest.raises(DomainError, match="beta"):
             Thermo(bad)
     assert Thermo(2.5).beta == 2.5

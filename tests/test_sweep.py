@@ -177,6 +177,12 @@ def test_parallel_matches_serial():
     assert run_grid(spec, jobs=1) == run_grid(spec, jobs=3)
 
 
+def test_jobs_must_be_a_positive_int():
+    for bad in (True, 2.0, 0):
+        with pytest.raises(DomainError, match="jobs"):
+            run_grid(small_grid(2, 2), jobs=bad)
+
+
 def test_records_satisfy_invariants():
     for record in run_grid(small_grid(5, 5)):
         assert (record.b0 > 0) == (record.phase is PhaseLabel.SUPERRADIANT)
@@ -245,6 +251,9 @@ def test_phase_boundary_validation():
         phase_boundary(1, 1, 0.6, 0.6, (1.0, 0.0), 5)
     with pytest.raises(DomainError, match="cap"):
         phase_boundary(1, 1, 0.6, 0.6, (0.0, 1.0), MAX_GRID_POINTS + 1)
+    for bad in (True, 5.0):
+        with pytest.raises(DomainError, match="count"):
+            phase_boundary(1, 1, 0.6, 0.6, (0.0, 1.0), bad)
 
 
 # --- oracle table ----------------------------------------------------------------
