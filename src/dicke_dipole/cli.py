@@ -28,8 +28,14 @@ from .errors import (
     HermiticityError,
     TruncationError,
 )
-from .meanfield import critical_inverse_temperature
-from .model import CONFIG_KEYS, _check_mapping_keys, effective_coupling, params_from_mapping
+from .meanfield import PhaseLabel, critical_inverse_temperature
+from .model import (
+    CONFIG_KEYS,
+    _check_count,
+    _check_mapping_keys,
+    effective_coupling,
+    params_from_mapping,
+)
 from .sweep import (
     GridSpec,
     _write_rows,
@@ -138,7 +144,7 @@ def _cmd_tc(args, config) -> int:
     ratio = params.omega0 * params.Omega / G if G != 0 else None
     beta_c = critical_inverse_temperature(params)
     if beta_c is None:
-        columns, row = ("phase", "ratio"), ("no_transition", ratio)
+        columns, row = ("phase", "ratio"), (PhaseLabel.NO_FINITE_TRANSITION.value, ratio)
     else:
         columns, row = ("beta_c", "T_c", "ratio"), (beta_c, 1.0 / beta_c, ratio)
     with _output(args) as (stream, digits):
@@ -168,6 +174,7 @@ def _cmd_sweep(args, _config) -> int:
 
 
 def _cmd_oracle(args, config) -> int:
+    _check_count("jobs", args.jobs)  # unused, as in sweep, but held to the same rule
     params, thermo = params_from_mapping(config, require_beta=True)
     try:
         n_list = [int(chunk) for chunk in str(args.N).split(",")]

@@ -4,10 +4,14 @@ A grid is evaluated in one call of the mean-field gap kernel over all its
 points (solves are independent, so there is no warm starting), and records
 come back in row-major input order.  Numeric output uses the shortest
 round-trip decimal representation of each double, so a given grid spec
-always produces byte-identical files.
+always produces byte-identical files.  The CSV writer formats cells a column
+at a time over blocks of rows, and each distinct double in a column once;
+the bytes are those of formatting every cell on its own.
 """
 
+import itertools
 import json
+import operator
 from dataclasses import astuple, dataclass
 from typing import TYPE_CHECKING
 
@@ -102,7 +106,7 @@ class GridSpec:
                     name=entry["name"],
                     min=float(entry["min"]),
                     max=float(entry["max"]),
-                    count=int(entry["count"]),
+                    count=entry["count"],  # AxisSpec checks it is an int
                     scale=entry.get("scale", "linear"),
                 )
             except (KeyError, TypeError, ValueError) as exc:
@@ -235,12 +239,33 @@ def _format_number(value: float, digits: int | None) -> str:
     return format(float(value), f".{digits}g")
 
 
+# rows formatted per pass of the CSV writer: bounds its transient lists
+_CSV_CHUNK_ROWS = 4096
+
+
+def _csv_column(cells, digits: int | None) -> list[str]:
+    """The CSV fields of one column's cells, formatting each distinct double once.
+
+    A column of floats is keyed by bit pattern, so 0.0 and -0.0 (and NaN
+    payloads) stay apart; any other column is formatted cell by cell.
+    """
+    if set(map(type, cells)) == {float}:
+        keys = np.array(cells).view(np.int64)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        fields = [_format_number(cells[i], digits) for i in first.tolist()]
+        return list(map(fields.__getitem__, inverse.tolist()))
+    # float first: in a mixed column, such as boundary T_c, most cells are one
+    return [_format_number(v, digits) if isinstance(v, float) else "" if v is None else str(v)
+            for v in cells]
+
+
 def _write_rows(stream, columns, rows, digits: int | None = None, fmt: str = "csv") -> None:
     """Write rows as CSV (a header, then one line per row) or as JSON lines.
 
     A CSV cell is a float through _format_number, a str as is, an int through
-    str, and None as an empty field.  A JSON line maps columns to the row's
-    values; floats are rounded through _format_number only when digits is set.
+    str, and None as an empty field; cells are formatted a column at a time,
+    each distinct double once.  A JSON line maps columns to the row's values;
+    floats are rounded through _format_number only when digits is set.
     """
     if fmt == "json":
         for row in rows:
@@ -250,18 +275,19 @@ def _write_rows(stream, columns, rows, digits: int | None = None, fmt: str = "cs
             stream.write(json.dumps(dict(zip(columns, row))) + "\n")
         return
     stream.write(",".join(columns) + "\n")
-    for row in rows:
-        # float first: nearly every cell is one
-        stream.write(",".join([
-            _format_number(v, digits) if isinstance(v, float) else "" if v is None else str(v)
-            for v in row
-        ]) + "\n")
+    rows = iter(rows)
+    while chunk := list(itertools.islice(rows, _CSV_CHUNK_ROWS)):
+        fields = [_csv_column(cells, digits) for cells in zip(*chunk)]
+        stream.write("".join([line + "\n" for line in map(",".join, zip(*fields))]))
+
+
+_SWEEP_FIELDS = operator.attrgetter(
+    "omega0", "Omega", "g1", "g2", "lam", "beta", "phase.value", "b0", "omega_delta", "f_diff"
+)
 
 
 def _sweep_rows(records):
-    for r in records:
-        yield (r.omega0, r.Omega, r.g1, r.g2, r.lam, r.beta, r.phase.value,
-               r.b0, r.omega_delta, r.f_diff)
+    return map(_SWEEP_FIELDS, records)
 
 
 def write_sweep_csv(records, stream, digits: int | None = None) -> None:

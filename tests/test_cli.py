@@ -304,6 +304,15 @@ def test_oracle_table_golden(capsys):
     )
 
 
+def test_oracle_jobs_must_be_a_positive_int(capsys):
+    code, out, err = run(capsys, [
+        "oracle", "--omega0", "1", "--Omega", "1", "--g1", "0.4", "--g2", "0.4",
+        "--lambda", "0.1", "--beta", "1.0", "--N", "2", "--n-max", "4", "--jobs", "0",
+    ])
+    assert code == 2 and out == ""
+    assert err == "error: jobs must be an integer >= 1, got 0\n"
+
+
 def test_fermion_check_passes(capsys):
     code, out, _ = run(capsys, [
         "fermion-check", "--omega0", "1", "--Omega", "1", "--g1", "0.7",

@@ -3,6 +3,8 @@
 import io
 import json
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +30,13 @@ from dicke_dipole import (
     write_sweep_csv,
     write_sweep_jsonl,
 )
-from dicke_dipole.sweep import MAX_GRID_POINTS, SWEEP_COLUMNS, evaluate_point
+from dicke_dipole.sweep import (
+    _CSV_CHUNK_ROWS,
+    MAX_GRID_POINTS,
+    SWEEP_COLUMNS,
+    _write_rows,
+    evaluate_point,
+)
 from oracles import bisect_critical_beta, mean_field_point
 
 # bounds on b0 and f_diff against the oracle: an absolute floor for values
@@ -93,6 +101,11 @@ def test_grid_from_mapping():
     assert spec.axis1.scale == "linear" and spec.axis2.scale == "log"
     with pytest.raises(DomainError, match="axis"):
         GridSpec.from_mapping({"axis1": {}, "axis2": {}, "fixed": FIXED})
+    # the count reaches AxisSpec as given, not truncated to an int first
+    for count in (True, 2.7, 3.0, "3"):
+        bad = dict(mapping, axis1=dict(mapping["axis1"], count=count))
+        with pytest.raises(DomainError, match="axis count must be an integer"):
+            GridSpec.from_mapping(bad)
 
 
 # --- grid evaluation ------------------------------------------------------------
@@ -318,6 +331,80 @@ def test_sweep_jsonl_mirror():
     assert first["b0"] == records[0].b0
     assert first["lambda"] == records[0].lam
     assert first["phase"] == records[0].phase.value
+
+
+REFERENCE_CSV = (
+    Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "sweep_grid_seed0.csv"
+)
+
+
+def _rowwise_csv(columns, rows, digits):
+    """Reference CSV writer: every cell formatted on its own."""
+    def cell(v):
+        if isinstance(v, float):
+            return repr(float(v)) if digits is None else format(float(v), f".{digits}g")
+        return "" if v is None else str(v)
+    lines = [",".join(columns)] + [",".join(cell(v) for v in row) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+def test_full_size_sweep_matches_stored_reference():
+    # the benchmark's seed-0 300 x 200 grid, so the CSV crosses many writer
+    # chunks; the stored file holds the header and every 101st data line
+    spec = GridSpec(
+        AxisSpec("g1", 0.2, 1.4, 300),
+        AxisSpec("beta", 0.4, 30.0, 200, scale="log"),
+        {"omega0": 1.001, "Omega": 1.008, "g2": 0.505, "lambda": 0.251},
+    )
+    records = run_grid(spec)
+    buffer = io.StringIO()
+    write_sweep_csv(records, buffer)
+    text = buffer.getvalue()
+    rows = [(r.omega0, r.Omega, r.g1, r.g2, r.lam, r.beta, r.phase.value,
+             r.b0, r.omega_delta, r.f_diff) for r in records]
+    assert text == _rowwise_csv(SWEEP_COLUMNS, rows, None)
+    lines = text.splitlines()
+    ref = REFERENCE_CSV.read_text().splitlines()
+    assert len(lines) == 1 + 60_000 and lines[0] == ref[0]
+    got = [line.split(",") for line in lines[1::101]]
+    want = [line.split(",") for line in ref[1:]]
+    assert [row[:7] for row in got] == [row[:7] for row in want]
+    # the stored results predate the array gap kernel, which moved the last
+    # bits of two sampled rows (b0 by 1 ulp, f_diff by 1.1e-16)
+    assert np.allclose(np.array([row[7:] for row in got], dtype=float),
+                       np.array([row[7:] for row in want], dtype=float), rtol=1e-14, atol=0.0)
+
+
+def _edge_rows(count):
+    nan_payload = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
+    floats = [0.0, -0.0, math.nan, nan_payload, math.inf, -math.inf, 0.1, 1e-300, 2.5e300]
+    mixed = [0.5, np.float64(0.5), 1, True, False, None, "x", -0.0, np.float64(-0.0)]
+    rows = []
+    for i in range(count):
+        repeat = floats[i % len(floats)]
+        rows.append((
+            repeat,  # few distinct values, all plain floats
+            i / 7 - 300.0 if i % 3 else -0.0,  # many distinct values
+            mixed[i % len(mixed)],
+            np.float64(repeat),
+            i,
+            "normal" if i % 2 else "superradiant",
+            # a float column until its last row, which is None
+            None if i == count - 1 else i * 1e-3,
+        ))
+    return rows
+
+
+@pytest.mark.parametrize("digits", [None, 3])
+@pytest.mark.parametrize(
+    "count", [0, 1, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1]
+)
+def test_csv_writer_matches_cell_by_cell_formatting(count, digits):
+    columns = ("repeat", "distinct", "mixed", "np64", "int", "text", "tail")
+    rows = _edge_rows(count)
+    buffer = io.StringIO()
+    _write_rows(buffer, columns, iter(rows), digits)
+    assert buffer.getvalue() == _rowwise_csv(columns, rows, digits)
 
 
 def test_boundary_csv_empty_field_past_cut():
