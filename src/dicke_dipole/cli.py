@@ -144,7 +144,7 @@ def _cmd_tc(args, config) -> int:
     ratio = params.omega0 * params.Omega / G if G != 0 else None
     beta_c = critical_inverse_temperature(params)
     if beta_c is None:
-        columns, row = ("phase", "ratio"), (PhaseLabel.NO_FINITE_TRANSITION.value, ratio)
+        columns, row = ("phase", "ratio"), (PhaseLabel.NO_FINITE_TRANSITION, ratio)
     else:
         columns, row = ("beta_c", "T_c", "ratio"), (beta_c, 1.0 / beta_c, ratio)
     with _output(args) as (stream, digits):

@@ -174,7 +174,8 @@ def _block_eigh(a, occ):
     """Every eigenvalue of the sparse symmetric block a, read from its lower
     triangle, and the <b'b> of each eigenvector when occ (the basis
     occupations) is given."""
-    # imported here, so that the mean-field commands never load it
+    # imported here, as scipy.sparse.linalg is in the solvers below, so that
+    # fermion-check and build_full, which call none of them, load neither
     import scipy.linalg
 
     lower = sparse.tril(a, format="coo")

@@ -6,14 +6,16 @@ come back in row-major input order.  Numeric output uses the shortest
 round-trip decimal representation of each double, so a given grid spec
 always produces byte-identical files.  The CSV writer formats cells a column
 at a time over blocks of rows, and each distinct double in a column once;
-the bytes are those of formatting every cell on its own.
+the bytes are those of formatting every cell on its own.  Sweep and oracle
+records are NamedTuples in column order, so each record is its printed row;
+an Enum cell, such as a phase, prints its value.
 """
 
 import itertools
 import json
-import operator
 from dataclasses import astuple, dataclass
-from typing import TYPE_CHECKING
+from enum import Enum
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -34,7 +36,7 @@ if TYPE_CHECKING:
 AXIS_NAMES = ("omega0", "Omega", "g1", "g2", "lambda", "beta")
 MAX_GRID_POINTS = 10**7
 
-# SweepRecord's fields in order; run_grid builds records positionally
+# SweepRecord's fields in order, lam printed as lambda
 SWEEP_COLUMNS = AXIS_NAMES + ("phase", "b0", "omega_delta", "f_diff")
 
 
@@ -52,6 +54,8 @@ class AxisSpec:
         if self.name not in AXIS_NAMES:
             raise DomainError(f"axis name must be one of {AXIS_NAMES}, got {self.name!r}")
         _check_count("axis count", self.count)
+        _check_real(f"axis {self.name} min", self.min)
+        _check_real(f"axis {self.name} max", self.max)
         if not self.min < self.max:
             raise DomainError(f"axis {self.name}: min must be < max, got [{self.min}, {self.max}]")
         if self.scale not in ("linear", "log"):
@@ -74,6 +78,8 @@ class GridSpec:
     fixed: dict
 
     def __post_init__(self):
+        if not isinstance(self.fixed, dict):
+            raise DomainError(f"fixed must be a dict (a JSON object), got {self.fixed!r}")
         if self.axis1.name == self.axis2.name:
             raise DomainError(f"axis1 and axis2 both sweep {self.axis1.name!r}")
         expected = set(AXIS_NAMES) - {self.axis1.name, self.axis2.name}
@@ -102,21 +108,16 @@ class GridSpec:
 
         def make_axis(entry):
             try:
-                return AxisSpec(
-                    name=entry["name"],
-                    min=float(entry["min"]),
-                    max=float(entry["max"]),
-                    count=entry["count"],  # AxisSpec checks it is an int
-                    scale=entry.get("scale", "linear"),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
+                # as given: AxisSpec checks each value, as configs are checked
+                return AxisSpec(entry["name"], entry["min"], entry["max"], entry["count"],
+                                entry.get("scale", "linear"))
+            except (KeyError, TypeError) as exc:
                 raise DomainError(f"bad axis spec {entry!r}: {exc}") from exc
 
-        return cls(make_axis(axis1), make_axis(axis2), dict(fixed))
+        return cls(make_axis(axis1), make_axis(axis2), fixed)
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     """One phase-diagram point: inputs, phase, order parameter, gap, f_diff."""
 
     omega0: float
@@ -168,7 +169,7 @@ def run_grid(spec: GridSpec, jobs: int = 1) -> list[SweepRecord]:
     phases = [PhaseLabel.SUPERRADIANT if s else PhaseLabel.NORMAL for s in superradiant.tolist()]
     # tolist() gives plain Python floats, as evaluate_point records hold
     outputs = [phases, b0.tolist(), omega_delta.tolist(), f_diff.tolist()]
-    return [SweepRecord(*row) for row in zip(*(c.tolist() for c in inputs), *outputs)]
+    return list(map(SweepRecord._make, zip(*(c.tolist() for c in inputs), *outputs)))
 
 
 def phase_boundary(
@@ -187,14 +188,16 @@ def phase_boundary(
     if not lo < hi:
         raise DomainError(f"lambda_range must satisfy min < max, got ({lo}, {hi})")
     points = []
-    for lam in np.linspace(lo, hi, count):
-        beta_c = critical_inverse_temperature(ModelParams(omega0, Omega, g1, g2, float(lam)))
-        points.append((float(lam), None if beta_c is None else 1.0 / beta_c))
+    for i, lam in enumerate(np.linspace(lo, hi, count).tolist()):
+        try:
+            beta_c = critical_inverse_temperature(ModelParams(omega0, Omega, g1, g2, lam))
+        except DomainError as exc:
+            raise DomainError(f"lambda[{i}]={lam!r}: {exc}") from exc
+        points.append((lam, None if beta_c is None else 1.0 / beta_c))
     return points
 
 
-@dataclass(frozen=True)
-class OracleRow:
+class OracleRow(NamedTuple):
     """Exact finite-N observables next to their mean-field limits.
 
     n_atoms is None on the thermodynamic-limit row, where the exact columns
@@ -255,24 +258,26 @@ def _csv_column(cells, digits: int | None) -> list[str]:
         fields = [_format_number(cells[i], digits) for i in first.tolist()]
         return list(map(fields.__getitem__, inverse.tolist()))
     # float first: in a mixed column, such as boundary T_c, most cells are one
-    return [_format_number(v, digits) if isinstance(v, float) else "" if v is None else str(v)
-            for v in cells]
+    return [_format_number(v, digits) if isinstance(v, float) else "" if v is None
+            else str(v.value if isinstance(v, Enum) else v) for v in cells]
 
 
 def _write_rows(stream, columns, rows, digits: int | None = None, fmt: str = "csv") -> None:
     """Write rows as CSV (a header, then one line per row) or as JSON lines.
 
     A CSV cell is a float through _format_number, a str as is, an int through
-    str, and None as an empty field; cells are formatted a column at a time,
-    each distinct double once.  A JSON line maps columns to the row's values;
-    floats are rounded through _format_number only when digits is set.
+    str, an Enum as its value, and None as an empty field; cells are
+    formatted a column at a time, each distinct double once.  A JSON line
+    maps columns to the row's values, an Enum again as its value; floats are
+    rounded through _format_number only when digits is set.
     """
     if fmt == "json":
         for row in rows:
             if digits:
                 row = [float(_format_number(v, digits)) if isinstance(v, float) else v
                        for v in row]
-            stream.write(json.dumps(dict(zip(columns, row))) + "\n")
+            # only an Enum cell is not JSON: the default writes its value
+            stream.write(json.dumps(dict(zip(columns, row)), default=lambda e: e.value) + "\n")
         return
     stream.write(",".join(columns) + "\n")
     rows = iter(rows)
@@ -281,23 +286,14 @@ def _write_rows(stream, columns, rows, digits: int | None = None, fmt: str = "cs
         stream.write("".join([line + "\n" for line in map(",".join, zip(*fields))]))
 
 
-_SWEEP_FIELDS = operator.attrgetter(
-    "omega0", "Omega", "g1", "g2", "lam", "beta", "phase.value", "b0", "omega_delta", "f_diff"
-)
-
-
-def _sweep_rows(records):
-    return map(_SWEEP_FIELDS, records)
-
-
 def write_sweep_csv(records, stream, digits: int | None = None) -> None:
     """RFC 4180 CSV, LF line endings, header row, fixed column order."""
-    _write_rows(stream, SWEEP_COLUMNS, _sweep_rows(records), digits)
+    _write_rows(stream, SWEEP_COLUMNS, records, digits)
 
 
 def write_sweep_jsonl(records, stream, digits: int | None = None) -> None:
     """JSON-lines mirror of the CSV with identical field names."""
-    _write_rows(stream, SWEEP_COLUMNS, _sweep_rows(records), digits, "json")
+    _write_rows(stream, SWEEP_COLUMNS, records, digits, "json")
 
 
 def write_boundary_csv(points, stream, digits: int | None = None) -> None:
@@ -309,9 +305,8 @@ _ORACLE_COLUMNS = ("N", "f_diff_exact", "boson_occupation", "f_diff_mf", "b0_sq_
 
 
 def _oracle_rows(rows):
-    for row in rows:
-        yield ("inf" if row.n_atoms is None else row.n_atoms, row.f_diff,
-               row.boson_occupation, row.f_diff_mf, row.b0_sq_mf)
+    # the mean-field row prints N as inf
+    return (row._replace(n_atoms="inf") if row.n_atoms is None else row for row in rows)
 
 
 def write_oracle_csv(rows, stream, digits: int | None = None) -> None:

@@ -275,6 +275,16 @@ def test_sweep_invalid_grid_exits_2(tmp_path, capsys):
                                 "fixed": GRID["fixed"]}))
     code, _, err = run(capsys, ["sweep", "--grid", str(grid)])
     assert code == 2 and "both sweep" in err
+    # exit 2, not a traceback and exit 1, which is the fermion-check FAIL code
+    for fixed in ("ab", 5):
+        grid.write_text(json.dumps(dict(GRID, fixed=fixed)))
+        code, out, err = run(capsys, ["sweep", "--grid", str(grid)])
+        assert (code, out) == (2, "")
+        assert err == f"error: fixed must be a dict (a JSON object), got {fixed!r}\n"
+    grid.write_text(json.dumps(dict(GRID, axis1=dict(GRID["axis1"], min="0.2", max=True))))
+    code, out, err = run(capsys, ["sweep", "--grid", str(grid)])
+    assert (code, out) == (2, "")
+    assert err == "error: axis g1 min must be a finite number, got '0.2'\n"
 
 
 def test_oracle_table_output(capsys):
@@ -362,6 +372,10 @@ def test_boundary_validates_beta_lambda_and_count(capsys):
                                   str(MAX_GRID_POINTS + 1)])
     assert code == 2 and out == ""
     assert err == f"error: count is {MAX_GRID_POINTS + 1}, cap is {MAX_GRID_POINTS}\n"
+    code, out, err = run(capsys, ["boundary", *TC_FLAGS[:-2], "--lambda-min=-2e12",
+                                  "--lambda-max", "0", "--count", "3"])
+    assert code == 2 and out == ""
+    assert err == "error: lambda[0]=-2000000000000.0: lam exceeds the magnitude cap 1e+12\n"
 
 
 def test_fermion_check_has_no_digits_flag(capsys):

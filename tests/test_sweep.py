@@ -4,6 +4,7 @@ import io
 import json
 import math
 import struct
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,9 @@ from dicke_dipole import (
 from dicke_dipole.sweep import (
     _CSV_CHUNK_ROWS,
     MAX_GRID_POINTS,
+    _ORACLE_COLUMNS,
     SWEEP_COLUMNS,
+    OracleRow,
     _write_rows,
     evaluate_point,
 )
@@ -67,6 +70,12 @@ def test_axis_validation():
         AxisSpec("beta", 0.0, 1.0, 5, scale="log")
     with pytest.raises(DomainError, match="scale"):
         AxisSpec("beta", 0.5, 1.0, 5, scale="cubic")
+    # each bound is checked before min < max, naming the axis
+    for bad in (math.nan, math.inf, -math.inf, "0.2", True, None):
+        with pytest.raises(DomainError, match="^axis g1 min must be a finite number"):
+            AxisSpec("g1", bad, 1.0, 5)
+        with pytest.raises(DomainError, match="^axis beta max must be a finite number"):
+            AxisSpec("beta", 0.5, bad, 5, scale="log")
 
 
 def test_axis_values():
@@ -106,6 +115,15 @@ def test_grid_from_mapping():
         bad = dict(mapping, axis1=dict(mapping["axis1"], count=count))
         with pytest.raises(DomainError, match="axis count must be an integer"):
             GridSpec.from_mapping(bad)
+    # so are min and max, and json.load reads NaN and Infinity
+    for key, value in (("min", "0.2"), ("max", True), ("min", math.nan), ("max", math.inf)):
+        bad = dict(mapping, axis1=dict(mapping["axis1"], **{key: value}))
+        with pytest.raises(DomainError, match=f"^axis g1 {key} must be a finite number"):
+            GridSpec.from_mapping(bad)
+    # fixed must be an object; a list of [key, value] pairs is refused too
+    for fixed in ("ab", 5, None, [list(item) for item in FIXED.items()]):
+        with pytest.raises(DomainError, match="^fixed must be a dict"):
+            GridSpec.from_mapping(dict(mapping, fixed=fixed))
 
 
 # --- grid evaluation ------------------------------------------------------------
@@ -267,6 +285,13 @@ def test_phase_boundary_validation():
     for bad in (True, 5.0):
         with pytest.raises(DomainError, match="count"):
             phase_boundary(1, 1, 0.6, 0.6, (0.0, 1.0), bad)
+    # a lambda past the cap is named by index and value
+    with pytest.raises(DomainError) as info:
+        phase_boundary(1, 1, 0.6, 0.6, (-2e12, 0.0), 3)
+    assert str(info.value) == "lambda[0]=-2000000000000.0: lam exceeds the magnitude cap 1e+12"
+    with pytest.raises(DomainError) as info:
+        phase_boundary(1, 1, 0.6, 0.6, (0.0, 1.2e12), 3)
+    assert str(info.value) == "lambda[2]=1200000000000.0: lam exceeds the magnitude cap 1e+12"
 
 
 # --- oracle table ----------------------------------------------------------------
@@ -294,6 +319,20 @@ def test_oracle_table_deviation_shrinks_with_n():
 
 
 # --- output formats ---------------------------------------------------------------
+
+def test_records_are_their_printed_rows():
+    record = run_grid(small_grid(2, 2))[-1]
+    assert record.phase is PhaseLabel.SUPERRADIANT
+    by_name = {"lambda": record.lam, **record._asdict()}
+    assert tuple(record) == tuple(by_name[column] for column in SWEEP_COLUMNS)
+    with pytest.raises(AttributeError):
+        record.b0 = 0.0
+    row = OracleRow(n_atoms=3, f_diff=-0.5, boson_occupation=0.25, f_diff_mf=-0.4, b0_sq_mf=0.2)
+    assert dict(zip(_ORACLE_COLUMNS, row)) == {
+        "N": 3, "f_diff_exact": -0.5, "boson_occupation": 0.25, "f_diff_mf": -0.4,
+        "b0_sq_mf": 0.2,
+    }
+
 
 def test_sweep_csv_format():
     records = run_grid(small_grid(2, 2))
@@ -333,6 +372,18 @@ def test_sweep_jsonl_mirror():
     assert first["phase"] == records[0].phase.value
 
 
+@pytest.mark.parametrize("digits", [None, 3])
+def test_jsonl_writer_prints_an_enum_cell_as_its_value(digits):
+    rows = [(PhaseLabel.SUPERRADIANT, 0.123456, 2), (PhaseLabel.NO_FINITE_TRANSITION, None, 3)]
+    buffer = io.StringIO()
+    _write_rows(buffer, ("phase", "x", "n"), rows, digits, "json")
+    x = 0.123456 if digits is None else 0.123
+    assert buffer.getvalue() == (
+        f'{{"phase": "superradiant", "x": {x}, "n": 2}}\n'
+        '{"phase": "no_transition", "x": null, "n": 3}\n'
+    )
+
+
 REFERENCE_CSV = (
     Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "sweep_grid_seed0.csv"
 )
@@ -341,6 +392,8 @@ REFERENCE_CSV = (
 def _rowwise_csv(columns, rows, digits):
     """Reference CSV writer: every cell formatted on its own."""
     def cell(v):
+        if isinstance(v, Enum):
+            return v.value
         if isinstance(v, float):
             return repr(float(v)) if digits is None else format(float(v), f".{digits}g")
         return "" if v is None else str(v)
@@ -378,7 +431,9 @@ def test_full_size_sweep_matches_stored_reference():
 def _edge_rows(count):
     nan_payload = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
     floats = [0.0, -0.0, math.nan, nan_payload, math.inf, -math.inf, 0.1, 1e-300, 2.5e300]
-    mixed = [0.5, np.float64(0.5), 1, True, False, None, "x", -0.0, np.float64(-0.0)]
+    mixed = [0.5, np.float64(0.5), 1, True, False, None, "x", -0.0, np.float64(-0.0),
+             PhaseLabel.NORMAL]
+    phases = list(PhaseLabel)
     rows = []
     for i in range(count):
         repeat = floats[i % len(floats)]
@@ -389,6 +444,7 @@ def _edge_rows(count):
             np.float64(repeat),
             i,
             "normal" if i % 2 else "superradiant",
+            phases[i % len(phases)],
             # a float column until its last row, which is None
             None if i == count - 1 else i * 1e-3,
         ))
@@ -400,7 +456,7 @@ def _edge_rows(count):
     "count", [0, 1, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1]
 )
 def test_csv_writer_matches_cell_by_cell_formatting(count, digits):
-    columns = ("repeat", "distinct", "mixed", "np64", "int", "text", "tail")
+    columns = ("repeat", "distinct", "mixed", "np64", "int", "text", "phase", "tail")
     rows = _edge_rows(count)
     buffer = io.StringIO()
     _write_rows(buffer, columns, iter(rows), digits)
