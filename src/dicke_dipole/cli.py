@@ -4,11 +4,14 @@ Subcommands: tc, gap, free-energy, sweep, oracle, fermion-check, boundary.
 Parameters come from inline flags, a JSON config file (--config), or both;
 flags override file values, and conflicting duplicate flags are rejected.
 main merges them, and handles --dump-config, once for every subcommand that
-takes parameter flags.  boundary scans lambda, so a given lambda or beta is
+takes parameter flags.  The flag names, the config keys and the sweep grid's
+axis names are all model.CONFIG_KEYS, and one reader loads the --config and
+--grid files.  boundary scans lambda, so a given lambda or beta is
 validated, then unused.  Every output but fermion-check's PASS/FAIL line goes
 through one row writer (sweep._write_rows), so --digits means the same thing
-everywhere; fermion-check takes --out but no --digits or --tol.  --digits is
-checked after the config merge and --dump-config, before any other work.
+everywhere; fermion-check takes --out but no --digits or --tol, and no
+subcommand takes --jobs.  --digits is checked after the config merge and
+--dump-config, before any other work.
 Exit codes: 0 success (no_transition is a success), 1 fermion-check FAIL,
 2 validation error, 3 convergence/truncation/consistency error or out of
 memory, 4 I/O error.
@@ -29,13 +32,7 @@ from .errors import (
     TruncationError,
 )
 from .meanfield import PhaseLabel, critical_inverse_temperature
-from .model import (
-    CONFIG_KEYS,
-    _check_count,
-    _check_mapping_keys,
-    effective_coupling,
-    params_from_mapping,
-)
+from .model import CONFIG_KEYS, _check_mapping_keys, effective_coupling, params_from_mapping
 from .sweep import (
     GridSpec,
     _write_rows,
@@ -95,15 +92,22 @@ def _add_output_flags(parser, digits=True, formats=False):
                             action=_UniqueStore)
 
 
+def _read_json(path, kind):
+    """The JSON value held in the file at path; kind ("config" or "grid") names it in errors."""
+    with open(path) as handle:
+        try:
+            return json.load(handle)
+        # a ValueError that is not a JSONDecodeError: bytes that are not
+        # UTF-8, or an int too long for the interpreter's digit limit
+        except ValueError as exc:
+            raise DomainError(f"{kind} file is not valid JSON: {exc}") from exc
+
+
 def _merged_config(args) -> dict:
     """File values overridden by flags; key set checked against the schema."""
     merged = {}
     if args.config:
-        with open(args.config) as handle:
-            try:
-                raw = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise DomainError(f"config file is not valid JSON: {exc}") from exc
+        raw = _read_json(args.config, "config")
         if not isinstance(raw, dict):
             raise DomainError("config file must hold a JSON object")
         _check_mapping_keys(raw)
@@ -160,13 +164,7 @@ def _cmd_point(args, config) -> int:
 
 
 def _cmd_sweep(args, _config) -> int:
-    with open(args.grid) as handle:
-        try:
-            mapping = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"grid file is not valid JSON: {exc}") from exc
-    spec = GridSpec.from_mapping(mapping)
-    records = run_grid(spec, jobs=args.jobs)
+    records = run_grid(GridSpec.from_mapping(_read_json(args.grid, "grid")))
     write = write_sweep_jsonl if args.format == "json" else write_sweep_csv
     with _output(args) as (stream, digits):
         write(records, stream, digits)
@@ -174,7 +172,6 @@ def _cmd_sweep(args, _config) -> int:
 
 
 def _cmd_oracle(args, config) -> int:
-    _check_count("jobs", args.jobs)  # unused, as in sweep, but held to the same rule
     params, thermo = params_from_mapping(config, require_beta=True)
     try:
         n_list = [int(chunk) for chunk in str(args.N).split(",")]
@@ -240,8 +237,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="evaluate a 2-axis parameter grid")
     p_sweep.add_argument("--grid", required=True, action=_UniqueStore, help="JSON grid spec file")
-    p_sweep.add_argument("--jobs", type=int, default=1, action=_UniqueStore,
-                         help="accepted for interface stability; the grid is solved in one pass")
     _add_output_flags(p_sweep, formats=True)
     p_sweep.set_defaults(handler=_cmd_sweep)
 
@@ -252,8 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--n-max", dest="n_max", type=int, action=_UniqueStore,
                           help="starting boson cutoff (default: seeded heuristic)")
     p_oracle.add_argument("--tol", type=float, default=1e-8, action=_UniqueStore)
-    p_oracle.add_argument("--jobs", type=int, default=1, action=_UniqueStore,
-                          help="accepted for interface stability; table rows run serially")
     _add_output_flags(p_oracle, formats=True)
     p_oracle.set_defaults(handler=_cmd_oracle)
 

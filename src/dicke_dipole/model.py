@@ -14,7 +14,7 @@ which has units of energy squared and may be negative (no superradiance).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 from .errors import DomainError
 
@@ -22,15 +22,25 @@ from .errors import DomainError
 # the conditioning the solvers rely on.  Chosen far above any physical regime.
 MAGNITUDE_CAP = 1e12
 
-# The exact key set accepted in JSON parameter objects.
+# The parameter names of JSON objects, CLI flags and grid axes: ModelParams'
+# fields in order, lam written as lambda, then beta.
 CONFIG_KEYS = ("omega0", "Omega", "g1", "g2", "lambda", "beta")
+
+# the least int whose float() overflows: it rounds up to 2**1024
+_INT_OVERFLOW = 2**1024 - 2**970
 
 
 def _check_real(name, value, finite=True, positive=False):
-    """value if it is a number (an int or float, not a bool), finite if finite, > 0 if positive."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
+    """value if it is a number (an int or float, not a bool), finite if finite, > 0 if positive.
+
+    An int too large for a double is refused as not finite even when finite
+    is False, since callers convert the value with float().
+    """
+    huge = isinstance(value, int) and abs(value) >= _INT_OVERFLOW
+    if (isinstance(value, bool) or not isinstance(value, (int, float)) or huge
             or finite and not math.isfinite(value) or positive and not value > 0):
-        kind = "positive finite number" if positive else "finite number" if finite else "number"
+        kind = ("positive finite number" if positive else
+                "finite number" if finite or huge else "number")
         raise DomainError(f"{name} must be a {kind}, got {value!r}")
     return value
 
@@ -108,9 +118,9 @@ def validate(params: ModelParams) -> ModelParams:
     phase redefinition; restricting to g >= 0 removes redundant parameter
     space.  lam may take either sign.
     """
-    for name in ("omega0", "Omega", "g1", "g2", "lam"):
-        if abs(_check_real(name, getattr(params, name))) > MAGNITUDE_CAP:
-            raise DomainError(f"{name} exceeds the magnitude cap {MAGNITUDE_CAP:g}")
+    for field in fields(params):
+        if abs(_check_real(field.name, getattr(params, field.name))) > MAGNITUDE_CAP:
+            raise DomainError(f"{field.name} exceeds the magnitude cap {MAGNITUDE_CAP:g}")
     if params.omega0 <= 0:
         raise DomainError(f"omega0 must be strictly positive, got {params.omega0}")
     if params.Omega <= 0:
@@ -143,38 +153,21 @@ def _check_mapping_keys(mapping) -> None:
 def params_from_mapping(mapping, require_beta: bool = False):
     """Build (ModelParams, Thermo | None) from a JSON-style mapping.
 
-    The accepted key set is exactly ``omega0, Omega, g1, g2, lambda, beta``;
-    any other key is rejected.  The five model parameters are required,
-    ``beta`` only when ``require_beta`` is set.  The returned params are
-    validated.
+    The accepted key set is exactly CONFIG_KEYS; any other key is rejected.
+    The five model parameters are required, ``beta`` only when
+    ``require_beta`` is set, and the first missing key in CONFIG_KEYS order
+    is reported.  The returned params are validated.
     """
     _check_mapping_keys(mapping)
-    required = ["omega0", "Omega", "g1", "g2", "lambda"]
-    if require_beta:
-        required.append("beta")
-    for key in required:
+    for key in CONFIG_KEYS if require_beta else CONFIG_KEYS[:-1]:
         if key not in mapping:
             raise DomainError(f"missing required parameter: {key}")
-    params = ModelParams(
-        omega0=float(mapping["omega0"]),
-        Omega=float(mapping["Omega"]),
-        g1=float(mapping["g1"]),
-        g2=float(mapping["g2"]),
-        lam=float(mapping["lambda"]),
-    )
+    params = ModelParams(*(float(mapping[key]) for key in CONFIG_KEYS[:-1]))
     thermo = Thermo(float(mapping["beta"])) if "beta" in mapping else None
     return params, thermo
 
 
 def params_to_mapping(params: ModelParams, thermo: Thermo | None = None) -> dict:
     """Inverse of params_from_mapping; keys match the JSON interface."""
-    mapping = {
-        "omega0": params.omega0,
-        "Omega": params.Omega,
-        "g1": params.g1,
-        "g2": params.g2,
-        "lambda": params.lam,
-    }
-    if thermo is not None:
-        mapping["beta"] = thermo.beta
-    return mapping
+    values = astuple(params) if thermo is None else (*astuple(params), thermo.beta)
+    return dict(zip(CONFIG_KEYS, values))

@@ -2,7 +2,8 @@
 
 A grid is evaluated in one call of the mean-field gap kernel over all its
 points (solves are independent, so there is no warm starting), and records
-come back in row-major input order.  Numeric output uses the shortest
+come back in row-major input order; a single point is built by the same
+function, from 1-element input columns.  Numeric output uses the shortest
 round-trip decimal representation of each double, so a given grid spec
 always produces byte-identical files.  The CSV writer formats cells a column
 at a time over blocks of rows, and each distinct double in a column once;
@@ -28,16 +29,15 @@ from .meanfield import (
     free_energy_diff,
     solve_gap,
 )
-from .model import ModelParams, Thermo, _check_count, _check_real, params_from_mapping
+from .model import CONFIG_KEYS, ModelParams, Thermo, _check_count, _check_real, params_from_mapping
 
 if TYPE_CHECKING:
     from .exact import TruncationConfig
 
-AXIS_NAMES = ("omega0", "Omega", "g1", "g2", "lambda", "beta")
 MAX_GRID_POINTS = 10**7
 
 # SweepRecord's fields in order, lam printed as lambda
-SWEEP_COLUMNS = AXIS_NAMES + ("phase", "b0", "omega_delta", "f_diff")
+SWEEP_COLUMNS = CONFIG_KEYS + ("phase", "b0", "omega_delta", "f_diff")
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,8 @@ class AxisSpec:
     scale: str = "linear"
 
     def __post_init__(self):
-        if self.name not in AXIS_NAMES:
-            raise DomainError(f"axis name must be one of {AXIS_NAMES}, got {self.name!r}")
+        if self.name not in CONFIG_KEYS:
+            raise DomainError(f"axis name must be one of {CONFIG_KEYS}, got {self.name!r}")
         _check_count("axis count", self.count)
         _check_real(f"axis {self.name} min", self.min)
         _check_real(f"axis {self.name} max", self.max)
@@ -82,7 +82,7 @@ class GridSpec:
             raise DomainError(f"fixed must be a dict (a JSON object), got {self.fixed!r}")
         if self.axis1.name == self.axis2.name:
             raise DomainError(f"axis1 and axis2 both sweep {self.axis1.name!r}")
-        expected = set(AXIS_NAMES) - {self.axis1.name, self.axis2.name}
+        expected = set(CONFIG_KEYS) - {self.axis1.name, self.axis2.name}
         got = set(self.fixed)
         if got != expected:
             raise DomainError(
@@ -132,19 +132,32 @@ class SweepRecord(NamedTuple):
     f_diff: float
 
 
+def _records(inputs) -> list[SweepRecord]:
+    """One SweepRecord per point of validated input columns in CONFIG_KEYS order.
+
+    A ConvergenceError of the gap kernel carries the flat index of the first
+    failing point as ``index``.
+    """
+    superradiant, omega_delta, _, b0, _ = _gap_kernel(*inputs)
+    f_diff, _ = _free_energy_arrays(*inputs, omega_delta, superradiant)
+    phases = [PhaseLabel.SUPERRADIANT if s else PhaseLabel.NORMAL for s in superradiant.tolist()]
+    # tolist() gives plain Python floats, not NumPy scalars
+    outputs = [phases, b0.tolist(), omega_delta.tolist(), f_diff.tolist()]
+    return list(map(SweepRecord._make, zip(*(c.tolist() for c in inputs), *outputs)))
+
+
 def evaluate_point(values: dict) -> SweepRecord:
     """Mean-field record for one mapping of all six parameter values."""
     params, thermo = params_from_mapping(values, require_beta=True)
-    sol = solve_gap(params, thermo)
-    f_diff = free_energy_diff(params, thermo, sol).f_diff
-    return SweepRecord(*astuple(params), thermo.beta, sol.phase, sol.b0, sol.omega_delta, f_diff)
+    return _records([np.array([v]) for v in (*astuple(params), thermo.beta)])[0]
 
 
 def run_grid(spec: GridSpec, jobs: int = 1) -> list[SweepRecord]:
     """Evaluate every grid point, axis1 as the outer (row-major) loop.
 
-    All points are solved in one vectorised call; jobs must be an integer
-    >= 1 and is otherwise ignored, for interface stability.
+    All points are solved in one vectorised call.  jobs must be an integer
+    >= 1 and is otherwise ignored; it stays only because the benchmark
+    (perfbench/workloads.py) still passes it.
     """
     _check_count("jobs", jobs)
     a1, a2 = spec.axis1.values(), spec.axis2.values()
@@ -160,16 +173,10 @@ def run_grid(spec: GridSpec, jobs: int = 1) -> list[SweepRecord]:
     columns = {key: np.full(a1.size * a2.size, float(v)) for key, v in spec.fixed.items()}
     columns[spec.axis1.name] = np.repeat(a1, a2.size)
     columns[spec.axis2.name] = np.tile(a2, a1.size)
-    inputs = [columns[name] for name in AXIS_NAMES]
     try:
-        superradiant, omega_delta, _, b0, _ = _gap_kernel(*inputs)
+        return _records([columns[name] for name in CONFIG_KEYS])
     except ConvergenceError as exc:
         raise ConvergenceError(f"grid point {divmod(exc.index, a2.size)}: {exc}") from exc
-    f_diff, _ = _free_energy_arrays(*inputs, omega_delta, superradiant)
-    phases = [PhaseLabel.SUPERRADIANT if s else PhaseLabel.NORMAL for s in superradiant.tolist()]
-    # tolist() gives plain Python floats, as evaluate_point records hold
-    outputs = [phases, b0.tolist(), omega_delta.tolist(), f_diff.tolist()]
-    return list(map(SweepRecord._make, zip(*(c.tolist() for c in inputs), *outputs)))
 
 
 def phase_boundary(

@@ -134,6 +134,44 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "coupling" in err
 
 
+@pytest.mark.parametrize("flag", ["--config", "--grid"])
+@pytest.mark.parametrize("content, detail", [
+    (b'{"omega0": 1.0,', "Expecting property name"),
+    (b'\xff{}', "'utf-8' codec can't decode"),
+    (b'{"g1": 1' + b'0' * 5000 + b'}', "Exceeds the limit"),
+], ids=["malformed", "not-utf-8", "int-past-digit-limit"])
+def test_unreadable_json_file_exits_2(tmp_path, capsys, flag, content, detail):
+    path = tmp_path / "file.json"
+    path.write_bytes(content)
+    argv = ["sweep", "--grid", str(path)] if flag == "--grid" else ["tc", "--config", str(path)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {flag[2:]} file is not valid JSON: ") and detail in err
+
+
+def test_int_too_big_for_a_double_exits_2(tmp_path, capsys):
+    # exit 2, not an OverflowError traceback and exit 1, the fermion-check FAIL code
+    huge = 10**400
+    config = tmp_path / "params.json"
+    config.write_text(json.dumps(
+        {"omega0": 1.0, "Omega": 1.0, "g1": huge, "g2": 0.6, "lambda": 0.0, "beta": 2.0}
+    ))
+    for argv in (["tc", "--config", str(config)], ["gap", "--config", str(config)],
+                 ["tc", "--config", str(config), "--dump-config"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: g1 must be a finite number, got {huge!r}\n"
+    grid = tmp_path / "grid.json"
+    for spec, message in (
+        (dict(GRID, axis1=dict(GRID["axis1"], max=huge)), "axis g1 max"),
+        (dict(GRID, fixed=dict(GRID["fixed"], Omega=-huge)), "fixed value Omega"),
+    ):
+        grid.write_text(json.dumps(spec))
+        code, out, err = run(capsys, ["sweep", "--grid", str(grid)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message} must be a finite number, got ")
+
+
 def test_conflicting_duplicate_flag_rejected(capsys):
     code, _, err = run(capsys, ["tc", *TC_FLAGS, "--g1", "0.7"])
     assert code == 2
@@ -242,19 +280,6 @@ def test_sweep_writes_csv_file(tmp_path, capsys):
     assert len(lines) == 1 + 12 + 1  # header + rows + trailing LF
 
 
-def test_sweep_jobs_byte_identical(tmp_path, capsys):
-    grid = tmp_path / "grid.json"
-    grid.write_text(json.dumps(GRID))
-    files = []
-    for jobs in ("1", "2"):
-        out_file = tmp_path / f"pd_{jobs}.csv"
-        code, _, _ = run(capsys, ["sweep", "--grid", str(grid),
-                                  "--out", str(out_file), "--jobs", jobs])
-        assert code == 0
-        files.append(out_file.read_bytes())
-    assert files[0] == files[1]
-
-
 def test_sweep_json_format(tmp_path, capsys):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps(GRID))
@@ -312,15 +337,6 @@ def test_oracle_table_golden(capsys):
         "3,-0.0531965374422,0.252306928279,0,0\n"
         "inf,0,0,0,0\n"
     )
-
-
-def test_oracle_jobs_must_be_a_positive_int(capsys):
-    code, out, err = run(capsys, [
-        "oracle", "--omega0", "1", "--Omega", "1", "--g1", "0.4", "--g2", "0.4",
-        "--lambda", "0.1", "--beta", "1.0", "--N", "2", "--n-max", "4", "--jobs", "0",
-    ])
-    assert code == 2 and out == ""
-    assert err == "error: jobs must be an integer >= 1, got 0\n"
 
 
 def test_fermion_check_passes(capsys):
@@ -395,6 +411,17 @@ def test_fermion_check_has_no_tol_flag(capsys):
     ])
     assert code == 2 and out == ""
     assert "unrecognized arguments: --tol 1e-8" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--grid", "grid.json"],
+    ["oracle", *POINT_FLAGS, "--N", "2", "--n-max", "4"],
+])
+def test_no_jobs_flag(capsys, argv):
+    # the grid is solved in one pass and table rows run serially
+    code, out, err = run(capsys, [*argv, "--jobs", "2"])
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --jobs 2" in err
 
 
 def test_digits_flag_truncates(capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dicke_dipole import (
+    CONFIG_KEYS,
     DomainError,
     ModelParams,
     Thermo,
@@ -15,6 +16,7 @@ from dicke_dipole import (
     params_to_mapping,
     validate,
 )
+from dicke_dipole.model import _check_real
 
 
 def test_validate_accepts_standard_point():
@@ -42,6 +44,17 @@ def test_bool_is_not_a_number():
         values[i] = True
         with pytest.raises(DomainError, match=f"^{name} must be a finite number"):
             ModelParams(*values)
+
+
+def test_int_too_big_for_a_double_is_not_a_number():
+    # float() of it would raise OverflowError, so it is refused even unchecked for finiteness
+    limit = 2**1024 - 2**970  # the least int that rounds up to 2**1024
+    for finite in (True, False):
+        for bad in (limit, -limit, 10**400):
+            with pytest.raises(DomainError, match="^x must be a finite number"):
+                _check_real("x", bad, finite=finite)
+        assert _check_real("x", limit - 1, finite=finite) == limit - 1
+    assert _check_real("x", math.inf, finite=False) == math.inf
 
 
 def test_validate_accepts_negative_lambda():
@@ -111,11 +124,19 @@ def test_effective_coupling_energy_rescaling():
             assert scaled == pytest.approx(s * s * base, rel=1e-12)
 
 
+def test_config_keys_are_the_model_fields_then_beta():
+    names = [field.name for field in dataclasses.fields(ModelParams)]
+    assert list(CONFIG_KEYS[:-1]) == ["lambda" if n == "lam" else n for n in names]
+    assert CONFIG_KEYS[-1] == "beta"
+
+
 def test_mapping_round_trip():
     params = ModelParams(1.5, 0.8, 0.3, 0.7, -0.2)
     thermo = Thermo(3.25)
     mapping = params_to_mapping(params, thermo)
-    assert set(mapping) == {"omega0", "Omega", "g1", "g2", "lambda", "beta"}
+    assert mapping == {"omega0": 1.5, "Omega": 0.8, "g1": 0.3, "g2": 0.7, "lambda": -0.2,
+                       "beta": 3.25}
+    assert tuple(mapping) == CONFIG_KEYS
     back, thermo_back = params_from_mapping(mapping, require_beta=True)
     assert back == params
     assert thermo_back == thermo
@@ -144,3 +165,6 @@ def test_mapping_beta_handling():
         params_from_mapping(mapping, require_beta=True)
     with pytest.raises(DomainError, match="g2"):
         params_from_mapping({"omega0": 1.0, "Omega": 1.0, "g1": 0.1, "lambda": 0.0})
+    # the first missing key in CONFIG_KEYS order is reported
+    with pytest.raises(DomainError, match="^missing required parameter: Omega$"):
+        params_from_mapping({"g2": 0.1, "omega0": 1.0}, require_beta=True)

@@ -1,5 +1,6 @@
-"""Property tests: the three finite-N engines agree, f_diff is never positive,
-and b0 never falls as beta grows."""
+"""Property tests: the three finite-N engines agree, the fermionic trace
+identity holds, the mean-field solution is stationary, f_diff is never
+positive, and b0 never falls as beta grows."""
 
 import math
 
@@ -14,12 +15,14 @@ from dicke_dipole import (
     TruncationConfig,
     build_collective,
     build_full,
+    fermionic_identity_check,
     free_energy_diff,
     order_parameter_curve,
     partition_function,
     sector_multiplicity,
     sector_spins,
     solve_gap,
+    stationary_residuals,
 )
 from oracles import full_product_hamiltonian
 
@@ -75,3 +78,24 @@ def test_free_energy_difference_is_never_positive(p, beta):
 def test_b0_nondecreasing_along_order_parameter_curve(p, beta_list):
     b0 = [point.b0 for point in order_parameter_curve(p, sorted(beta_list))]
     assert all(b >= a for a, b in zip(b0, b0[1:]))
+
+
+@PROPERTY
+@given(params, st.integers(1, 2), st.integers(1, 6), st.floats(0.1, 5.0))
+@example(ModelParams(1.0, 0.8, 0.7, 0.4, -0.6), 2, 6, 2.0)  # lam < 0
+@example(ModelParams(1.0, 0.8, 0.0, 0.9, 0.3), 2, 5, 1.5)  # g1 = 0
+@example(ModelParams(1.0, 0.8, 0.9, 0.0, 0.3), 1, 6, 0.7)  # g2 = 0
+def test_fermionic_trace_identity_holds(p, n_atoms, n_max, beta):
+    assert fermionic_identity_check(p, n_atoms, Thermo(beta), TruncationConfig(n_max)) < 1e-10
+
+
+@PROPERTY
+@given(params, betas)
+# superradiant examples: lam < 0, g1 = 0, g2 = 0, and g1 = g2 = 0 with lam < -Omega
+@example(ModelParams(1.0, 0.8, 0.7, 0.4, -0.6), 5.0)
+@example(ModelParams(1.0, 0.8, 0.0, 1.4, 0.3), 8.0)
+@example(ModelParams(1.0, 0.8, 1.4, 0.0, 0.3), 8.0)
+@example(ModelParams(1.0, 0.8, 0.0, 0.0, -1.0), 8.0)
+def test_stationary_residuals_vanish_at_the_solution(p, beta):
+    thermo = Thermo(beta)
+    assert stationary_residuals(p, thermo, solve_gap(p, thermo)).max_abs() < 1e-10

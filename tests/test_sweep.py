@@ -1,6 +1,7 @@
 """Grid engine, boundary curve, oracle table, and the file formats."""
 
 import io
+import itertools
 import json
 import math
 import struct
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from dicke_dipole import (
+    CONFIG_KEYS,
     AxisSpec,
     ConvergenceError,
     DomainError,
@@ -203,6 +205,21 @@ def test_grid_row_major_ordering():
     assert records[-1].g1 == g1_values[-1] and records[-1].beta == beta_values[-1]
 
 
+def _bits(record):
+    return [struct.pack("<d", v) if isinstance(v, float) else v for v in record]
+
+
+def test_grid_records_are_evaluate_point_records():
+    # one builder serves both: each grid record is its point's record, bit for bit
+    spec = GridSpec(AxisSpec("g1", 0.0, 1.6, 9), AxisSpec("lambda", -1.5, 1.0, 7),
+                    {"omega0": 1.0, "Omega": 0.8, "g2": 0.0, "beta": 6.0})
+    records = run_grid(spec)
+    assert {r.phase for r in records} == {PhaseLabel.NORMAL, PhaseLabel.SUPERRADIANT}
+    for record in records:
+        point = evaluate_point(dict(zip(CONFIG_KEYS, record[:6])))
+        assert _bits(point) == _bits(record)
+
+
 def test_parallel_matches_serial():
     spec = small_grid(4, 5)
     assert run_grid(spec, jobs=1) == run_grid(spec, jobs=3)
@@ -389,6 +406,15 @@ REFERENCE_CSV = (
 )
 
 
+def _assert_same_text(got, want):
+    """got == want, a line at a time: on a difference, pytest's diff of two
+    texts of megabytes runs for minutes, and the first differing line is
+    what is wanted."""
+    lines = itertools.zip_longest(got.splitlines(keepends=True), want.splitlines(keepends=True))
+    for number, (got_line, want_line) in enumerate(lines):
+        assert got_line == want_line, f"first difference at line {number}"
+
+
 def _rowwise_csv(columns, rows, digits):
     """Reference CSV writer: every cell formatted on its own."""
     def cell(v):
@@ -415,7 +441,7 @@ def test_full_size_sweep_matches_stored_reference():
     text = buffer.getvalue()
     rows = [(r.omega0, r.Omega, r.g1, r.g2, r.lam, r.beta, r.phase.value,
              r.b0, r.omega_delta, r.f_diff) for r in records]
-    assert text == _rowwise_csv(SWEEP_COLUMNS, rows, None)
+    _assert_same_text(text, _rowwise_csv(SWEEP_COLUMNS, rows, None))
     lines = text.splitlines()
     ref = REFERENCE_CSV.read_text().splitlines()
     assert len(lines) == 1 + 60_000 and lines[0] == ref[0]
@@ -460,7 +486,7 @@ def test_csv_writer_matches_cell_by_cell_formatting(count, digits):
     rows = _edge_rows(count)
     buffer = io.StringIO()
     _write_rows(buffer, columns, iter(rows), digits)
-    assert buffer.getvalue() == _rowwise_csv(columns, rows, digits)
+    _assert_same_text(buffer.getvalue(), _rowwise_csv(columns, rows, digits))
 
 
 def test_boundary_csv_empty_field_past_cut():
