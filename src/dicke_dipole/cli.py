@@ -11,7 +11,8 @@ validated, then unused.  Every output but fermion-check's PASS/FAIL line goes
 through one row writer (sweep._write_rows), so --digits means the same thing
 everywhere; fermion-check takes --out but no --digits or --tol, and no
 subcommand takes --jobs.  --digits is checked after the config merge and
---dump-config, before any other work.
+--dump-config, before any other work, and clamped to MAX_DIGITS, past which
+every value prints the same.
 Exit codes: 0 success (no_transition is a success), 1 fermion-check FAIL,
 2 validation error, 3 convergence/truncation/consistency error or out of
 memory, 4 I/O error.
@@ -48,6 +49,9 @@ from .sweep import (
 )
 
 FERMION_PASS_TOL = 1e-10
+# the most significant digits in the exact decimal expansion of a double; as
+# "g" strips trailing zeros, any larger --digits prints the same bytes
+MAX_DIGITS = 767
 
 
 class _UniqueStore(argparse.Action):
@@ -285,8 +289,11 @@ def main(argv=None) -> int:
                 return 0
         # before any work, so that a bad value cannot cost a whole oracle table
         digits = getattr(args, "digits", None)
-        if digits is not None and digits < 1:
-            raise DomainError(f"--digits must be >= 1, got {digits}")
+        if digits is not None:
+            if digits < 1:
+                raise DomainError(f"--digits must be >= 1, got {digits}")
+            # once here, not per cell: format() refuses a huge precision
+            args.digits = min(digits, MAX_DIGITS)
         return args.handler(args, config)
     except (DomainError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

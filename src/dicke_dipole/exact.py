@@ -50,6 +50,12 @@ above, or within rounding of, the top, or returns a different number of
 values than the count.  Where every block takes the full solve (all blocks
 small, or a high temperature), the sums are bit for bit those of the full
 spectra.
+
+One cutoff-doubling loop, _converged, serves free_energy_exact and the
+oracle table (sweep.oracle_table).  The starting cutoff never ends the loop,
+so it is solved for eigenvalues only; when <b'b> is wanted, every later
+level is solved with eigenvectors, and one thermal sum gives both ln Z and
+<b'b> at the level that converges.
 """
 
 import math
@@ -486,10 +492,13 @@ def _thermal_sectors(params, n_atoms, beta, n_max, want_occupations=False):
     return sectors
 
 
-def _ln_z_sectors(params, n_atoms, thermo, n_max) -> float:
-    shifted, e_min, _ = _thermal_sums(
-        _thermal_sectors(params, n_atoms, thermo.beta, n_max), thermo.beta)
-    return math.log(shifted) - thermo.beta * e_min
+def _sector_sums(params, n_atoms, thermo, n_max, want_occupations=False):
+    """(ln Z, and <b'b>/N with want_occupations, else None) of the thermal
+    state over every spin sector at the cutoff n_max, from one sector pass."""
+    shifted, e_min, occupation = _thermal_sums(
+        _thermal_sectors(params, n_atoms, thermo.beta, n_max, want_occupations), thermo.beta)
+    return (math.log(shifted) - thermo.beta * e_min,
+            occupation / shifted / n_atoms if want_occupations else None)
 
 
 def _ln_z_free(params, n_atoms, beta, n_max) -> float:
@@ -525,7 +534,26 @@ def free_energy_exact(
     moves by less than trunc.tol; TruncationError if the dimension cap is
     reached first.  basis="collective" assembles Z as the multiplicity-
     weighted sector sum; basis="full" uses the product basis (both agree,
-    which the tests assert).
+    which the tests assert).  Every level is solved for eigenvalues only.
+    """
+    return _converged(params, n_atoms, thermo, trunc, basis, max_dim)[0]
+
+
+def _converged(params, n_atoms, thermo, trunc, basis="collective", max_dim=None,
+               want_occupations=False):
+    """(ExactFreeEnergy, <b'b>/N or None): the cutoff-doubling loop of
+    free_energy_exact, with the occupation at the converged cutoff on request.
+
+    The seed level trunc.n_max never ends the loop, so it is solved for
+    eigenvalues only.  With want_occupations (collective basis only: the
+    full basis gives None), every later level is solved with eigenvectors,
+    and one thermal sum gives both ln Z and <b'b>/N at the level that
+    converges: the occupation is bit for bit that of
+    thermal_boson_occupation at the returned n_max, while f may differ from
+    free_energy_exact's in its last bits, as the windows differ.  A loop
+    that needs more than one doubling solves its intermediate levels with
+    eigenvectors for nothing; the benchmark's oracle rows converge at the
+    first doubling.
     """
     if basis not in ("collective", "full"):
         raise DomainError(f"basis must be 'collective' or 'full', got {basis!r}")
@@ -534,10 +562,11 @@ def free_energy_exact(
     cap = max_dim if max_dim is not None else FULL_DIM_CAP if full else COLLECTIVE_DIM_CAP
     spin_dim = 2**n_atoms if full else n_atoms + 1  # the largest sector, j = N/2
 
-    def ln_z(n_max):
+    def level(n_max, occupations):
+        """(ln Z, <b'b>/N or None) at the cutoff n_max."""
         if full:
-            return partition_function(build_full(params, n_atoms, TruncationConfig(n_max)), thermo).ln_z
-        return _ln_z_sectors(params, n_atoms, thermo, n_max)
+            return partition_function(build_full(params, n_atoms, TruncationConfig(n_max)), thermo).ln_z, None
+        return _sector_sums(params, n_atoms, thermo, n_max, occupations)
 
     n_max = trunc.n_max
     if spin_dim * (n_max + 1) > cap:
@@ -545,7 +574,7 @@ def free_energy_exact(
             f"starting cutoff n_max={n_max} already exceeds the dimension cap {cap}"
         )
     scale = -1.0 / (n_atoms * thermo.beta)
-    f_prev = scale * ln_z(n_max)
+    f_prev = scale * level(n_max, False)[0]
     while True:
         if spin_dim * (2 * n_max + 1) > cap:
             raise TruncationError(
@@ -553,12 +582,13 @@ def free_energy_exact(
                 f"dimension cap {cap} (last n_max={n_max}, f={f_prev!r})"
             )
         n_max *= 2
-        f_next = scale * ln_z(n_max)
+        ln_z, occupation = level(n_max, want_occupations)
+        f_next = scale * ln_z
         if abs(f_next - f_prev) < trunc.tol:
             break
         f_prev = f_next
     f0 = scale * _ln_z_free(params, n_atoms, thermo.beta, n_max)
-    return ExactFreeEnergy(f_next - f0, f_next, n_max)
+    return ExactFreeEnergy(f_next - f0, f_next, n_max), occupation
 
 
 def boson_occupation(spectral: SpectralData, thermo: Thermo) -> float:
@@ -578,10 +608,7 @@ def thermal_boson_occupation(
 ) -> float:
     """<b'b>/N of the full thermal state, assembled from collective sectors
     with their multiplicities at the fixed cutoff trunc.n_max."""
-    shifted, _, occupation = _thermal_sums(
-        _thermal_sectors(params, n_atoms, thermo.beta, trunc.n_max, want_occupations=True),
-        thermo.beta)
-    return occupation / shifted / n_atoms
+    return _sector_sums(params, n_atoms, thermo, trunc.n_max, want_occupations=True)[1]
 
 
 def _fermion_site_ops():

@@ -169,9 +169,7 @@ def _gap_kernel(omega0, Omega, g1, g2, lam, beta):
     )
     G = (g1 + g2) * (g1 + g2) - omega0 * lam
     safe_G = np.where(G > 0, G, 1.0)
-    target = omega0 / safe_G
     half_beta = 0.5 * beta
-    superradiant = (G > 0) & (np.tanh(half_beta * Omega) / Omega > target)
 
     def residual(x):
         return np.tanh(half_beta * x) / x - target
@@ -182,10 +180,13 @@ def _gap_kernel(omega0, Omega, g1, g2, lam, beta):
         exc.index = k
         return exc
 
+    # target overflows to inf for a subnormal G, which is the normal phase;
     # hi overflows to inf for a tiny or zero target, and is rejected; beta*x
     # may overflow to inf, where tanh is 1; b0, r0 and the beta*omega_delta/2
     # that f_diff needs may overflow, and are rejected below
     with np.errstate(divide="ignore", over="ignore"):
+        target = omega0 / safe_G
+        superradiant = (G > 0) & (np.tanh(half_beta * Omega) / Omega > target)
         lo, hi = Omega, 2.0 * np.maximum(Omega, 1.0 / target)
         unbracketed = superradiant & ~np.isfinite(hi)
         if unbracketed.any():

@@ -224,19 +224,22 @@ def oracle_table(
     n_list,
     trunc: "TruncationConfig",
 ) -> list[OracleRow]:
-    """One row per finite N plus the N = infinity mean-field row."""
+    """One row per finite N plus the N = infinity mean-field row.
+
+    Each finite-N row takes f_diff and <b'b>/N from the same converged
+    sector pass of the cutoff-doubling loop: the occupation is bit for bit
+    thermal_boson_occupation's at the converged cutoff, and f_diff agrees
+    with free_energy_exact's to rounding (1e-12).
+    """
     # imported here, so that the mean-field commands never load SciPy
-    from .exact import TruncationConfig, free_energy_exact, thermal_boson_occupation
+    from .exact import _converged
 
     sol = solve_gap(params, thermo)
     f_diff_mf = free_energy_diff(params, thermo, sol).f_diff
     b0_sq = sol.b0 ** 2
     rows = []
     for n_atoms in n_list:
-        exact = free_energy_exact(params, n_atoms, thermo, trunc)
-        occupation = thermal_boson_occupation(
-            params, n_atoms, thermo, TruncationConfig(exact.n_max, trunc.tol)
-        )
+        exact, occupation = _converged(params, n_atoms, thermo, trunc, want_occupations=True)
         rows.append(OracleRow(n_atoms, exact.f_diff, occupation, f_diff_mf, b0_sq))
     rows.append(OracleRow(None, f_diff_mf, b0_sq, f_diff_mf, b0_sq))
     return rows

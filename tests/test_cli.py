@@ -212,6 +212,18 @@ def test_digits_checked_before_any_work(tmp_path, capsys):
     assert code == 0 and json.loads(out)["g1"] == 0.6
 
 
+def test_huge_digits_prints_the_longest_expansion(capsys):
+    # the largest subnormal double has the longest exact decimal expansion,
+    # cli.MAX_DIGITS significant digits; "g" strips the zeros past it
+    x = 2.2250738585072009e-308
+    assert format(x, f".{cli.MAX_DIGITS - 1}g") != format(x, f".{cli.MAX_DIGITS}g")
+    assert format(x, f".{cli.MAX_DIGITS}g") == format(x, f".{2 * cli.MAX_DIGITS}g")
+    # a precision format() refuses is clamped once, before any cell is formatted
+    expected = run(capsys, ["gap", *POINT_FLAGS, "--digits", str(cli.MAX_DIGITS)])
+    assert expected[0] == 0 and expected[2] == ""
+    assert run(capsys, ["gap", *POINT_FLAGS, "--digits", "100000000000"]) == expected
+
+
 def test_non_finite_tol_exits_2(capsys):
     for tol in ("inf", "nan"):
         code, out, err = run(capsys, ["oracle", *POINT_FLAGS, "--N", "2", "--tol", tol])
@@ -506,7 +518,7 @@ GOLDEN = [
     (f"{_GOLDEN_BOUNDARY} --digits 4",
      "lambda,T_c\n0,0.5838\n0.25,0.4091\n0.5,\n"),
     (_GOLDEN_ORACLE,
-     '{"N": 1, "f_diff_exact": -0.14872818419846023, '
+     '{"N": 1, "f_diff_exact": -0.14872818419846046, '
      '"boson_occupation": 0.7309969970072565, ' + _GOLDEN_ORACLE_MF
      + '{"N": 2, "f_diff_exact": -0.07822549883514585, '
      '"boson_occupation": 0.37446246199018396, ' + _GOLDEN_ORACLE_MF + _GOLDEN_ORACLE_INF),

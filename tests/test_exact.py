@@ -1,5 +1,6 @@
 """Finite-N diagonalization: bases, partition sums, fermionic identity."""
 
+import functools
 import math
 import tracemalloc
 
@@ -21,6 +22,7 @@ from dicke_dipole import (
     build_full,
     fermionic_identity_check,
     free_energy_exact,
+    oracle_table,
     partition_function,
     sector_multiplicity,
     sector_spins,
@@ -28,7 +30,7 @@ from dicke_dipole import (
     thermal_boson_occupation,
 )
 from dicke_dipole import exact
-from dicke_dipole.exact import _ln_z_sectors
+from dicke_dipole.exact import _sector_sums
 from oracles import (
     collective_hamiltonian,
     full_product_hamiltonian,
@@ -288,7 +290,7 @@ def test_free_energy_sector_sum_matches_full_basis():
         ln_full = partition_function(
             build_full(P_MIXED, n_atoms, TruncationConfig(10)), thermo
         ).ln_z
-        ln_sect = _ln_z_sectors(P_MIXED, n_atoms, thermo, 10)
+        ln_sect = _sector_sums(P_MIXED, n_atoms, thermo, 10)[0]
         assert ln_sect == pytest.approx(ln_full, rel=1e-10)
 
 
@@ -514,18 +516,18 @@ def _full_path(monkeypatch, fn, *args):
 def test_window_holding_every_state_is_the_full_solve(monkeypatch, beta):
     # the window's top lies above every level, so every block is solved in full
     thermo, n_max = Thermo(beta), 60
-    for fn, args in ((_ln_z_sectors, (P_MIXED, 12, thermo, n_max)),
+    for fn, args in ((_sector_sums, (P_MIXED, 12, thermo, n_max)),
                      (thermal_boson_occupation, (P_MIXED, 12, thermo, TruncationConfig(n_max)))):
         assert fn(*args) == _full_path(monkeypatch, fn, *args)
 
 
 def test_window_falls_back_bit_identically(monkeypatch):
     thermo, n_max = Thermo(5.0), 60
-    windowed = _ln_z_sectors(P_MIXED, 12, thermo, n_max)
-    full = _full_path(monkeypatch, _ln_z_sectors, P_MIXED, 12, thermo, n_max)
+    windowed = _sector_sums(P_MIXED, 12, thermo, n_max)[0]
+    full = _full_path(monkeypatch, _sector_sums, P_MIXED, 12, thermo, n_max)[0]
     assert windowed == pytest.approx(full, abs=1e-12)
     monkeypatch.setattr(exact, "_window_eigh", lambda a, top, occ: None)
-    assert _ln_z_sectors(P_MIXED, 12, thermo, n_max) == full
+    assert _sector_sums(P_MIXED, 12, thermo, n_max)[0] == full
 
 
 def _bench_inputs(seed):
@@ -537,20 +539,75 @@ def _bench_inputs(seed):
     return params, Thermo(5.0 + rng.uniform(-0.2, 0.2))
 
 
+@functools.cache
+def _separate_solves(seed, n_atoms):
+    """free_energy_exact on one bench draw, and thermal_boson_occupation at
+    the cutoff it converged at (None at N = 20, which the table leaves out)."""
+    params, thermo = _bench_inputs(seed)
+    result = free_energy_exact(params, n_atoms, thermo, TruncationConfig.seeded(params, thermo))
+    if n_atoms == 20:
+        return result, None
+    return result, thermal_boson_occupation(params, n_atoms, thermo, TruncationConfig(result.n_max))
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_window_matches_full_path_on_bench_inputs(monkeypatch, seed):
     params, thermo = _bench_inputs(seed)
-    trunc = TruncationConfig.seeded(params, thermo)
     for n_atoms in (4, 8, 12, 16, 20):
-        result = free_energy_exact(params, n_atoms, thermo, trunc)
-        ln_z = _full_path(monkeypatch, _ln_z_sectors, params, n_atoms, thermo, result.n_max)
+        result, occupation = _separate_solves(seed, n_atoms)
+        ln_z = _full_path(monkeypatch, _sector_sums, params, n_atoms, thermo, result.n_max)[0]
         f_full = -ln_z / (n_atoms * thermo.beta) + exact._ln_z_free(
             params, n_atoms, thermo.beta, result.n_max) / (n_atoms * thermo.beta)
         assert result.f_diff == pytest.approx(f_full, abs=1e-12)
         if n_atoms < 20:  # the ed_oracle table's rows
             conv = TruncationConfig(result.n_max)
-            occupation = thermal_boson_occupation(params, n_atoms, thermo, conv)
             assert occupation == pytest.approx(
                 _full_path(monkeypatch, thermal_boson_occupation, params, n_atoms, thermo, conv),
                 abs=1e-11,
             )
+
+
+def _count_sector_passes(monkeypatch):
+    """A list that records the want_occupations flag of each _thermal_sectors call from now on."""
+    calls = []
+    thermal_sectors = exact._thermal_sectors
+
+    def counted(params, n_atoms, beta, n_max, want_occupations=False):
+        calls.append(want_occupations)
+        return thermal_sectors(params, n_atoms, beta, n_max, want_occupations)
+
+    monkeypatch.setattr(exact, "_thermal_sectors", counted)
+    return calls
+
+
+def test_oracle_rows_take_one_sector_pass_per_level(monkeypatch):
+    # each bench row converges at the first doubling: the seed level is
+    # solved for eigenvalues, the converged one once, with eigenvectors
+    params, thermo = _bench_inputs(0)
+    n_table = (4, 8, 12, 16)
+    calls = _count_sector_passes(monkeypatch)
+    rows = oracle_table(params, thermo, n_table, TruncationConfig.seeded(params, thermo))
+    assert calls == [False, True] * len(n_table)
+    monkeypatch.undo()
+    assert [row.n_atoms for row in rows[:-1]] == list(n_table)
+    for row in rows[:-1]:
+        result, occupation = _separate_solves(0, row.n_atoms)
+        assert result.n_max == 2 * TruncationConfig.seeded(params, thermo).n_max
+        assert row.boson_occupation == occupation
+        assert row.f_diff == pytest.approx(result.f_diff, abs=1e-12)
+
+
+def test_oracle_row_past_several_doublings(monkeypatch):
+    # the oracle golden case: 8 -> 16 -> 32 -> 64, every level past the seed
+    # solved with eigenvectors, the occupation that of the converged cutoff
+    params, thermo = ModelParams(1.0, 1.0, 0.4, 0.4, 0.1), Thermo(1.0)
+    calls = _count_sector_passes(monkeypatch)
+    rows = oracle_table(params, thermo, [1, 2, 3], TruncationConfig(8))
+    assert calls == [False, True, True, True] * 3
+    monkeypatch.undo()
+    for row in rows[:-1]:
+        result = free_energy_exact(params, row.n_atoms, thermo, TruncationConfig(8))
+        assert result.n_max == 64
+        assert row.boson_occupation == thermal_boson_occupation(
+            params, row.n_atoms, thermo, TruncationConfig(64))
+        assert row.f_diff == pytest.approx(result.f_diff, abs=1e-12)

@@ -145,6 +145,14 @@ def test_solve_gap_subcritical_is_normal():
     assert sol.omega_delta == P_WEAK.Omega
 
 
+def test_subnormal_coupling_is_normal():
+    # G = -omega0*lam = 5e-324 overflows omega0/G to inf, which the kernel
+    # expects; tier-1 turns the overflow warning into an error
+    sol = solve_gap(ModelParams(1.0, 1.0, 0.0, 0.0, -5e-324), Thermo(1.0))
+    assert sol.phase is PhaseLabel.NORMAL
+    assert (sol.b0, sol.omega_delta) == (0.0, 1.0)
+
+
 def test_solve_gap_with_dipole_coupling():
     params = ModelParams(1.0, 1.0, 1.0, 1.0, 0.5)
     sol = solve_gap(params, Thermo(10.0))
