@@ -55,7 +55,8 @@ One cutoff-doubling loop, _converged, serves free_energy_exact and the
 oracle table (sweep.oracle_table).  The starting cutoff never ends the loop,
 so it is solved for eigenvalues only; when <b'b> is wanted, every later
 level is solved with eigenvectors, and one thermal sum gives both ln Z and
-<b'b> at the level that converges.
+<b'b> at the level that converges.  Each solve checks its size where it
+starts, through _check_dim, so the loop does no size arithmetic.
 """
 
 import math
@@ -64,13 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sparse
 
-from .errors import (
-    CommutationError,
-    DimensionError,
-    DomainError,
-    HermiticityError,
-    TruncationError,
-)
+from .errors import CommutationError, DimensionError, DomainError, HermiticityError, TruncationError
 from .model import ModelParams, Thermo, _check_count, _check_real
 
 FULL_DIM_CAP = 30_000
@@ -109,12 +104,15 @@ class TruncationConfig:
         Superradiant states displace the oscillator by O(sqrt(N)*g/omega0),
         and low beta populates the thermal tail, so seed with
         ceil(8*(g1+g2)**2/omega0**2 + 10*max(1, 1/(beta*omega0))).
+        DomainError when that is not a finite double.
         """
         g = params.g1 + params.g2
-        seed = math.ceil(
-            8.0 * g * g / params.omega0**2
-            + 10.0 * max(1.0, 1.0 / (thermo.beta * params.omega0))
-        )
+        try:
+            seed = math.ceil(8.0 * g * g / params.omega0**2
+                             + 10.0 * max(1.0, 1.0 / (thermo.beta * params.omega0)))
+        except (ZeroDivisionError, OverflowError):
+            raise DomainError(f"no finite seeded cutoff at omega0={params.omega0!r}, "
+                              f"g1+g2={g!r}, beta={thermo.beta!r}; set n_max (--n-max)") from None
         return cls(max(seed, 1), tol)
 
 
@@ -260,6 +258,14 @@ def _window_eigh(a, top, occ):
     return vals, None if occ is None else (np.abs(vecs) ** 2 * occ[:, None]).sum(axis=0)
 
 
+def _check_dim(what: str, dim: int, cap: int) -> int:
+    """dim, or DimensionError when a basis of dim states is over cap; every
+    solve checks its size through it before it assembles anything."""
+    if dim > cap:
+        raise DimensionError(f"{what} dimension {dim} exceeds the cap {cap}")
+    return dim
+
+
 def _check_hermitian(h) -> None:
     # checked on the sparse matrix, so only one dense copy is ever made
     deviation = float(abs(h - h.conj().T).max())
@@ -325,11 +331,7 @@ def build_full(
     _site_sums).
     """
     _check_count("n_atoms", n_atoms, 1, MAX_ATOMS_FULL)
-    dim = 2**n_atoms * (trunc.n_max + 1)
-    if dim > FULL_DIM_CAP:
-        raise DimensionError(
-            f"full-product dimension {dim} exceeds the cap {FULL_DIM_CAP}"
-        )
+    dim = _check_dim("full-product", 2**n_atoms * (trunc.n_max + 1), FULL_DIM_CAP)
     site_ops = (np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [0.0, 0.0]]))
     h = _hamiltonian(params, n_atoms, trunc.n_max, *_site_sums(site_ops, n_atoms))
     _check_hermitian(h)
@@ -380,11 +382,7 @@ def build_collective(
 def _collective_hamiltonian(params, n_atoms, j, n_max):
     _check_sector(n_atoms, j)
     spin_dim = int(round(2 * j)) + 1
-    dim = spin_dim * (n_max + 1)
-    if dim > COLLECTIVE_DIM_CAP:
-        raise DimensionError(
-            f"collective-sector dimension {dim} exceeds the cap {COLLECTIVE_DIM_CAP}"
-        )
+    _check_dim("collective-sector", spin_dim * (n_max + 1), COLLECTIVE_DIM_CAP)
     m = -float(j) + np.arange(spin_dim, dtype=float)
     s_z = sparse.diags(m, format="csr")
     s_p = sparse.diags(np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0)), -1, format="csr")
@@ -476,13 +474,14 @@ def _thermal_sectors(params, n_atoms, beta, n_max, want_occupations=False):
 
     With width = (ln(n_max * sum_j d_j dim_j) + 53 ln 2) / beta, the states
     left out weigh less than 2^-53/n_max of Z, and as none holds more than
-    n_max bosons, they move <b'b> by less than 2^-53.  The top starts above
-    e_min + width and only falls, so every window taken stays complete.
+    n_max bosons, they move <b'b> by less than 2^-53; sum_j d_j dim_j is
+    2^N (n_max+1).  The top starts above e_min + width and only falls, so
+    every window taken stays complete.  The cap is checked first.
     """
+    _check_sectors(n_atoms, n_max)
+    width = (math.log(n_max * 2**n_atoms * (n_max + 1)) + 53 * math.log(2)) / beta
     spins = sector_spins(n_atoms)
     multiplicities = [sector_multiplicity(n_atoms, j) for j in spins]
-    states = sum(d * (round(2 * j) + 1) for d, j in zip(multiplicities, spins)) * (n_max + 1)
-    width = (math.log(n_max * states) + 53 * math.log(2)) / beta
     top = math.inf
     sectors = []
     for d, j in zip(multiplicities, spins):
@@ -490,6 +489,13 @@ def _thermal_sectors(params, n_atoms, beta, n_max, want_occupations=False):
             params, n_atoms, j, n_max, want_occupations, width, top)
         sectors.append((d, vals, occupations))
     return sectors
+
+
+def _check_sectors(n_atoms, n_max) -> None:
+    """Check the atom count, then the largest sector, j = N/2, at the cutoff
+    n_max against COLLECTIVE_DIM_CAP, before any spin or multiplicity is listed."""
+    _check_dim("collective-sector", (_check_count("n_atoms", n_atoms) + 1) * (n_max + 1),
+               COLLECTIVE_DIM_CAP)
 
 
 def _sector_sums(params, n_atoms, thermo, n_max, want_occupations=False):
@@ -526,21 +532,21 @@ def free_energy_exact(
     thermo: Thermo,
     trunc: TruncationConfig,
     basis: str = "collective",
-    max_dim: int | None = None,
 ) -> ExactFreeEnergy:
     """Finite-N free energy per atom with adaptive boson cutoff.
 
     Starting from trunc.n_max, the cutoff doubles until the free energy
-    moves by less than trunc.tol; TruncationError if the dimension cap is
-    reached first.  basis="collective" assembles Z as the multiplicity-
-    weighted sector sum; basis="full" uses the product basis (both agree,
-    which the tests assert).  Every level is solved for eigenvalues only.
+    moves by less than trunc.tol.  basis="collective" assembles Z as the
+    multiplicity-weighted sector sum; basis="full" uses the product basis
+    (both agree, which the tests assert).  Every level is solved for
+    eigenvalues only.  Each level is checked against COLLECTIVE_DIM_CAP (its
+    largest sector) or FULL_DIM_CAP before it is assembled: DimensionError if
+    the starting cutoff is over the cap, TruncationError if a doubling is.
     """
-    return _converged(params, n_atoms, thermo, trunc, basis, max_dim)[0]
+    return _converged(params, n_atoms, thermo, trunc, basis)[0]
 
 
-def _converged(params, n_atoms, thermo, trunc, basis="collective", max_dim=None,
-               want_occupations=False):
+def _converged(params, n_atoms, thermo, trunc, basis="collective", want_occupations=False):
     """(ExactFreeEnergy, <b'b>/N or None): the cutoff-doubling loop of
     free_energy_exact, with the occupation at the converged cutoff on request.
 
@@ -553,36 +559,31 @@ def _converged(params, n_atoms, thermo, trunc, basis="collective", max_dim=None,
     free_energy_exact's in its last bits, as the windows differ.  A loop
     that needs more than one doubling solves its intermediate levels with
     eigenvectors for nothing; the benchmark's oracle rows converge at the
-    first doubling.
+    first doubling.  The seed level's DimensionError passes through, and a
+    doubled level's becomes a TruncationError.
     """
     if basis not in ("collective", "full"):
         raise DomainError(f"basis must be 'collective' or 'full', got {basis!r}")
-    full = basis == "full"
-    _check_count("n_atoms", n_atoms, 1, MAX_ATOMS_FULL if full else None)
-    cap = max_dim if max_dim is not None else FULL_DIM_CAP if full else COLLECTIVE_DIM_CAP
-    spin_dim = 2**n_atoms if full else n_atoms + 1  # the largest sector, j = N/2
 
     def level(n_max, occupations):
         """(ln Z, <b'b>/N or None) at the cutoff n_max."""
-        if full:
+        if basis == "full":
             return partition_function(build_full(params, n_atoms, TruncationConfig(n_max)), thermo).ln_z, None
         return _sector_sums(params, n_atoms, thermo, n_max, occupations)
 
     n_max = trunc.n_max
-    if spin_dim * (n_max + 1) > cap:
-        raise DimensionError(
-            f"starting cutoff n_max={n_max} already exceeds the dimension cap {cap}"
-        )
+    ln_z = level(n_max, False)[0]  # checks n_atoms before scale divides by it
     scale = -1.0 / (n_atoms * thermo.beta)
-    f_prev = scale * level(n_max, False)[0]
+    f_prev = scale * ln_z
     while True:
-        if spin_dim * (2 * n_max + 1) > cap:
+        try:
+            ln_z, occupation = level(2 * n_max, want_occupations)
+        except DimensionError as exc:
             raise TruncationError(
-                f"free energy not stable to tol={trunc.tol:g} before the "
-                f"dimension cap {cap} (last n_max={n_max}, f={f_prev!r})"
-            )
+                f"free energy not stable to tol={trunc.tol:g} before the dimension "
+                f"cap (last n_max={n_max}, f={f_prev!r}): {exc}"
+            ) from exc
         n_max *= 2
-        ln_z, occupation = level(n_max, want_occupations)
         f_next = scale * ln_z
         if abs(f_next - f_prev) < trunc.tol:
             break
@@ -638,9 +639,7 @@ def fermionic_identity_check(
     """
     _check_count("n_atoms", n_atoms, 1, 2)
     # checked before either side is built: the dense fermion blocks are the largest
-    dim = 4**n_atoms * (trunc.n_max + 1)
-    if dim > FULL_DIM_CAP:
-        raise DimensionError(f"fermion-basis dimension {dim} exceeds the cap {FULL_DIM_CAP}")
+    _check_dim("fermion-basis", 4**n_atoms * (trunc.n_max + 1), FULL_DIM_CAP)
 
     spin_side = build_full(params, n_atoms, trunc)
 

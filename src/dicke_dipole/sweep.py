@@ -21,15 +21,9 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .meanfield import (
-    PhaseLabel,
-    _free_energy_arrays,
-    _gap_kernel,
-    critical_inverse_temperature,
-    free_energy_diff,
-    solve_gap,
-)
-from .model import CONFIG_KEYS, ModelParams, Thermo, _check_count, _check_real, params_from_mapping
+from .meanfield import PhaseLabel, _free_energy_arrays, _gap_kernel, critical_inverse_temperature
+from .model import (CONFIG_KEYS, ModelParams, Thermo, _check_count, _check_real,
+                    params_from_mapping, params_to_mapping)
 
 if TYPE_CHECKING:
     from .exact import TruncationConfig
@@ -229,14 +223,18 @@ def oracle_table(
     Each finite-N row takes f_diff and <b'b>/N from the same converged
     sector pass of the cutoff-doubling loop: the occupation is bit for bit
     thermal_boson_occupation's at the converged cutoff, and f_diff agrees
-    with free_energy_exact's to rounding (1e-12).
+    with free_energy_exact's to rounding (1e-12).  Every N is checked, its
+    largest sector at the starting cutoff against the cap included, before
+    the first row is computed.
     """
     # imported here, so that the mean-field commands never load SciPy
-    from .exact import _converged
+    from .exact import _check_sectors, _converged
 
-    sol = solve_gap(params, thermo)
-    f_diff_mf = free_energy_diff(params, thermo, sol).f_diff
-    b0_sq = sol.b0 ** 2
+    n_list = list(n_list)
+    for n_atoms in n_list:
+        _check_sectors(n_atoms, trunc.n_max)
+    mf = evaluate_point(params_to_mapping(params, thermo))
+    f_diff_mf, b0_sq = mf.f_diff, mf.b0 ** 2
     rows = []
     for n_atoms in n_list:
         exact, occupation = _converged(params, n_atoms, thermo, trunc, want_occupations=True)

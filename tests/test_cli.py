@@ -238,6 +238,31 @@ def test_fermion_basis_past_the_cap_exits_2(capsys):
     assert "fermion-basis dimension 32016 exceeds the cap" in err
 
 
+@pytest.mark.parametrize("command", ["oracle", "fermion-check"])
+@pytest.mark.parametrize("flags", [
+    ["--omega0", "1e-200"],  # omega0**2 underflows to 0
+    ["--beta", "1e-320"],  # 1/(beta*omega0) overflows
+    ["--omega0", "1e-150", "--g1", "1e12"],  # (g1+g2)**2/omega0**2 overflows
+])
+def test_seeded_cutoff_that_is_not_finite_exits_2(capsys, command, flags):
+    # flags override the same keys earlier in POINT_FLAGS
+    config = dict(zip(POINT_FLAGS[::2], POINT_FLAGS[1::2])) | dict(zip(flags[::2], flags[1::2]))
+    code, out, err = run(capsys, [command, *(x for kv in config.items() for x in kv), "--N", "2"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: no finite seeded cutoff at ")
+
+
+@pytest.mark.parametrize("n_list", ["2,4,40000", "2,0"])
+def test_oracle_checks_every_n_before_the_first_row(capsys, monkeypatch, n_list):
+    from dicke_dipole import exact
+
+    monkeypatch.setattr(exact, "_converged", lambda *args, **kwargs: pytest.fail("a row was computed"))
+    code, out, err = run(capsys, ["oracle", *POINT_FLAGS, "--N", n_list, "--n-max", "2"])
+    assert code == 2 and out == ""
+    assert err == ("error: collective-sector dimension 120003 exceeds the cap 100000\n"
+                   if n_list.endswith("40000") else "error: n_atoms must be an integer >= 1, got 0\n")
+
+
 @pytest.mark.parametrize("exc, message", [
     (MemoryError(), "error: out of memory\n"),
     (MemoryError("Unable to allocate 7.6 GiB"),

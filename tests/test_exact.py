@@ -215,6 +215,16 @@ def test_truncation_config_validation():
     assert seeded.n_max >= 18  # 8*(g1+g2)^2/omega0^2 + 10
 
 
+@pytest.mark.parametrize("omega0, g1, beta", [
+    (1e-200, 0.5, 1.0),  # omega0**2 underflows to 0
+    (1.0, 0.5, 1e-320),  # 1/(beta*omega0) overflows
+    (1e-150, 1e12, 1.0),  # (g1+g2)**2/omega0**2 overflows
+])
+def test_seeded_cutoff_refuses_a_seed_that_is_not_finite(omega0, g1, beta):
+    with pytest.raises(DomainError, match="no finite seeded cutoff"):
+        TruncationConfig.seeded(ModelParams(omega0, 1.0, g1, 0.5, 0.1), Thermo(beta))
+
+
 # --- sector bookkeeping -------------------------------------------------------
 
 def test_sector_multiplicities_small_n():
@@ -224,7 +234,8 @@ def test_sector_multiplicities_small_n():
 
 
 def test_sector_completeness():
-    for n_atoms in (2, 3, 4, 6, 8):
+    # the thermal window's state count 2^N (n_max+1) rests on this identity
+    for n_atoms in range(1, 65):
         total = sum(
             sector_multiplicity(n_atoms, j) * (int(round(2 * j)) + 1)
             for j in sector_spins(n_atoms)
@@ -303,13 +314,44 @@ def test_free_energy_exact_basis_options_agree():
     assert a.n_max == b.n_max
 
 
-def test_free_energy_exact_truncation_error():
-    with pytest.raises(TruncationError):
-        free_energy_exact(
-            P_MIXED, 2, Thermo(1.0), TruncationConfig(4, tol=1e-300), max_dim=200
-        )
-    with pytest.raises(DimensionError):
-        free_energy_exact(P_MIXED, 2, Thermo(1.0), TruncationConfig(50), max_dim=30)
+def test_free_energy_exact_truncation_error(monkeypatch):
+    assembled = []
+    hamiltonian = exact._hamiltonian
+    monkeypatch.setattr(exact, "_hamiltonian", lambda params, n_atoms, n_max, *ops: (
+        assembled.append(n_max) or hamiltonian(params, n_atoms, n_max, *ops)))
+    # the largest collective sector (j = 1) holds 3 spin states, the full basis 4
+    for basis, cap, spin_dim in (("collective", "COLLECTIVE_DIM_CAP", 3),
+                                 ("full", "FULL_DIM_CAP", 4)):
+        # the cap admits n_max = 64 exactly, so the doubling to 128 is refused
+        monkeypatch.setattr(exact, cap, spin_dim * 65)
+        assembled.clear()
+        with pytest.raises(TruncationError,
+                           match=f"last n_max=64, .*dimension {spin_dim * 129} exceeds"):
+            free_energy_exact(P_MIXED, 2, Thermo(1.0), TruncationConfig(4, tol=1e-300), basis)
+        assert max(assembled) == 64  # the refused level assembled nothing
+        monkeypatch.setattr(exact, cap, spin_dim * 50)
+        assembled.clear()
+        with pytest.raises(DimensionError, match=f"dimension {spin_dim * 51} exceeds the cap"):
+            free_energy_exact(P_MIXED, 2, Thermo(1.0), TruncationConfig(50), basis)
+        assert assembled == []
+
+
+def test_thermal_sums_check_the_largest_sector_first(monkeypatch):
+    # 40001 * 3 states in the j = N/2 sector: refused before the 20001
+    # multiplicities or any sector are computed
+    for name in ("sector_multiplicity", "_hamiltonian"):
+        monkeypatch.setattr(exact, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+    with pytest.raises(DimensionError, match="collective-sector dimension 120003 exceeds the cap"):
+        thermal_boson_occupation(P_MIXED, 40000, Thermo(1.0), TruncationConfig(2))
+
+
+@pytest.mark.parametrize("n_list, error", [([2, 4, 40000], DimensionError), ([2, 0], DomainError)])
+def test_oracle_table_checks_every_n_before_the_first_row(monkeypatch, n_list, error):
+    calls = []
+    monkeypatch.setattr(exact, "_converged", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(error):
+        oracle_table(P_MIXED, Thermo(1.0), n_list, TruncationConfig(2))
+    assert calls == []
 
 
 # --- observables ------------------------------------------------------------------
