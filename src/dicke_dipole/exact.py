@@ -1,9 +1,11 @@
 """Finite-N exact diagonalization oracle for the dipole-coupled Dicke model.
 
 The N-atom Hamiltonian on a truncated boson Fock space is assembled once, by
-_hamiltonian in four sparse krons, from a spin space's S^+, S^z and dipole
-exchange.  The three bases differ only in those spin operators; the product
-and fermion bases build them alike, from per-site blocks (_site_sums):
+_hamiltonian, from a spin space's S^+, S^z and dipole exchange: NumPy index
+arithmetic writes each term as (row, col, value) triplets, and one CSR
+matrix is built from them all.  The three bases differ only in those spin
+operators; the product and fermion bases build them alike, from per-site
+blocks (_site_sums), and the collective sectors from closed forms:
 
   * full product basis: N spin-1/2 tensor factors (sigma^z = diag(+1,-1),
     sigma^+ = |up><down| per site) times Fock states |0..n_max>, with the
@@ -28,10 +30,11 @@ build_collective and the thermal sums.  It splits a collective sector once
 (_parity_split) by the Dicke parity exp(i pi (b'b + S^z + j)) (Emary &
 Brandes, PRE 67, 066203, 2003), which commutes with H for any g1, g2 and
 lam, into its (n + m + j) even and odd classes, each a band matrix of
-half-bandwidth at most j+1; an element coupling the two raises
-CommutationError.  Each block takes the thermal window below, or the full
-solve: LAPACK's banded eigensolver, or dense eigh on the half-size block
-when eigenvectors are wanted.  build_collective is the window path with
+half-bandwidth at most j+1 (j+3/2 for half-integer j); the split permutes
+the indices of the stored entries, and an element coupling the two classes
+raises CommutationError.  Each block takes the thermal window below, or the
+full solve: LAPACK's banded eigensolver, or dense eigh on the half-size
+block when eigenvectors are wanted.  build_collective is the window path with
 W = inf, so it returns full spectra.  One reducer, _thermal_sums, forms
 every shifted (log-sum-exp) sum but the fermion check's own.
 
@@ -60,6 +63,7 @@ starts, through _check_dim, so the loop does no size arithmetic.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,35 +146,49 @@ def _embed(site_op, i: int, n_sites: int, site_dim: int) -> sparse.csr_matrix:
 
 
 def _parity_split(h, n_max: int, spin_dim: int):
-    """[(block, basis occupations)] of the sector Hamiltonian h on its
-    (n + m + j) even and odd classes, each block a symmetric CSC slice of h
+    """[(block, basis occupations)] of the CSR sector Hamiltonian h on its
+    (n + m + j) even and odd classes, each block a symmetric CSC matrix
     listed n-outer, m-inner; a nonzero element between them raises
     CommutationError.
 
-    In that order every term of H moves a state by at most j+1 places
-    within its class: b S^+ and b' S^- take (n, m) to (n-1, m+1) and back,
+    The states are listed class by class, and h's rows are taken in that
+    order with each column index moved to its listed place: a permutation of
+    h's index arrays, with no sparse slicing.  In that order every term of H
+    moves a state by at most j+1 places within its class (j+3/2 for
+    half-integer j): b S^+ and b' S^- take (n, m) to (n-1, m+1) and back,
     b S^- and b' S^+ take it to (n-1, m-1) and back, the rest is diagonal.
     """
-    n, spin = np.divmod(np.arange(spin_dim * (n_max + 1)), spin_dim)
-    original = spin * (n_max + 1) + n  # the builder's layout, boson fastest
+    h = h.tocsr()
+    dim = spin_dim * (n_max + 1)
+    n, spin = np.divmod(np.arange(dim), spin_dim)
     parity = (n + spin) % 2
-    h = h.tocsc()
-    h.sum_duplicates()
-    coo = h.tocoo()
-    parity_of = np.empty_like(parity)
-    parity_of[original] = parity
-    # a kron in BSR form stores explicit zeros, the other class's included
-    leak = (parity_of[coo.row] != parity_of[coo.col]) & (coo.data != 0)
+    listing = np.argsort(parity, kind="stable")  # the even class, then the odd
+    rows = (spin * (n_max + 1) + n)[listing]  # h's row of each listed state, boson fastest
+    place = np.empty_like(rows)
+    place[rows] = np.arange(dim)
+    # h's stored entries, its rows taken in listed order, at their listed places
+    counts = np.diff(h.indptr)[rows]
+    starts = np.cumsum(counts) - counts
+    stored = np.repeat(h.indptr[rows] - starts, counts) + np.arange(counts.sum())
+    row = np.repeat(np.arange(dim), counts)  # ascending, as searchsorted below needs
+    col = place[h.indices[stored]]
+    data = h.data[stored]
+    even = dim - int(parity.sum())
+    leak = ((row < even) != (col < even)) & (data != 0)
     if leak.any():
-        worst = float(np.abs(coo.data[leak]).max())
+        worst = float(np.abs(data[leak]).max())
         raise CommutationError(
             f"parity-breaking entry of magnitude {worst:.3e} couples the "
             f"symmetry blocks ({int(leak.sum())} such entries)"
         )
     blocks = []
-    for p in (0, 1):
-        idx = original[parity == p]
-        blocks.append((h[idx][:, idx], n[parity == p].astype(float)))
+    for start, stop in ((0, even), (even, dim)):
+        keep = (row >= start) & (row < stop) & (col >= start) & (col < stop)
+        r = row[keep] - start
+        indptr = np.searchsorted(r, np.arange(stop - start + 1))
+        block = sparse.csr_matrix((data[keep], col[keep] - start, indptr),
+                                  shape=(stop - start, stop - start))
+        blocks.append((block.tocsc(), n[listing[start:stop]].astype(float)))
     return blocks
 
 
@@ -275,35 +293,75 @@ def _check_hermitian(h) -> None:
         )
 
 
-def _hamiltonian(params, n_atoms, n_max, s_p, s_z, exchange):
+def _summed(n_cols: int, *terms):
+    """(rows, cols, values) of the (rows, cols, values) triplets in terms,
+    sorted row-major, with the triplets on one entry added and an entry that
+    sums to zero left out, as sparse + leaves it out.  No caller puts more
+    than two triplets on one entry, so each sum has the same bits in either
+    order."""
+    rows, cols, values = (np.concatenate(part) for part in zip(*terms))
+    key = rows.astype(np.int64) * n_cols + cols  # past 2^31 in the largest sectors
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    values = np.add.reduceat(values[order], first)
+    key = key[first]
+    nonzero = values != 0
+    return (*np.divmod(key[nonzero], n_cols), values[nonzero])
+
+
+def _kron(spin, fock, size: int):
+    """Triplets of the tensor product of spin-space and size-state Fock-space
+    triplets, boson index fastest; each value is the product of the two."""
+    (a, b, v), (i, k, w) = spin, fock
+    return ((a[:, None] * size + i).ravel(), (b[:, None] * size + k).ravel(),
+            (v[:, None] * w).ravel())
+
+
+def _hamiltonian(params, n_atoms, n_max, spin_dim, s_p, s_z, exchange):
     """The five-term Hamiltonian on spin x Fock, boson index fastest:
 
         (lam/N) X + Omega S^z + omega0 b'b
         + (g1/sqrt N) (S^+ b + S^- b') + (g2/sqrt N) (S^- b + S^+ b'),
 
-    with S^- = (S^+)' and X the dipole exchange, given in the spin space of
-    whichever basis supplies s_p, s_z and exchange.  S^- b' = (S^+ b)' and
-    S^+ b' = (S^- b)', so four krons build it, and it is exactly symmetric.
+    with S^- = (S^+)' and X the dipole exchange, given as (rows, cols,
+    values) triplets in the spin_dim-state spin space of whichever basis
+    supplies s_p, s_z and exchange.  Each term is written as triplets and the
+    CSR matrix is built once, from all of them.  The spin-space sum
+    (lam/N) X + Omega S^z is formed first, so that an entry gets two terms
+    at most: a diagonal one gets the spin sum and omega0 n, and a g1 and a
+    g2 term can meet only at n_max = 1 in the product bases.  S^- b' is
+    (S^+ b)' and S^+ b' is (S^- b)', written by swapping rows and columns,
+    so the matrix is exactly symmetric.
     """
-    occ = np.arange(n_max + 1, dtype=float)
-    lower = sparse.diags(np.sqrt(occ[1:]), 1, format="csr")  # <n-1|b|n> = sqrt(n)
-    rotating = sparse.kron(s_p, lower)
-    counter = sparse.kron(s_p.T, lower)
+    (xr, xc, xv), (zr, zc, zv), (pr, pc, pv) = exchange, s_z, s_p
+    spin = _summed(spin_dim, (xr, xc, (params.lam / n_atoms) * xv), (zr, zc, params.Omega * zv))
+    size = n_max + 1
+    dim = spin_dim * size
+    n = np.arange(size)
+    occ = n.astype(float)
+    diagonal = np.arange(dim)
+    lower = (n[:-1], n[1:], np.sqrt(occ[1:]))  # <n-1|b|n> = sqrt(n)
+    terms = [
+        _kron(spin, (n, n, np.ones(size)), size),  # the spin sum x the Fock identity
+        (diagonal, diagonal, np.tile(params.omega0 * occ, spin_dim)),  # omega0 b'b
+    ]
     scale = 1.0 / math.sqrt(n_atoms)
-    return (
-        sparse.kron((params.lam / n_atoms) * exchange + params.Omega * s_z,
-                    sparse.identity(n_max + 1, format="csr"))
-        + sparse.kron(sparse.identity(s_p.shape[0], format="csr"),
-                      params.omega0 * sparse.diags(occ, format="csr"))
-        + params.g1 * scale * (rotating + rotating.T)
-        + params.g2 * scale * (counter + counter.T)
-    )
+    # S^+ b, then S^- b from the transposed S^+
+    for coupling, ladder in ((params.g1, (pr, pc)), (params.g2, (pc, pr))):
+        rows, cols, values = _kron((*ladder, pv), lower, size)
+        values = coupling * scale * values
+        terms += [(rows, cols, values), (cols, rows, values)]
+    rows, cols, values = _summed(dim, *terms)
+    indptr = np.searchsorted(rows, np.arange(dim + 1))
+    return sparse.csr_matrix((values, cols, indptr), shape=(dim, dim))
 
 
 def _site_sums(site_ops, n_atoms: int):
-    """(S^+, S^z, exchange) from one site's (sigma^z, sigma^+) blocks: the
-    site sums of sigma^+ and sigma^z/2, and the ordered-pair sum over i != j
-    of sigma^+_i sigma^-_j (never the collective identity, which the tests
+    """(spin dimension, S^+, S^z, exchange), each operator as (rows, cols,
+    values) triplets, from one site's (sigma^z, sigma^+) blocks: the site
+    sums of sigma^+ and sigma^z/2, and the ordered-pair sum over i != j of
+    sigma^+_i sigma^-_j (never the collective identity, which the tests
     check against this construction)."""
     sz1, sp1 = (sparse.csr_matrix(op) for op in site_ops)
     site_dim = sz1.shape[0]
@@ -316,7 +374,8 @@ def _site_sums(site_ops, n_atoms: int):
         for j in range(n_atoms):
             if i != j:
                 exchange = exchange + sp[i] @ sm[j]
-    return sum(sp[1:], sp[0]), 0.5 * sum(sz[1:], sz[0]), exchange
+    ops = [op.tocoo() for op in (sum(sp[1:], sp[0]), 0.5 * sum(sz[1:], sz[0]), exchange)]
+    return (dim, *((op.row, op.col, op.data) for op in ops))
 
 
 def build_full(
@@ -384,10 +443,12 @@ def _collective_hamiltonian(params, n_atoms, j, n_max):
     spin_dim = int(round(2 * j)) + 1
     _check_dim("collective-sector", spin_dim * (n_max + 1), COLLECTIVE_DIM_CAP)
     m = -float(j) + np.arange(spin_dim, dtype=float)
-    s_z = sparse.diags(m, format="csr")
-    s_p = sparse.diags(np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0)), -1, format="csr")
-    exchange = s_p @ s_p.T - sparse.diags(0.5 * (n_atoms + 2.0 * m))
-    return _hamiltonian(params, n_atoms, n_max, s_p, s_z, exchange)
+    ladder = np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0))  # <m+1|S^+|m>
+    states = np.arange(spin_dim)
+    # S^+ S^- is diagonal, <m|S^+ S^-|m> = <m|S^+|m-1>^2
+    exchange = np.concatenate(([0.0], ladder * ladder)) - 0.5 * (n_atoms + 2.0 * m)
+    return _hamiltonian(params, n_atoms, n_max, spin_dim, (states[1:], states[:-1], ladder),
+                        (states, states, m), (states, states, exchange))
 
 
 def _sector_spectrum(params, n_atoms, j, n_max, want_occupations, width=math.inf, top=math.inf):
@@ -476,7 +537,7 @@ def _thermal_sectors(params, n_atoms, beta, n_max, want_occupations=False):
     left out weigh less than 2^-53/n_max of Z, and as none holds more than
     n_max bosons, they move <b'b> by less than 2^-53; sum_j d_j dim_j is
     2^N (n_max+1).  The top starts above e_min + width and only falls, so
-    every window taken stays complete.  The cap is checked first.
+    every window taken stays complete.  The caps are checked first.
     """
     _check_sectors(n_atoms, n_max)
     width = (math.log(n_max * 2**n_atoms * (n_max + 1)) + 53 * math.log(2)) / beta
@@ -493,9 +554,20 @@ def _thermal_sectors(params, n_atoms, beta, n_max, want_occupations=False):
 
 def _check_sectors(n_atoms, n_max) -> None:
     """Check the atom count, then the largest sector, j = N/2, at the cutoff
-    n_max against COLLECTIVE_DIM_CAP, before any spin or multiplicity is listed."""
+    n_max against COLLECTIVE_DIM_CAP, then that the sector sums fit a double,
+    before any spin or multiplicity is listed.
+
+    n_max 2^N (n_max+1) bounds every multiplicity d(N,j) <= 2^N, the shifted
+    sum (each state weighs at most 1) and the occupation-weighted sum; past
+    the largest double, d times a weight would raise OverflowError.
+    """
     _check_dim("collective-sector", (_check_count("n_atoms", n_atoms) + 1) * (n_max + 1),
                COLLECTIVE_DIM_CAP)
+    if n_max * 2**n_atoms * (n_max + 1) >= sys.float_info.max:
+        raise DimensionError(
+            f"the sector sums at N={n_atoms}, n_max={n_max} overflow a double: "
+            f"n_max * 2^N * (n_max+1) is not below {sys.float_info.max:g}"
+        )
 
 
 def _sector_sums(params, n_atoms, thermo, n_max, want_occupations=False):
@@ -540,8 +612,9 @@ def free_energy_exact(
     multiplicity-weighted sector sum; basis="full" uses the product basis
     (both agree, which the tests assert).  Every level is solved for
     eigenvalues only.  Each level is checked against COLLECTIVE_DIM_CAP (its
-    largest sector) or FULL_DIM_CAP before it is assembled: DimensionError if
-    the starting cutoff is over the cap, TruncationError if a doubling is.
+    largest sector) or FULL_DIM_CAP before it is assembled, and a collective
+    level also against sector sums that overflow a double: DimensionError if
+    the starting cutoff fails a check, TruncationError if a doubling does.
     """
     return _converged(params, n_atoms, thermo, trunc, basis)[0]
 
@@ -644,7 +717,7 @@ def fermionic_identity_check(
     spin_side = build_full(params, n_atoms, trunc)
 
     sz1, sp1, nf1 = _fermion_site_ops()
-    h_f = _hamiltonian(params, n_atoms, trunc.n_max, *_site_sums((sz1, sp1), n_atoms)).tocsr()
+    h_f = _hamiltonian(params, n_atoms, trunc.n_max, *_site_sums((sz1, sp1), n_atoms))
 
     # N_F of each basis state: the site occupations summed over an open mesh
     nf_diag = np.repeat(sum(np.ix_(*[nf1] * n_atoms)).ravel(), trunc.n_max + 1)

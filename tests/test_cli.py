@@ -252,15 +252,19 @@ def test_seeded_cutoff_that_is_not_finite_exits_2(capsys, command, flags):
     assert err.startswith("error: no finite seeded cutoff at ")
 
 
-@pytest.mark.parametrize("n_list", ["2,4,40000", "2,0"])
+@pytest.mark.parametrize("n_list", ["2,4,40000", "2,0", "2,1100"])
 def test_oracle_checks_every_n_before_the_first_row(capsys, monkeypatch, n_list):
     from dicke_dipole import exact
 
     monkeypatch.setattr(exact, "_converged", lambda *args, **kwargs: pytest.fail("a row was computed"))
     code, out, err = run(capsys, ["oracle", *POINT_FLAGS, "--N", n_list, "--n-max", "2"])
     assert code == 2 and out == ""
-    assert err == ("error: collective-sector dimension 120003 exceeds the cap 100000\n"
-                   if n_list.endswith("40000") else "error: n_atoms must be an integer >= 1, got 0\n")
+    assert err == {
+        "2,4,40000": "error: collective-sector dimension 120003 exceeds the cap 100000\n",
+        "2,0": "error: n_atoms must be an integer >= 1, got 0\n",
+        "2,1100": "error: the sector sums at N=1100, n_max=2 overflow a double: "
+                  "n_max * 2^N * (n_max+1) is not below 1.79769e+308\n",
+    }[n_list]
 
 
 @pytest.mark.parametrize("exc, message", [

@@ -138,6 +138,84 @@ def test_collective_exchange_identity_in_product_basis():
     assert np.abs(direct - collective).max() < 1e-12
 
 
+# sectors from test_collective_spectrum_matches_dense_oracle
+ASSEMBLY_CASES = [
+    ((1.1, 0.9, 0.5, 0.3, 0.35), 6, 3, 9),
+    ((0.8, 1.2, 0.6, 0.4, -0.45), 5, 2.5, 7),  # lam < 0
+    ((1.0, 0.7, 0.0, 0.8, 0.25), 4, 2, 6),  # g1 = 0
+    ((1.0, 0.7, 0.9, 0.0, 0.25), 3, 1.5, 6),  # g2 = 0
+    ((1.0, 0.7, 0.9, 0.4, -0.6), 4, 0, 5),  # j = 0
+    ((1.0, 0.7, 0.9, 0.4, 0.6), 7, 3.5, 1),  # n_max = 1
+]
+
+
+@pytest.mark.parametrize("couplings, n_atoms, j, n_max", ASSEMBLY_CASES)
+def test_assembled_matrices_match_the_dense_oracles(couplings, n_atoms, j, n_max):
+    params = ModelParams(*couplings)
+    h = exact._collective_hamiltonian(params, n_atoms, j, n_max)
+    assert h.has_canonical_format and (h.data != 0).all()
+    reference = collective_hamiltonian(*couplings, n_atoms, j, n_max)
+    assert np.abs(h.toarray() - reference).max() < 1e-14
+    # the product and fermion bases at 1, 2 and 3 atoms on the same couplings
+    full_ops = (np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [0.0, 0.0]]))
+    atoms = n_atoms % 3 + 1
+    h = exact._hamiltonian(params, atoms, n_max, *exact._site_sums(full_ops, atoms))
+    reference = full_product_hamiltonian(*couplings, atoms, n_max)
+    assert np.abs(h.toarray() - reference).max() < 1e-14
+    if atoms == 3:
+        return
+    # the fermion basis on its physical states, one fermion per site: spin up
+    # is |10> (site index 2), spin down |01> (index 1); nothing couples them
+    # to the other states
+    h_f = exact._hamiltonian(params, atoms, n_max,
+                             *exact._site_sums(exact._fermion_site_ops()[:2], atoms)).toarray()
+    sites = np.array(np.meshgrid(*[[2, 1]] * atoms, indexing="ij")).reshape(atoms, -1)
+    spin = (sites * 4 ** np.arange(atoms - 1, -1, -1)[:, None]).sum(axis=0)
+    physical = (spin[:, None] * (n_max + 1) + np.arange(n_max + 1)).ravel()
+    assert np.abs(h_f[np.ix_(physical, physical)] - reference).max() < 1e-14
+    others = np.setdiff1d(np.arange(h_f.shape[0]), physical)
+    assert not h_f[np.ix_(physical, others)].any()
+
+
+@pytest.mark.parametrize("couplings, n_atoms, j, n_max", ASSEMBLY_CASES)
+def test_parity_blocks_are_the_sector_matrix_on_each_class(couplings, n_atoms, j, n_max):
+    h = exact._collective_hamiltonian(ModelParams(*couplings), n_atoms, j, n_max)
+    dense = h.toarray()
+    spin_dim = round(2 * j) + 1
+    # each class listed n-outer, m-inner, at the builder's index (boson fastest)
+    classes = [[(s * (n_max + 1) + n, n) for n in range(n_max + 1) for s in range(spin_dim)
+                if (n + s) % 2 == p] for p in (0, 1)]
+    blocks = exact._parity_split(h, n_max, spin_dim)
+    for (block, occ), listed in zip(blocks, classes):
+        index, bosons = (np.array(column) for column in zip(*listed))
+        assert block.format == "csc" and block.has_canonical_format
+        assert np.array_equal(block.toarray(), dense[np.ix_(index, index)])
+        assert np.array_equal(occ, bosons.astype(float))
+        # the band _block_eigh reads: half-width j+1, j+3/2 for half-integer j
+        stored = block.tocoo()
+        assert np.abs(stored.row - stored.col).max(initial=0) <= math.ceil(j + 1)
+    cross = np.ix_([k for k, _ in classes[0]], [k for k, _ in classes[1]])
+    assert not dense[cross].any()
+
+
+def test_largest_collective_sector_assembles():
+    # at n_max = 1 the cap admits spin_dim = 49999, where spin-space index
+    # products pass 2^31
+    n_atoms, j = 49998, 24999
+    h = exact._collective_hamiltonian(P_MIXED, n_atoms, j, 1)
+    assert h.shape == (99998, 99998)
+    m = np.repeat(np.arange(-j, j + 1.0), 2)
+    n = np.tile([0.0, 1.0], 2 * j + 1)
+    exchange = (j + m) * (j - m + 1) - 0.5 * (n_atoms + 2 * m)
+    expected = P_MIXED.omega0 * n + P_MIXED.Omega * m + P_MIXED.lam / n_atoms * exchange
+    assert np.abs(h.diagonal() - expected).max() < 1e-10
+    # the g1 (S^+ b) and g2 (S^- b) elements at the top spin state m = j
+    scale = 1.0 / math.sqrt(n_atoms)
+    ladder = math.sqrt(j * (j + 1.0) - (j - 1.0) * j)  # <j|S^+|j-1>
+    assert h[99996, 99995] == pytest.approx(P_MIXED.g1 * scale * ladder, rel=1e-14)
+    assert h[99994, 99997] == pytest.approx(P_MIXED.g2 * scale * ladder, rel=1e-14)
+
+
 def test_check_hermitian_rejects_non_hermitian_matrix():
     h = sparse.csr_matrix(np.array([[0.0, 1e-9], [0.0, 0.0]]))
     with pytest.raises(HermiticityError, match="1.000e-09 exceeds 1e-12"):
@@ -336,6 +414,19 @@ def test_free_energy_exact_truncation_error(monkeypatch):
         assert assembled == []
 
 
+def test_sector_sums_refuse_an_atom_count_that_overflows_a_double(monkeypatch):
+    # d(N,j) reaches 2^N; n_max 2^N (n_max+1) passes the largest double from
+    # N = 1023 at n_max = 1
+    exact._check_sectors(1022, 1)
+    with pytest.raises(DimensionError, match="N=1023, n_max=1 overflow a double"):
+        exact._check_sectors(1023, 1)
+    for name in ("sector_multiplicity", "_hamiltonian"):
+        monkeypatch.setattr(exact, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+    for solve in (thermal_boson_occupation, free_energy_exact):
+        with pytest.raises(DimensionError, match="N=1100, n_max=1 overflow a double"):
+            solve(P_MIXED, 1100, Thermo(20.0), TruncationConfig(1))
+
+
 def test_thermal_sums_check_the_largest_sector_first(monkeypatch):
     # 40001 * 3 states in the j = N/2 sector: refused before the 20001
     # multiplicities or any sector are computed
@@ -345,7 +436,8 @@ def test_thermal_sums_check_the_largest_sector_first(monkeypatch):
         thermal_boson_occupation(P_MIXED, 40000, Thermo(1.0), TruncationConfig(2))
 
 
-@pytest.mark.parametrize("n_list, error", [([2, 4, 40000], DimensionError), ([2, 0], DomainError)])
+@pytest.mark.parametrize("n_list, error", [([2, 4, 40000], DimensionError), ([2, 0], DomainError),
+                                           ([2, 1100], DimensionError)])
 def test_oracle_table_checks_every_n_before_the_first_row(monkeypatch, n_list, error):
     calls = []
     monkeypatch.setattr(exact, "_converged", lambda *args, **kwargs: calls.append(args))
