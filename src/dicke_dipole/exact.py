@@ -34,9 +34,12 @@ half-bandwidth at most j+1 (j+3/2 for half-integer j); the split permutes
 the indices of the stored entries, and an element coupling the two classes
 raises CommutationError.  Each block takes the thermal window below, or the
 full solve: LAPACK's banded eigensolver, or dense eigh on the half-size
-block when eigenvectors are wanted.  build_collective is the window path with
-W = inf, so it returns full spectra.  One reducer, _thermal_sums, forms
-every shifted (log-sum-exp) sum but the fermion check's own.
+block when eigenvectors are wanted.  Every collective solve goes through
+SciPy's LAPACK, as SuperLU and ARPACK do: NumPy and SciPy link separate
+OpenBLAS builds, each with its own thread pool, and a NumPy solve among
+SciPy's ones contends with SciPy's pool.  build_collective is the window
+path with W = inf, so it returns full spectra.  One reducer, _thermal_sums,
+forms every shifted (log-sum-exp) sum but the fermion check's own.
 
 The thermal sums (free_energy_exact's sector sum, thermal_boson_occupation)
 need only the states below a window top e_min + W, with
@@ -59,7 +62,8 @@ oracle table (sweep.oracle_table).  The starting cutoff never ends the loop,
 so it is solved for eigenvalues only; when <b'b> is wanted, every later
 level is solved with eigenvectors, and one thermal sum gives both ln Z and
 <b'b> at the level that converges.  Each solve checks its size where it
-starts, through _check_dim, so the loop does no size arithmetic.
+starts, through _check_dim; the loop checks its starting level and the
+first doubling, which it always solves, before it solves either.
 """
 
 import math
@@ -207,11 +211,14 @@ def _block_eigh(a, occ):
         band = np.zeros((int((r - c).max(initial=0)) + 1, size), dtype=data.dtype)
         band[r - c, c] = data
         return scipy.linalg.eigvals_banded(band, lower=True), None
-    # eigenvectors fill the block anyway, and dense eigh on the half-size
-    # block beats eig_banded there; it reads only the lower triangle
+    # eigenvectors fill the block anyway, and dense eigh (LAPACK dsyevd) on
+    # the half-size block beats eig_banded there; it reads only the lower
+    # triangle.  SciPy's LAPACK, not NumPy's: the two link separate OpenBLAS
+    # builds with a thread pool each, and a NumPy call among the SciPy solves
+    # around it contends with SciPy's pool (about 3x slower on 2 CPUs)
     dense = np.zeros((size, size), dtype=data.dtype)
     dense[r, c] = data
-    vals, vecs = np.linalg.eigh(dense)
+    vals, vecs = scipy.linalg.eigh(dense, lower=True, driver="evd")
     return vals, (np.abs(vecs) ** 2 * occ[:, None]).sum(axis=0)
 
 
@@ -389,8 +396,8 @@ def build_full(
     The dipole term is the ordered-pair sum of one-site operators (see
     _site_sums).
     """
-    _check_count("n_atoms", n_atoms, 1, MAX_ATOMS_FULL)
-    dim = _check_dim("full-product", 2**n_atoms * (trunc.n_max + 1), FULL_DIM_CAP)
+    _check_level(n_atoms, trunc.n_max, "full")
+    dim = 2**n_atoms * (trunc.n_max + 1)
     site_ops = (np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [0.0, 0.0]]))
     h = _hamiltonian(params, n_atoms, trunc.n_max, *_site_sums(site_ops, n_atoms))
     _check_hermitian(h)
@@ -570,6 +577,30 @@ def _check_sectors(n_atoms, n_max) -> None:
         )
 
 
+def _check_level(n_atoms, n_max, basis) -> None:
+    """The size checks that the solve of one cutoff level starts with:
+    _check_sectors for the collective sectors, the atom count and
+    FULL_DIM_CAP for the full product basis."""
+    if basis == "full":
+        _check_count("n_atoms", n_atoms, 1, MAX_ATOMS_FULL)
+        _check_dim("full-product", 2**n_atoms * (n_max + 1), FULL_DIM_CAP)
+    else:
+        _check_sectors(n_atoms, n_max)
+
+
+def _check_cutoffs(n_atoms, n_max, basis="collective") -> None:
+    """Check the first two levels of the cutoff-doubling loop before either
+    is solved: DimensionError when the starting cutoff n_max fails a size
+    check, TruncationError when its doubling does, as the loop never ends at
+    its starting level."""
+    _check_level(n_atoms, n_max, basis)
+    try:
+        _check_level(n_atoms, 2 * n_max, basis)
+    except DimensionError as exc:
+        raise TruncationError(f"no converged cutoff from n_max={n_max}: "
+                              f"its first doubling is refused: {exc}") from exc
+
+
 def _sector_sums(params, n_atoms, thermo, n_max, want_occupations=False):
     """(ln Z, and <b'b>/N with want_occupations, else None) of the thermal
     state over every spin sector at the cutoff n_max, from one sector pass."""
@@ -615,6 +646,8 @@ def free_energy_exact(
     largest sector) or FULL_DIM_CAP before it is assembled, and a collective
     level also against sector sums that overflow a double: DimensionError if
     the starting cutoff fails a check, TruncationError if a doubling does.
+    The first doubling is checked with the starting cutoff, before either is
+    solved.
     """
     return _converged(params, n_atoms, thermo, trunc, basis)[0]
 
@@ -632,11 +665,13 @@ def _converged(params, n_atoms, thermo, trunc, basis="collective", want_occupati
     free_energy_exact's in its last bits, as the windows differ.  A loop
     that needs more than one doubling solves its intermediate levels with
     eigenvectors for nothing; the benchmark's oracle rows converge at the
-    first doubling.  The seed level's DimensionError passes through, and a
-    doubled level's becomes a TruncationError.
+    first doubling.  Both the seed level and the first doubling are checked
+    (_check_cutoffs) before either is solved; the seed level's DimensionError
+    passes through, and a doubled level's becomes a TruncationError.
     """
     if basis not in ("collective", "full"):
         raise DomainError(f"basis must be 'collective' or 'full', got {basis!r}")
+    _check_cutoffs(n_atoms, trunc.n_max, basis)
 
     def level(n_max, occupations):
         """(ln Z, <b'b>/N or None) at the cutoff n_max."""
@@ -653,8 +688,8 @@ def _converged(params, n_atoms, thermo, trunc, basis="collective", want_occupati
             ln_z, occupation = level(2 * n_max, want_occupations)
         except DimensionError as exc:
             raise TruncationError(
-                f"free energy not stable to tol={trunc.tol:g} before the dimension "
-                f"cap (last n_max={n_max}, f={f_prev!r}): {exc}"
+                f"free energy not stable to tol={trunc.tol:g} within the size limits "
+                f"(last n_max={n_max}, f={f_prev!r}): {exc}"
             ) from exc
         n_max *= 2
         f_next = scale * ln_z

@@ -224,15 +224,15 @@ def oracle_table(
     sector pass of the cutoff-doubling loop: the occupation is bit for bit
     thermal_boson_occupation's at the converged cutoff, and f_diff agrees
     with free_energy_exact's to rounding (1e-12).  Every N is checked, its
-    largest sector at the starting cutoff against the cap included, before
-    the first row is computed.
+    largest sector at the starting cutoff and at its first doubling against
+    the cap included, before the first row is computed.
     """
     # imported here, so that the mean-field commands never load SciPy
-    from .exact import _check_sectors, _converged
+    from .exact import _check_cutoffs, _converged
 
     n_list = list(n_list)
     for n_atoms in n_list:
-        _check_sectors(n_atoms, trunc.n_max)
+        _check_cutoffs(n_atoms, trunc.n_max)
     mf = evaluate_point(params_to_mapping(params, thermo))
     f_diff_mf, b0_sq = mf.f_diff, mf.b0 ** 2
     rows = []

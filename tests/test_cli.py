@@ -267,6 +267,19 @@ def test_oracle_checks_every_n_before_the_first_row(capsys, monkeypatch, n_list)
     }[n_list]
 
 
+def test_oracle_refuses_an_n_whose_first_doubling_fails(capsys, monkeypatch):
+    from dicke_dipole import exact
+
+    monkeypatch.setattr(exact, "_hamiltonian", lambda *args: pytest.fail("a level was assembled"))
+    code, out, err = run(capsys, ["oracle", "--omega0", "1", "--Omega", "1", "--g1", "0.2",
+                                  "--g2", "0.2", "--lambda", "0", "--beta", "20",
+                                  "--N", "1022", "--n-max", "1"])
+    assert code == 3 and out == ""
+    assert err == ("error: no converged cutoff from n_max=1: its first doubling is refused: "
+                   "the sector sums at N=1022, n_max=2 overflow a double: "
+                   "n_max * 2^N * (n_max+1) is not below 1.79769e+308\n")
+
+
 @pytest.mark.parametrize("exc, message", [
     (MemoryError(), "error: out of memory\n"),
     (MemoryError("Unable to allocate 7.6 GiB"),
@@ -548,9 +561,9 @@ GOLDEN = [
      "lambda,T_c\n0,0.5838\n0.25,0.4091\n0.5,\n"),
     (_GOLDEN_ORACLE,
      '{"N": 1, "f_diff_exact": -0.14872818419846046, '
-     '"boson_occupation": 0.7309969970072565, ' + _GOLDEN_ORACLE_MF
+     '"boson_occupation": 0.7309969970072567, ' + _GOLDEN_ORACLE_MF
      + '{"N": 2, "f_diff_exact": -0.07822549883514585, '
-     '"boson_occupation": 0.37446246199018396, ' + _GOLDEN_ORACLE_MF + _GOLDEN_ORACLE_INF),
+     '"boson_occupation": 0.374462461990184, ' + _GOLDEN_ORACLE_MF + _GOLDEN_ORACLE_INF),
     (f"{_GOLDEN_ORACLE} --digits 4",
      '{"N": 1, "f_diff_exact": -0.1487, "boson_occupation": 0.731, ' + _GOLDEN_ORACLE_MF
      + '{"N": 2, "f_diff_exact": -0.07823, "boson_occupation": 0.3745, ' + _GOLDEN_ORACLE_MF

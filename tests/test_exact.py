@@ -198,6 +198,17 @@ def test_parity_blocks_are_the_sector_matrix_on_each_class(couplings, n_atoms, j
     assert not dense[cross].any()
 
 
+@pytest.mark.parametrize("couplings, n_atoms, j, n_max", ASSEMBLY_CASES)
+def test_dense_block_solve_matches_numpy_eigh(couplings, n_atoms, j, n_max):
+    # the same LAPACK routine (dsyevd) through SciPy as through NumPy
+    h = exact._collective_hamiltonian(ModelParams(*couplings), n_atoms, j, n_max)
+    for block, occ in exact._parity_split(h, n_max, round(2 * j) + 1):
+        vals, occs = exact._block_eigh(block, occ)
+        reference, vecs = np.linalg.eigh(block.toarray())
+        assert np.array_equal(vals, reference)
+        assert np.abs(occs - (vecs**2 * occ[:, None]).sum(axis=0)).max() < 1e-13
+
+
 def test_largest_collective_sector_assembles():
     # at n_max = 1 the cap admits spin_dim = 49999, where spin-space index
     # products pass 2^31
@@ -446,6 +457,25 @@ def test_oracle_table_checks_every_n_before_the_first_row(monkeypatch, n_list, e
     assert calls == []
 
 
+def test_first_doubling_is_checked_before_any_sector_is_solved(monkeypatch):
+    # the loop never ends at its starting cutoff, so an N whose first doubled
+    # cutoff fails a check can give no row: it is refused before any solve
+    monkeypatch.setattr(exact, "_hamiltonian", lambda *args: pytest.fail("a level was assembled"))
+    overflow = ("no converged cutoff from n_max=1: its first doubling is refused: "
+                "the sector sums at N=1022, n_max=2 overflow a double")
+    with pytest.raises(TruncationError, match=overflow):
+        free_energy_exact(P_MIXED, 1022, Thermo(20.0), TruncationConfig(1))
+    with pytest.raises(TruncationError, match=overflow):
+        oracle_table(P_MIXED, Thermo(20.0), [2, 1022], TruncationConfig(1))
+    # the caps admit the starting cutoff 4 exactly, not its doubling to 8
+    for basis, cap, spin_dim in (("collective", "COLLECTIVE_DIM_CAP", 3),
+                                 ("full", "FULL_DIM_CAP", 4)):
+        monkeypatch.setattr(exact, cap, spin_dim * 5)
+        with pytest.raises(TruncationError,
+                           match=f"from n_max=4: .* dimension {spin_dim * 9} exceeds the cap"):
+            free_energy_exact(P_MIXED, 2, Thermo(1.0), TruncationConfig(4), basis)
+
+
 # --- observables ------------------------------------------------------------------
 
 def test_boson_occupation_free_mode():
@@ -671,6 +701,36 @@ def _bench_inputs(seed):
     params = ModelParams(1.0, 1.0 + rng.uniform(-0.03, 0.03), g1, 2.0 - g1,
                          0.5 + rng.uniform(-0.03, 0.03))
     return params, Thermo(5.0 + rng.uniform(-0.2, 0.2))
+
+
+def test_collective_solves_use_scipy_lapack_only(monkeypatch):
+    # NumPy and SciPy link separate OpenBLAS builds, each with its own
+    # thread pool; no NumPy linear algebra may run among the sector solves
+    for name in ("eigh", "eigvalsh", "eig"):
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *args, name=name, **kwargs: pytest.fail(f"np.linalg.{name} called"))
+    paths = set()
+    block_eigh, window_eigh = exact._block_eigh, exact._window_eigh
+
+    def block(a, occ):
+        paths.add("banded" if occ is None else "dense")
+        return block_eigh(a, occ)
+
+    def window(a, top, occ):
+        found = window_eigh(a, top, occ)
+        if found is not None and found[0].size:
+            paths.add("window")
+        return found
+
+    monkeypatch.setattr(exact, "_block_eigh", block)
+    monkeypatch.setattr(exact, "_window_eigh", window)
+    # the starting cutoff's blocks (under 256 states) take the banded solve;
+    # at the doubled one the j = 4 blocks are windowed and the rest dense
+    params, thermo = _bench_inputs(0)
+    result, occupation = exact._converged(params, 8, thermo, TruncationConfig(42),
+                                          want_occupations=True)
+    assert paths == {"banded", "dense", "window"}
+    assert result.n_max == 84 and 0 < occupation < 84
 
 
 @functools.cache
