@@ -62,10 +62,7 @@ class _UniqueStore(argparse.Action):
     """
 
     def __call__(self, parser, namespace, values, option_string=None):
-        seen = getattr(namespace, "_seen_flags", None)
-        if seen is None:
-            seen = set()
-            setattr(namespace, "_seen_flags", seen)
+        seen = vars(namespace).setdefault("_seen_flags", set())
         if self.dest in seen and getattr(namespace, self.dest) != values:
             parser.error(
                 f"conflicting duplicate flag {option_string}: "
@@ -75,25 +72,30 @@ class _UniqueStore(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose arguments store through _UniqueStore unless
+    they name another action; add_subparsers makes its subparsers alike."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _UniqueStore)
+
+
 def _add_param_flags(parser):
     for key in CONFIG_KEYS:
-        parser.add_argument(f"--{key}", dest=key, type=float, action=_UniqueStore)
-    parser.add_argument("--config", action=_UniqueStore, help="JSON file with parameter values")
-    parser.add_argument(
-        "--dump-config",
-        action="store_true",
-        help="print the merged parameter JSON and exit without computing",
-    )
+        parser.add_argument(f"--{key}", dest=key, type=float)
+    parser.add_argument("--config", help="JSON file with parameter values")
+    parser.add_argument("--dump-config", action="store_true",
+                        help="print the merged parameter JSON and exit without computing")
 
 
 def _add_output_flags(parser, digits=True, formats=False):
-    parser.add_argument("--out", help="output file (default: stdout)", action=_UniqueStore)
+    parser.add_argument("--out", help="output file (default: stdout)")
     if digits:
-        parser.add_argument("--digits", type=int, action=_UniqueStore,
+        parser.add_argument("--digits", type=int,
                             help="significant digits for numeric output (default: full round-trip)")
     if formats:
-        parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                            action=_UniqueStore)
+        parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def _read_json(path, kind):
@@ -218,7 +220,7 @@ def _cmd_boundary(args, config) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dicke-dipole",
         description="Thermodynamics of the full Dicke model with dipole-dipole interaction",
     )
@@ -240,34 +242,31 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=_cmd_point)
 
     p_sweep = sub.add_parser("sweep", help="evaluate a 2-axis parameter grid")
-    p_sweep.add_argument("--grid", required=True, action=_UniqueStore, help="JSON grid spec file")
+    p_sweep.add_argument("--grid", required=True, help="JSON grid spec file")
     _add_output_flags(p_sweep, formats=True)
     p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_oracle = sub.add_parser("oracle", help="finite-N vs mean-field comparison table")
     _add_param_flags(p_oracle)
-    p_oracle.add_argument("--N", required=True, action=_UniqueStore,
-                          help="comma-separated atom counts, e.g. 2,4,6,8")
-    p_oracle.add_argument("--n-max", dest="n_max", type=int, action=_UniqueStore,
+    p_oracle.add_argument("--N", required=True, help="comma-separated atom counts, e.g. 2,4,6,8")
+    p_oracle.add_argument("--n-max", dest="n_max", type=int,
                           help="starting boson cutoff (default: seeded heuristic)")
-    p_oracle.add_argument("--tol", type=float, default=1e-8, action=_UniqueStore)
+    p_oracle.add_argument("--tol", type=float, default=1e-8)
     _add_output_flags(p_oracle, formats=True)
     p_oracle.set_defaults(handler=_cmd_oracle)
 
     p_fermion = sub.add_parser("fermion-check", help="fermionic trace identity check")
     _add_param_flags(p_fermion)
-    p_fermion.add_argument("--N", type=int, required=True, choices=(1, 2), action=_UniqueStore)
-    p_fermion.add_argument("--n-max", dest="n_max", type=int, action=_UniqueStore)
+    p_fermion.add_argument("--N", type=int, required=True, choices=(1, 2))
+    p_fermion.add_argument("--n-max", dest="n_max", type=int)
     _add_output_flags(p_fermion, digits=False)
     p_fermion.set_defaults(handler=_cmd_fermion_check)
 
     p_boundary = sub.add_parser("boundary", help="T_c versus lambda curve")
     _add_param_flags(p_boundary)
-    p_boundary.add_argument("--lambda-min", dest="lambda_min", type=float, required=True,
-                            action=_UniqueStore)
-    p_boundary.add_argument("--lambda-max", dest="lambda_max", type=float, required=True,
-                            action=_UniqueStore)
-    p_boundary.add_argument("--count", type=int, default=50, action=_UniqueStore)
+    p_boundary.add_argument("--lambda-min", dest="lambda_min", type=float, required=True)
+    p_boundary.add_argument("--lambda-max", dest="lambda_max", type=float, required=True)
+    p_boundary.add_argument("--count", type=int, default=50)
     _add_output_flags(p_boundary)
     p_boundary.set_defaults(handler=_cmd_boundary)
 

@@ -2,10 +2,11 @@
 
 The N-atom Hamiltonian on a truncated boson Fock space is assembled once, by
 _hamiltonian, from a spin space's S^+, S^z and dipole exchange: NumPy index
-arithmetic writes each term as (row, col, value) triplets, and one CSR
-matrix is built from them all.  The three bases differ only in those spin
-operators; the product and fermion bases build them alike, from per-site
-blocks (_site_sums), and the collective sectors from closed forms:
+arithmetic writes each term as (row, col, value) triplets, and SciPy's COO
+constructor builds one CSR matrix from them all, adding the triplets that
+share an entry.  The three bases differ only in those spin operators; the
+product and fermion bases build them alike, from per-site blocks
+(_site_sums), and the collective sectors from closed forms:
 
   * full product basis: N spin-1/2 tensor factors (sigma^z = diag(+1,-1),
     sigma^+ = |up><down| per site) times Fock states |0..n_max>, with the
@@ -30,16 +31,17 @@ build_collective and the thermal sums.  It splits a collective sector once
 (_parity_split) by the Dicke parity exp(i pi (b'b + S^z + j)) (Emary &
 Brandes, PRE 67, 066203, 2003), which commutes with H for any g1, g2 and
 lam, into its (n + m + j) even and odd classes, each a band matrix of
-half-bandwidth at most j+1 (j+3/2 for half-integer j); the split permutes
-the indices of the stored entries, and an element coupling the two classes
-raises CommutationError.  Each block takes the thermal window below, or the
-full solve: LAPACK's banded eigensolver, or dense eigh on the half-size
-block when eigenvectors are wanted.  Every collective solve goes through
-SciPy's LAPACK, as SuperLU and ARPACK do: NumPy and SciPy link separate
-OpenBLAS builds, each with its own thread pool, and a NumPy solve among
-SciPy's ones contends with SciPy's pool.  build_collective is the window
-path with W = inf, so it returns full spectra.  One reducer, _thermal_sums,
-forms every shifted (log-sum-exp) sum but the fermion check's own.
+half-bandwidth at most j+1 (j+3/2 for half-integer j); the split relabels
+the row and column of each stored (COO) entry to its place in its class, and
+an element coupling the two classes raises CommutationError.  Each block
+takes the thermal window below, or the full solve: LAPACK's banded
+eigensolver, or dense eigh on the half-size block when eigenvectors are
+wanted.  Every collective solve goes through SciPy's LAPACK, as SuperLU and
+ARPACK do: NumPy and SciPy link separate OpenBLAS builds, each with its own
+thread pool, and a NumPy solve among SciPy's ones contends with SciPy's
+pool.  build_collective is the window path with W = inf, so it returns full
+spectra.  One reducer, _thermal_sums, forms every shifted (log-sum-exp) sum
+but the fermion check's own.
 
 The thermal sums (free_energy_exact's sector sum, thermal_boson_occupation)
 need only the states below a window top e_min + W, with
@@ -150,33 +152,27 @@ def _embed(site_op, i: int, n_sites: int, site_dim: int) -> sparse.csr_matrix:
 
 
 def _parity_split(h, n_max: int, spin_dim: int):
-    """[(block, basis occupations)] of the CSR sector Hamiltonian h on its
+    """[(block, basis occupations)] of the sector Hamiltonian h on its
     (n + m + j) even and odd classes, each block a symmetric CSC matrix
     listed n-outer, m-inner; a nonzero element between them raises
     CommutationError.
 
-    The states are listed class by class, and h's rows are taken in that
-    order with each column index moved to its listed place: a permutation of
-    h's index arrays, with no sparse slicing.  In that order every term of H
-    moves a state by at most j+1 places within its class (j+3/2 for
-    half-integer j): b S^+ and b' S^- take (n, m) to (n-1, m+1) and back,
-    b S^- and b' S^+ take it to (n-1, m-1) and back, the rest is diagonal.
+    The states are listed class by class, and each stored entry of h is
+    relabelled to the listed places of its row and column, with no sparse
+    slicing.  In that order every term of H moves a state by at most j+1
+    places within its class (j+3/2 for half-integer j): b S^+ and b' S^-
+    take (n, m) to (n-1, m+1) and back, b S^- and b' S^+ take it to
+    (n-1, m-1) and back, the rest is diagonal.
     """
-    h = h.tocsr()
     dim = spin_dim * (n_max + 1)
     n, spin = np.divmod(np.arange(dim), spin_dim)
     parity = (n + spin) % 2
     listing = np.argsort(parity, kind="stable")  # the even class, then the odd
-    rows = (spin * (n_max + 1) + n)[listing]  # h's row of each listed state, boson fastest
-    place = np.empty_like(rows)
-    place[rows] = np.arange(dim)
-    # h's stored entries, its rows taken in listed order, at their listed places
-    counts = np.diff(h.indptr)[rows]
-    starts = np.cumsum(counts) - counts
-    stored = np.repeat(h.indptr[rows] - starts, counts) + np.arange(counts.sum())
-    row = np.repeat(np.arange(dim), counts)  # ascending, as searchsorted below needs
-    col = place[h.indices[stored]]
-    data = h.data[stored]
+    place = np.empty_like(listing)
+    # the listed place of each state, at h's index of it (boson fastest)
+    place[(spin * (n_max + 1) + n)[listing]] = np.arange(dim)
+    h = h.tocoo()
+    row, col, data = place[h.row], place[h.col], h.data
     even = dim - int(parity.sum())
     leak = ((row < even) != (col < even)) & (data != 0)
     if leak.any():
@@ -187,12 +183,11 @@ def _parity_split(h, n_max: int, spin_dim: int):
         )
     blocks = []
     for start, stop in ((0, even), (even, dim)):
+        # a stored zero may still cross the classes, so both bounds are kept
         keep = (row >= start) & (row < stop) & (col >= start) & (col < stop)
-        r = row[keep] - start
-        indptr = np.searchsorted(r, np.arange(stop - start + 1))
-        block = sparse.csr_matrix((data[keep], col[keep] - start, indptr),
+        block = sparse.csc_matrix((data[keep], (row[keep] - start, col[keep] - start)),
                                   shape=(stop - start, stop - start))
-        blocks.append((block.tocsc(), n[listing[start:stop]].astype(float)))
+        blocks.append((block, n[listing[start:stop]].astype(float)))
     return blocks
 
 
@@ -300,21 +295,15 @@ def _check_hermitian(h) -> None:
         )
 
 
-def _summed(n_cols: int, *terms):
-    """(rows, cols, values) of the (rows, cols, values) triplets in terms,
-    sorted row-major, with the triplets on one entry added and an entry that
-    sums to zero left out, as sparse + leaves it out.  No caller puts more
-    than two triplets on one entry, so each sum has the same bits in either
-    order."""
+def _summed(shape, *terms):
+    """The CSR matrix of the (rows, cols, values) triplets in terms: SciPy
+    adds the triplets on one entry, and an entry that sums to zero is left
+    out, as sparse + leaves it out.  No caller puts more than two triplets
+    on one entry, so each sum has the same bits in either order."""
     rows, cols, values = (np.concatenate(part) for part in zip(*terms))
-    key = rows.astype(np.int64) * n_cols + cols  # past 2^31 in the largest sectors
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.flatnonzero(np.diff(key, prepend=-1))
-    values = np.add.reduceat(values[order], first)
-    key = key[first]
-    nonzero = values != 0
-    return (*np.divmod(key[nonzero], n_cols), values[nonzero])
+    matrix = sparse.csr_matrix((values, (rows, cols)), shape=shape)
+    matrix.eliminate_zeros()
+    return matrix
 
 
 def _kron(spin, fock, size: int):
@@ -342,7 +331,8 @@ def _hamiltonian(params, n_atoms, n_max, spin_dim, s_p, s_z, exchange):
     so the matrix is exactly symmetric.
     """
     (xr, xc, xv), (zr, zc, zv), (pr, pc, pv) = exchange, s_z, s_p
-    spin = _summed(spin_dim, (xr, xc, (params.lam / n_atoms) * xv), (zr, zc, params.Omega * zv))
+    spin = _summed((spin_dim, spin_dim), (xr, xc, (params.lam / n_atoms) * xv),
+                   (zr, zc, params.Omega * zv)).tocoo()
     size = n_max + 1
     dim = spin_dim * size
     n = np.arange(size)
@@ -350,7 +340,8 @@ def _hamiltonian(params, n_atoms, n_max, spin_dim, s_p, s_z, exchange):
     diagonal = np.arange(dim)
     lower = (n[:-1], n[1:], np.sqrt(occ[1:]))  # <n-1|b|n> = sqrt(n)
     terms = [
-        _kron(spin, (n, n, np.ones(size)), size),  # the spin sum x the Fock identity
+        # the spin sum x the Fock identity
+        _kron((spin.row, spin.col, spin.data), (n, n, np.ones(size)), size),
         (diagonal, diagonal, np.tile(params.omega0 * occ, spin_dim)),  # omega0 b'b
     ]
     scale = 1.0 / math.sqrt(n_atoms)
@@ -359,9 +350,7 @@ def _hamiltonian(params, n_atoms, n_max, spin_dim, s_p, s_z, exchange):
         rows, cols, values = _kron((*ladder, pv), lower, size)
         values = coupling * scale * values
         terms += [(rows, cols, values), (cols, rows, values)]
-    rows, cols, values = _summed(dim, *terms)
-    indptr = np.searchsorted(rows, np.arange(dim + 1))
-    return sparse.csr_matrix((values, cols, indptr), shape=(dim, dim))
+    return _summed((dim, dim), *terms)
 
 
 def _site_sums(site_ops, n_atoms: int):
@@ -536,38 +525,21 @@ def partition_function(spectral: SpectralData, thermo: Thermo) -> LogPartition:
     return LogPartition(shifted, e_min, thermo.beta)
 
 
-def _thermal_sectors(params, n_atoms, beta, n_max, want_occupations=False):
-    """(multiplicity, ascending eigenvalues, occupations or None) of every
-    spin sector, holding at least each eigenpair below e_min + width.
+def _check_level(n_atoms, n_max, basis="collective") -> None:
+    """The size checks that the solve of one cutoff level starts with.
 
-    With width = (ln(n_max * sum_j d_j dim_j) + 53 ln 2) / beta, the states
-    left out weigh less than 2^-53/n_max of Z, and as none holds more than
-    n_max bosons, they move <b'b> by less than 2^-53; sum_j d_j dim_j is
-    2^N (n_max+1).  The top starts above e_min + width and only falls, so
-    every window taken stays complete.  The caps are checked first.
-    """
-    _check_sectors(n_atoms, n_max)
-    width = (math.log(n_max * 2**n_atoms * (n_max + 1)) + 53 * math.log(2)) / beta
-    spins = sector_spins(n_atoms)
-    multiplicities = [sector_multiplicity(n_atoms, j) for j in spins]
-    top = math.inf
-    sectors = []
-    for d, j in zip(multiplicities, spins):
-        vals, occupations, top = _sector_spectrum(
-            params, n_atoms, j, n_max, want_occupations, width, top)
-        sectors.append((d, vals, occupations))
-    return sectors
-
-
-def _check_sectors(n_atoms, n_max) -> None:
-    """Check the atom count, then the largest sector, j = N/2, at the cutoff
-    n_max against COLLECTIVE_DIM_CAP, then that the sector sums fit a double,
-    before any spin or multiplicity is listed.
-
+    The full product basis checks the atom count and FULL_DIM_CAP.  The
+    collective sectors check the atom count, then the largest sector,
+    j = N/2, at the cutoff n_max against COLLECTIVE_DIM_CAP, then that the
+    sector sums fit a double, before any spin or multiplicity is listed:
     n_max 2^N (n_max+1) bounds every multiplicity d(N,j) <= 2^N, the shifted
     sum (each state weighs at most 1) and the occupation-weighted sum; past
     the largest double, d times a weight would raise OverflowError.
     """
+    if basis == "full":
+        _check_count("n_atoms", n_atoms, 1, MAX_ATOMS_FULL)
+        _check_dim("full-product", 2**n_atoms * (n_max + 1), FULL_DIM_CAP)
+        return
     _check_dim("collective-sector", (_check_count("n_atoms", n_atoms) + 1) * (n_max + 1),
                COLLECTIVE_DIM_CAP)
     if n_max * 2**n_atoms * (n_max + 1) >= sys.float_info.max:
@@ -575,17 +547,6 @@ def _check_sectors(n_atoms, n_max) -> None:
             f"the sector sums at N={n_atoms}, n_max={n_max} overflow a double: "
             f"n_max * 2^N * (n_max+1) is not below {sys.float_info.max:g}"
         )
-
-
-def _check_level(n_atoms, n_max, basis) -> None:
-    """The size checks that the solve of one cutoff level starts with:
-    _check_sectors for the collective sectors, the atom count and
-    FULL_DIM_CAP for the full product basis."""
-    if basis == "full":
-        _check_count("n_atoms", n_atoms, 1, MAX_ATOMS_FULL)
-        _check_dim("full-product", 2**n_atoms * (n_max + 1), FULL_DIM_CAP)
-    else:
-        _check_sectors(n_atoms, n_max)
 
 
 def _check_cutoffs(n_atoms, n_max, basis="collective") -> None:
@@ -603,10 +564,28 @@ def _check_cutoffs(n_atoms, n_max, basis="collective") -> None:
 
 def _sector_sums(params, n_atoms, thermo, n_max, want_occupations=False):
     """(ln Z, and <b'b>/N with want_occupations, else None) of the thermal
-    state over every spin sector at the cutoff n_max, from one sector pass."""
-    shifted, e_min, occupation = _thermal_sums(
-        _thermal_sectors(params, n_atoms, thermo.beta, n_max, want_occupations), thermo.beta)
-    return (math.log(shifted) - thermo.beta * e_min,
+    state over every spin sector at the cutoff n_max, from one sector pass
+    that solves each sector for at least each eigenpair below e_min + width.
+
+    With width = (ln(n_max * sum_j d_j dim_j) + 53 ln 2) / beta, the states
+    left out weigh less than 2^-53/n_max of Z, and as none holds more than
+    n_max bosons, they move <b'b> by less than 2^-53; sum_j d_j dim_j is
+    2^N (n_max+1).  The top starts above e_min + width and only falls, so
+    every window taken stays complete.  The caps are checked first.
+    """
+    _check_level(n_atoms, n_max)
+    beta = thermo.beta
+    width = (math.log(n_max * 2**n_atoms * (n_max + 1)) + 53 * math.log(2)) / beta
+    spins = sector_spins(n_atoms)
+    multiplicities = [sector_multiplicity(n_atoms, j) for j in spins]
+    top = math.inf
+    sectors = []
+    for d, j in zip(multiplicities, spins):
+        vals, occupations, top = _sector_spectrum(
+            params, n_atoms, j, n_max, want_occupations, width, top)
+        sectors.append((d, vals, occupations))
+    shifted, e_min, occupation = _thermal_sums(sectors, beta)
+    return (math.log(shifted) - beta * e_min,
             occupation / shifted / n_atoms if want_occupations else None)
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: flags, config files, outputs, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -181,21 +182,27 @@ def test_conflicting_duplicate_flag_rejected(capsys):
     assert code == 0 and "beta_c" in json.loads(out)
 
 
-@pytest.mark.parametrize("argv", [
-    ["boundary", *TC_FLAGS[:-2], "--lambda-max", "0.5", "--lambda-min", "0",
-     "--lambda-min", "0.4"],
-    ["boundary", *TC_FLAGS[:-2], "--lambda-min", "0", "--lambda-max", "0.5",
-     "--lambda-max", "0.4"],
-    ["tc", "--config", "a.json", "--config", "b.json"],
-    ["sweep", "--grid", "a.json", "--grid", "b.json"],
-    ["oracle", *POINT_FLAGS, "--N", "2,4", "--N", "2"],
-    ["fermion-check", *POINT_FLAGS, "--N", "1", "--N", "2"],
-])
+def _conflicting_repeats():
+    """[subcommand, flag, a, flag, b] for every value-taking optional of every
+    subcommand, a and b two different values that the flag accepts."""
+    (subparsers,) = (action for action in cli._build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction))
+    cases = []
+    for name, parser in subparsers.choices.items():
+        for action in parser._actions:
+            if action.option_strings and action.nargs != 0:
+                a, b = [str(choice) for choice in action.choices or (1, 2)][:2]
+                flag = action.option_strings[0]
+                cases.append([name, flag, a, flag, b])
+    return cases
+
+
+@pytest.mark.parametrize("argv", _conflicting_repeats())
 def test_every_flag_rejects_a_conflicting_repeat(capsys, argv):
-    # none of these files exist: the conflict is reported before any is opened
+    # the conflict is reported before any file is opened or required flag checked
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
-    assert f"conflicting duplicate flag {argv[-2]}" in err
+    assert f"conflicting duplicate flag {argv[1]}: " in err
 
 
 def test_digits_checked_before_any_work(tmp_path, capsys):

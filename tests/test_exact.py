@@ -118,6 +118,12 @@ def test_parity_split_rejects_parity_breaking_element():
     blocks = exact._parity_split(sparse.csr_matrix(h), 1, 2)
     vals = np.sort(np.concatenate([exact._block_eigh(a, None)[0] for a, _ in blocks]))
     assert np.abs(vals - np.linalg.eigvalsh(h)).max() < 1e-14
+    # a stored zero between the classes couples nothing and enters neither block
+    coo = sparse.coo_matrix(h)
+    rows, cols = np.r_[coo.row, 0, 1], np.r_[coo.col, 1, 0]
+    with_zero = sparse.coo_matrix((np.r_[coo.data, 0.0, 0.0], (rows, cols)), shape=h.shape)
+    for (a, occ), (b, occ_b) in zip(blocks, exact._parity_split(with_zero, 1, 2)):
+        assert (a != b).nnz == 0 and np.array_equal(occ, occ_b)
     h[0, 1] = h[1, 0] = 1e-13
     with pytest.raises(CommutationError, match="1.000e-13"):
         exact._parity_split(sparse.csr_matrix(h), 1, 2)
@@ -428,9 +434,9 @@ def test_free_energy_exact_truncation_error(monkeypatch):
 def test_sector_sums_refuse_an_atom_count_that_overflows_a_double(monkeypatch):
     # d(N,j) reaches 2^N; n_max 2^N (n_max+1) passes the largest double from
     # N = 1023 at n_max = 1
-    exact._check_sectors(1022, 1)
+    exact._check_level(1022, 1)
     with pytest.raises(DimensionError, match="N=1023, n_max=1 overflow a double"):
-        exact._check_sectors(1023, 1)
+        exact._check_level(1023, 1)
     for name in ("sector_multiplicity", "_hamiltonian"):
         monkeypatch.setattr(exact, name, lambda *args, name=name: pytest.fail(f"{name} called"))
     for solve in (thermal_boson_occupation, free_energy_exact):
@@ -762,15 +768,15 @@ def test_window_matches_full_path_on_bench_inputs(monkeypatch, seed):
 
 
 def _count_sector_passes(monkeypatch):
-    """A list that records the want_occupations flag of each _thermal_sectors call from now on."""
+    """A list that records the want_occupations flag of each _sector_sums call from now on."""
     calls = []
-    thermal_sectors = exact._thermal_sectors
+    sector_sums = exact._sector_sums
 
-    def counted(params, n_atoms, beta, n_max, want_occupations=False):
+    def counted(params, n_atoms, thermo, n_max, want_occupations=False):
         calls.append(want_occupations)
-        return thermal_sectors(params, n_atoms, beta, n_max, want_occupations)
+        return sector_sums(params, n_atoms, thermo, n_max, want_occupations)
 
-    monkeypatch.setattr(exact, "_thermal_sectors", counted)
+    monkeypatch.setattr(exact, "_sector_sums", counted)
     return calls
 
 

@@ -14,6 +14,8 @@ closed forms the bisection oracle in oracles.py verifies independently:
 
 import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +52,18 @@ def test_beta_c_frozen_values():
     assert critical_inverse_temperature(
         ModelParams(1.0, 1.0, 0.6, 0.6, 0.4)
     ) == pytest.approx(BETA_C_DIPOLE, rel=1e-14)
+
+
+def test_readme_library_example_prints_its_documented_beta_c(capsys):
+    # the README's Python block, run as written: its beta_c comment is the
+    # double it computes (the exact value rounds to BETA_C_DIPOLE, 5 ulp away)
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    documented = float(re.search(r"^beta_c = .*# (\S+)$", block, re.M).group(1))
+    namespace = {}
+    exec(block, namespace)
+    assert namespace["beta_c"] == documented
+    assert len(capsys.readouterr().out.split()) == 3  # b0, omega_delta, f_diff
 
 
 def test_beta_c_matches_bisection_oracle():
