@@ -64,6 +64,7 @@ _EXPORTS = {
         "GridSpec",
         "OracleRow",
         "SweepRecord",
+        "SweepTable",
         "oracle_table",
         "phase_boundary",
         "run_grid",

@@ -1,19 +1,23 @@
 """Parameter-grid engine: phase diagrams, boundary curves, oracle tables.
 
 A grid is evaluated in one call of the mean-field gap kernel over all its
-points (solves are independent, so there is no warm starting), and records
-come back in row-major input order; a single point is built by the same
-function, from 1-element input columns.  Numeric output uses the shortest
-round-trip decimal representation of each double, so a given grid spec
-always produces byte-identical files.  The CSV writer formats cells a column
-at a time over blocks of rows, and each distinct double in a column once;
-the bytes are those of formatting every cell on its own.  Sweep and oracle
-records are NamedTuples in column order, so each record is its printed row;
-an Enum cell, such as a phase, prints its value.
+points (solves are independent, so there is no warm starting), and comes
+back as a SweepTable: the kernel's arrays, one per column, read as a
+sequence of SweepRecords in row-major input order.  A single point is built
+by the same function, from 1-element input columns.  Numeric output uses the
+shortest round-trip decimal representation of each double, so a given grid
+spec always produces byte-identical files.  The CSV writer formats cells a
+column at a time over blocks of rows, each distinct double and each distinct
+other cell once; a SweepTable's columns go to it as they are, other rows are
+transposed first.  The bytes are those of formatting every cell on its own.
+Sweep and oracle records are NamedTuples in column order, so each record is
+its printed row; an Enum cell, such as a phase, prints its value.
 """
 
 import itertools
 import json
+import operator
+from collections.abc import Sequence
 from dataclasses import astuple, dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
@@ -126,32 +130,83 @@ class SweepRecord(NamedTuple):
     f_diff: float
 
 
-def _records(inputs) -> list[SweepRecord]:
-    """One SweepRecord per point of validated input columns in CONFIG_KEYS order.
+# rows per block of the CSV writer and of SweepTable iteration: bounds the
+# transient lists of Python objects
+_CSV_CHUNK_ROWS = 4096
+
+# a phase flag indexes these, as an int8
+_PHASES = np.array([PhaseLabel.NORMAL, PhaseLabel.SUPERRADIANT], dtype=object)
+_PHASE_COLUMN = SWEEP_COLUMNS.index("phase")
+
+
+class SweepTable(Sequence):
+    """Grid-sweep records, held as one read-only array per SWEEP_COLUMNS field.
+
+    The arrays are the kernel's own: float64 columns, and the superradiant
+    flags in place of the phase.  Indexing and iteration build SweepRecords
+    on demand, with Python floats and PhaseLabel members, so ``list(table)``
+    is the plain list of records.  A slice is a table, and ``==`` compares
+    record by record with a table or a list.
+    """
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, columns):
+        self._columns = tuple(columns)
+        for column in self._columns:
+            column.flags.writeable = False
+
+    def _block(self, start, stop, labels=_PHASES):
+        """The columns' slices start:stop, each phase flag replaced by labels[flag]."""
+        block = [column[start:stop] for column in self._columns]
+        block[_PHASE_COLUMN] = labels[block[_PHASE_COLUMN].view(np.int8)]
+        return block
+
+    def __len__(self):
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SweepTable(column[index] for column in self._columns)
+        i = range(len(self))[index]
+        return SweepRecord._make(column.item(0) for column in self._block(i, i + 1))
+
+    def __iter__(self):
+        for start in range(0, len(self), _CSV_CHUNK_ROWS):
+            block = self._block(start, start + _CSV_CHUNK_ROWS)
+            # tolist() gives plain Python floats, not NumPy scalars
+            yield from map(SweepRecord._make, zip(*(column.tolist() for column in block)))
+
+    def __eq__(self, other):
+        if not isinstance(other, (SweepTable, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
+def _table(inputs) -> SweepTable:
+    """The SweepTable of validated input columns in CONFIG_KEYS order.
 
     A ConvergenceError of the gap kernel carries the flat index of the first
     failing point as ``index``.
     """
     superradiant, omega_delta, _, b0, _ = _gap_kernel(*inputs)
     f_diff, _ = _free_energy_arrays(*inputs, omega_delta, superradiant)
-    phases = [PhaseLabel.SUPERRADIANT if s else PhaseLabel.NORMAL for s in superradiant.tolist()]
-    # tolist() gives plain Python floats, not NumPy scalars
-    outputs = [phases, b0.tolist(), omega_delta.tolist(), f_diff.tolist()]
-    return list(map(SweepRecord._make, zip(*(c.tolist() for c in inputs), *outputs)))
+    return SweepTable((*inputs, superradiant, b0, omega_delta, f_diff))
 
 
 def evaluate_point(values: dict) -> SweepRecord:
     """Mean-field record for one mapping of all six parameter values."""
     params, thermo = params_from_mapping(values, require_beta=True)
-    return _records([np.array([v]) for v in (*astuple(params), thermo.beta)])[0]
+    return _table([np.array([v]) for v in (*astuple(params), thermo.beta)])[0]
 
 
-def run_grid(spec: GridSpec, jobs: int = 1) -> list[SweepRecord]:
+def run_grid(spec: GridSpec, jobs: int = 1) -> SweepTable:
     """Evaluate every grid point, axis1 as the outer (row-major) loop.
 
-    All points are solved in one vectorised call.  jobs must be an integer
-    >= 1 and is otherwise ignored; it stays only because the benchmark
-    (perfbench/workloads.py) still passes it.
+    All points are solved in one vectorised call, and the SweepTable holds
+    the kernel's arrays; ``list(run_grid(spec))`` is the list of records.
+    jobs must be an integer >= 1 and is otherwise ignored; it stays only
+    because the benchmark (perfbench/workloads.py) still passes it.
     """
     _check_count("jobs", jobs)
     a1, a2 = spec.axis1.values(), spec.axis2.values()
@@ -168,7 +223,7 @@ def run_grid(spec: GridSpec, jobs: int = 1) -> list[SweepRecord]:
     columns[spec.axis1.name] = np.repeat(a1, a2.size)
     columns[spec.axis2.name] = np.tile(a2, a1.size)
     try:
-        return _records([columns[name] for name in CONFIG_KEYS])
+        return _table([columns[name] for name in CONFIG_KEYS])
     except ConvergenceError as exc:
         raise ConvergenceError(f"grid point {divmod(exc.index, a2.size)}: {exc}") from exc
 
@@ -218,14 +273,15 @@ def oracle_table(
     n_list,
     trunc: "TruncationConfig",
 ) -> list[OracleRow]:
-    """One row per finite N plus the N = infinity mean-field row.
+    """One row per finite N, in the order given, plus the N = infinity mean-field row.
 
     Each finite-N row takes f_diff and <b'b>/N from the same converged
     sector pass of the cutoff-doubling loop: the occupation is bit for bit
     thermal_boson_occupation's at the converged cutoff, and f_diff agrees
-    with free_energy_exact's to rounding (1e-12).  Every N is checked, its
-    largest sector at the starting cutoff and at its first doubling against
-    the cap included, before the first row is computed.
+    with free_energy_exact's to rounding (1e-12).  An N given twice is
+    solved once and printed twice.  Every N is checked, its largest sector
+    at the starting cutoff and at its first doubling against the cap
+    included, before the first row is computed.
     """
     # imported here, so that the mean-field commands never load SciPy
     from .exact import _check_cutoffs, _converged
@@ -235,10 +291,11 @@ def oracle_table(
         _check_cutoffs(n_atoms, trunc.n_max)
     mf = evaluate_point(params_to_mapping(params, thermo))
     f_diff_mf, b0_sq = mf.f_diff, mf.b0 ** 2
-    rows = []
-    for n_atoms in n_list:
-        exact, occupation = _converged(params, n_atoms, thermo, trunc, want_occupations=True)
-        rows.append(OracleRow(n_atoms, exact.f_diff, occupation, f_diff_mf, b0_sq))
+    # the checks admit only ints, so equal keys are equal atom counts
+    solved = {n_atoms: _converged(params, n_atoms, thermo, trunc, want_occupations=True)
+              for n_atoms in dict.fromkeys(n_list)}
+    rows = [OracleRow(n_atoms, solved[n_atoms][0].f_diff, solved[n_atoms][1], f_diff_mf, b0_sq)
+            for n_atoms in n_list]
     rows.append(OracleRow(None, f_diff_mf, b0_sq, f_diff_mf, b0_sq))
     return rows
 
@@ -250,34 +307,40 @@ def _format_number(value: float, digits: int | None) -> str:
     return format(float(value), f".{digits}g")
 
 
-# rows formatted per pass of the CSV writer: bounds its transient lists
-_CSV_CHUNK_ROWS = 4096
-
-
 def _csv_column(cells, digits: int | None) -> list[str]:
-    """The CSV fields of one column's cells, formatting each distinct double once.
+    """The CSV fields of one column: a float64 array, or a sequence of cells.
 
-    A column of floats is keyed by bit pattern, so 0.0 and -0.0 (and NaN
-    payloads) stay apart; any other column is formatted cell by cell.
+    Doubles are keyed by bit pattern, so 0.0 and -0.0 (and NaN payloads) stay
+    apart, and each distinct double is formatted once.  In a column of other
+    cells each distinct non-float cell is formatted once, keyed by
+    (type, value), and each float cell on its own: -0.0 == 0.0 and
+    True == 1 == 1.0 would share a key.
     """
-    if set(map(type, cells)) == {float}:
-        keys = np.array(cells).view(np.int64)
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        fields = [_format_number(cells[i], digits) for i in first.tolist()]
-        return list(map(fields.__getitem__, inverse.tolist()))
-    # float first: in a mixed column, such as boundary T_c, most cells are one
-    return [_format_number(v, digits) if isinstance(v, float) else "" if v is None
-            else str(v.value if isinstance(v, Enum) else v) for v in cells]
+    if isinstance(cells, np.ndarray) or set(map(type, cells)) == {float}:
+        values = np.asarray(cells)
+        _, first, inverse = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
+        fields = [_format_number(v, digits) for v in values[first].tolist()]
+        return np.array(fields, dtype=object)[inverse].tolist()
+    known = {(kind, v): "" if v is None else str(v.value if isinstance(v, Enum) else v)
+             for kind, v in {(type(v), v) for v in cells if not isinstance(v, float)}}
+    return [_format_number(v, digits) if isinstance(v, float) else known[type(v), v] for v in cells]
+
+
+# the CSV fields of a SweepTable's phase flags
+_PHASE_FIELDS = np.array([phase.value for phase in _PHASES], dtype=object)
 
 
 def _write_rows(stream, columns, rows, digits: int | None = None, fmt: str = "csv") -> None:
     """Write rows as CSV (a header, then one line per row) or as JSON lines.
 
     A CSV cell is a float through _format_number, a str as is, an int through
-    str, an Enum as its value, and None as an empty field; cells are
-    formatted a column at a time, each distinct double once.  A JSON line
-    maps columns to the row's values, an Enum again as its value; floats are
-    rounded through _format_number only when digits is set.
+    str, an Enum as its value, and None as an empty field.  Cells are
+    formatted a column at a time over blocks of rows, each distinct double
+    and each distinct other cell once.  A SweepTable's float columns go to
+    the formatter as array slices and its phase flags index their fields, so
+    no record is built; any other rows are transposed block by block.  A JSON
+    line maps columns to the row's values, an Enum again as its value; floats
+    are rounded through _format_number only when digits is set.
     """
     if fmt == "json":
         for row in rows:
@@ -288,10 +351,17 @@ def _write_rows(stream, columns, rows, digits: int | None = None, fmt: str = "cs
             stream.write(json.dumps(dict(zip(columns, row)), default=lambda e: e.value) + "\n")
         return
     stream.write(",".join(columns) + "\n")
-    rows = iter(rows)
-    while chunk := list(itertools.islice(rows, _CSV_CHUNK_ROWS)):
-        fields = [_csv_column(cells, digits) for cells in zip(*chunk)]
-        stream.write("".join([line + "\n" for line in map(",".join, zip(*fields))]))
+    if isinstance(rows, SweepTable):
+        # the phase comes as its fields, an object array; every other column is float64
+        blocks = ([column.tolist() if column.dtype == object else _csv_column(column, digits)
+                   for column in rows._block(start, start + _CSV_CHUNK_ROWS, _PHASE_FIELDS)]
+                  for start in range(0, len(rows), _CSV_CHUNK_ROWS))
+    else:
+        rows = iter(rows)
+        chunks = iter(lambda: list(itertools.islice(rows, _CSV_CHUNK_ROWS)), [])
+        blocks = ([_csv_column(cells, digits) for cells in zip(*chunk)] for chunk in chunks)
+    for fields in blocks:
+        stream.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
 def write_sweep_csv(records, stream, digits: int | None = None) -> None:

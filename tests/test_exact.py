@@ -797,6 +797,24 @@ def test_oracle_rows_take_one_sector_pass_per_level(monkeypatch):
         assert row.f_diff == pytest.approx(result.f_diff, abs=1e-12)
 
 
+def test_oracle_table_solves_each_distinct_n_once(monkeypatch):
+    # a repeated N is solved once and printed once per time it is given, in order
+    params, thermo, trunc = ModelParams(1.0, 1.0, 0.4, 0.4, 0.1), Thermo(1.0), TruncationConfig(8)
+    solved = []
+    converged = exact._converged
+
+    def counted(params, n_atoms, *args, **kwargs):
+        solved.append(n_atoms)
+        return converged(params, n_atoms, *args, **kwargs)
+
+    monkeypatch.setattr(exact, "_converged", counted)
+    rows = oracle_table(params, thermo, [2, 3, 2, 2, 1], trunc)
+    assert solved == [2, 3, 1]
+    assert [row.n_atoms for row in rows] == [2, 3, 2, 2, 1, None]
+    assert rows[0] == rows[2] == rows[3]
+    assert rows[:2] + rows[4:] == oracle_table(params, thermo, [2, 3, 1], trunc)
+
+
 def test_oracle_row_past_several_doublings(monkeypatch):
     # the oracle golden case: 8 -> 16 -> 32 -> 64, every level past the seed
     # solved with eigenvectors, the occupation that of the converged cutoff

@@ -39,9 +39,12 @@ from dicke_dipole.sweep import (
     _ORACLE_COLUMNS,
     SWEEP_COLUMNS,
     OracleRow,
+    SweepRecord,
+    SweepTable,
     _write_rows,
     evaluate_point,
 )
+from dicke_dipole.meanfield import _free_energy_arrays, _gap_kernel
 from oracles import bisect_critical_beta, mean_field_point
 
 # bounds on b0 and f_diff against the oracle: an absolute floor for values
@@ -333,6 +336,94 @@ def test_oracle_table_deviation_shrinks_with_n():
     assert mf_row.n_atoms is None
     assert mf_row.f_diff == mf_row.f_diff_mf
     assert mf_row.boson_occupation == mf_row.b0_sq_mf
+
+
+# --- SweepTable -------------------------------------------------------------------
+
+def _table_grid(count1, count2):
+    # g2 = 0 and lambda < 0; g1 crosses the transition, so both phases occur
+    return GridSpec(
+        AxisSpec("g1", 0.05, 1.6, count1),
+        AxisSpec("beta", 0.3, 50.0, count2, scale="log"),
+        {"omega0": 1.1, "Omega": 0.9, "g2": 0.0, "lambda": -0.35},
+    )
+
+
+def _listed_records(spec):
+    """Reference records of a grid: one SweepRecord per point, built from the
+    kernel's arrays through tolist(), with no SweepTable."""
+    values = [np.repeat(spec.axis1.values(), spec.axis2.count),
+              np.tile(spec.axis2.values(), spec.axis1.count)]
+    names = (spec.axis1.name, spec.axis2.name)
+    inputs = [values[names.index(key)] if key in names
+              else np.full(values[0].size, float(spec.fixed[key])) for key in CONFIG_KEYS]
+    superradiant, omega_delta, _, b0, _ = _gap_kernel(*inputs)
+    f_diff, _ = _free_energy_arrays(*inputs, omega_delta, superradiant)
+    phases = [PhaseLabel.SUPERRADIANT if s else PhaseLabel.NORMAL for s in superradiant.tolist()]
+    columns = [c.tolist() for c in inputs] + [phases] + [c.tolist() for c in (b0, omega_delta, f_diff)]
+    return [SweepRecord(*row) for row in zip(*columns)]
+
+
+def test_sweep_table_is_a_sequence_of_records():
+    spec = _table_grid(7, 5)
+    table, listed = run_grid(spec), _listed_records(spec)
+    assert isinstance(table, SweepTable) and len(table) == 35
+    assert list(table) == listed
+    assert table == listed and listed == table
+    assert table == run_grid(spec) and not table != run_grid(spec)
+    assert table != listed[:-1] and table != listed[::-1] and table != tuple(listed)
+    for index in (0, 1, 17, 34, -1, -35, np.int64(3), True):
+        assert _bits(table[index]) == _bits(listed[index])
+    for index in (35, -36):
+        with pytest.raises(IndexError):
+            table[index]
+    with pytest.raises(TypeError):
+        table[1.0]
+    with pytest.raises(TypeError):
+        table[0] = listed[1]
+    assert table[-1] in table and table.index(table[-1]) == 34
+
+
+def test_sweep_table_iteration_builds_python_floats_and_phase_members():
+    spec = _table_grid(70, 60)  # more rows than one iteration block
+    table, listed = run_grid(spec), _listed_records(spec)
+    assert {r.phase for r in table} == {PhaseLabel.NORMAL, PhaseLabel.SUPERRADIANT}
+    assert len(list(table)) == len(listed)
+    for got, want in zip(table, listed):
+        assert [type(v) for v in got] == [float] * 6 + [PhaseLabel] + [float] * 3
+        assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("index", [
+    slice(None, None, 101), slice(3, 40), slice(None, None, -7), slice(40, 3, -3),
+    slice(5, 5), slice(-50, None, 2),
+])
+def test_sweep_table_slice_is_a_table(index):
+    spec = _table_grid(30, 20)
+    table, listed = run_grid(spec), _listed_records(spec)
+    part = table[index]
+    assert isinstance(part, SweepTable) and part == listed[index]
+    assert [_bits(r) for r in part] == [_bits(r) for r in listed[index]]
+    buffer = io.StringIO()
+    write_sweep_csv(part, buffer)
+    _assert_same_text(buffer.getvalue(), _rowwise_csv(SWEEP_COLUMNS, listed[index], None))
+
+
+@pytest.mark.parametrize("digits", [None, 3])
+@pytest.mark.parametrize("shape", [(63, 65), (64, 64), (17, 241)])
+def test_sweep_table_writes_the_bytes_of_its_records(shape, digits):
+    # 4095, 4096 and 4097 points: around the CSV writer's block of rows
+    assert _CSV_CHUNK_ROWS == 4096
+    spec = _table_grid(*shape)
+    table, listed = run_grid(spec), _listed_records(spec)
+    assert len(table) == shape[0] * shape[1]
+    assert {r.phase for r in table} == {PhaseLabel.NORMAL, PhaseLabel.SUPERRADIANT}
+    csv_text, jsonl_text, jsonl_want = io.StringIO(), io.StringIO(), io.StringIO()
+    write_sweep_csv(table, csv_text, digits)
+    _assert_same_text(csv_text.getvalue(), _rowwise_csv(SWEEP_COLUMNS, listed, digits))
+    write_sweep_jsonl(table, jsonl_text, digits)
+    write_sweep_jsonl(listed, jsonl_want, digits)
+    _assert_same_text(jsonl_text.getvalue(), jsonl_want.getvalue())
 
 
 # --- output formats ---------------------------------------------------------------
