@@ -7,11 +7,11 @@ sequence of SweepRecords in row-major input order.  A single point is built
 by the same function, from 1-element input columns.  Numeric output uses the
 shortest round-trip decimal representation of each double, so a given grid
 spec always produces byte-identical files.  The CSV writer formats cells a
-column at a time over blocks of rows, each distinct double and each distinct
-other cell once; a SweepTable's columns go to it as they are, other rows are
-transposed first.  The bytes are those of formatting every cell on its own.
-Sweep and oracle records are NamedTuples in column order, so each record is
-its printed row; an Enum cell, such as a phase, prints its value.
+column at a time over blocks of rows, and each distinct double once; a
+SweepTable's columns go to it as they are, other rows are transposed first.
+The bytes are those of formatting every cell on its own.  Sweep and oracle
+records are NamedTuples in column order, so each record is its printed row;
+an Enum cell, such as a phase, prints its value.
 """
 
 import itertools
@@ -311,19 +311,17 @@ def _csv_column(cells, digits: int | None) -> list[str]:
     """The CSV fields of one column: a float64 array, or a sequence of cells.
 
     Doubles are keyed by bit pattern, so 0.0 and -0.0 (and NaN payloads) stay
-    apart, and each distinct double is formatted once.  In a column of other
-    cells each distinct non-float cell is formatted once, keyed by
-    (type, value), and each float cell on its own: -0.0 == 0.0 and
-    True == 1 == 1.0 would share a key.
+    apart, and each distinct double is formatted once; any other column is
+    formatted cell by cell.
     """
     if isinstance(cells, np.ndarray) or set(map(type, cells)) == {float}:
         values = np.asarray(cells)
         _, first, inverse = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
         fields = [_format_number(v, digits) for v in values[first].tolist()]
         return np.array(fields, dtype=object)[inverse].tolist()
-    known = {(kind, v): "" if v is None else str(v.value if isinstance(v, Enum) else v)
-             for kind, v in {(type(v), v) for v in cells if not isinstance(v, float)}}
-    return [_format_number(v, digits) if isinstance(v, float) else known[type(v), v] for v in cells]
+    # float first: in a mixed column, such as boundary T_c, most cells are one
+    return [_format_number(v, digits) if isinstance(v, float) else "" if v is None
+            else str(v.value if isinstance(v, Enum) else v) for v in cells]
 
 
 # the CSV fields of a SweepTable's phase flags
@@ -335,12 +333,12 @@ def _write_rows(stream, columns, rows, digits: int | None = None, fmt: str = "cs
 
     A CSV cell is a float through _format_number, a str as is, an int through
     str, an Enum as its value, and None as an empty field.  Cells are
-    formatted a column at a time over blocks of rows, each distinct double
-    and each distinct other cell once.  A SweepTable's float columns go to
-    the formatter as array slices and its phase flags index their fields, so
-    no record is built; any other rows are transposed block by block.  A JSON
-    line maps columns to the row's values, an Enum again as its value; floats
-    are rounded through _format_number only when digits is set.
+    formatted a column at a time over blocks of rows, and each distinct
+    double once.  A SweepTable's float columns go to the formatter as array
+    slices and its phase flags index their fields, so no record is built;
+    any other rows are transposed block by block.  A JSON line maps columns
+    to the row's values, an Enum again as its value; floats are rounded
+    through _format_number only when digits is set.
     """
     if fmt == "json":
         for row in rows:

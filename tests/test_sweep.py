@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import struct
+from decimal import Decimal
 from enum import Enum
 from pathlib import Path
 
@@ -578,6 +579,19 @@ def test_csv_writer_matches_cell_by_cell_formatting(count, digits):
     buffer = io.StringIO()
     _write_rows(buffer, columns, iter(rows), digits)
     _assert_same_text(buffer.getvalue(), _rowwise_csv(columns, rows, digits))
+
+
+def test_csv_writer_prints_equal_cells_of_other_types_on_their_own():
+    # these pairs compare equal but print differently, so no cell may take
+    # the field of an equal one
+    cells = [np.float32(-0.0), np.float32(0.0), Decimal("-0"), Decimal("0"),
+             Decimal("1.0"), Decimal("1"), 1, True, 1.0]
+    rows = [(v,) for v in cells + cells[::-1]]
+    buffer = io.StringIO()
+    _write_rows(buffer, ("cell",), rows)
+    assert buffer.getvalue() == _rowwise_csv(("cell",), rows, None)
+    assert buffer.getvalue().split()[1:10] == ["-0.0", "0.0", "-0", "0", "1.0", "1", "1",
+                                               "True", "1.0"]
 
 
 def test_boundary_csv_empty_field_past_cut():
