@@ -10,9 +10,9 @@ axis names are all model.CONFIG_KEYS, and one reader loads the --config and
 validated, then unused.  Every output but fermion-check's PASS/FAIL line goes
 through one row writer (sweep._write_rows), so --digits means the same thing
 everywhere; fermion-check takes --out but no --digits or --tol, and no
-subcommand takes --jobs.  --digits is checked after the config merge and
---dump-config, before any other work, and clamped to MAX_DIGITS, past which
-every value prints the same.
+subcommand takes --jobs.  --digits is checked by the writers' own rule
+(sweep._check_digits) after the config merge and --dump-config, before any
+other work.
 Exit codes: 0 success (no_transition is a success), 1 fermion-check FAIL,
 2 validation error, 3 convergence/truncation/consistency error or out of
 memory, 4 I/O error.
@@ -21,6 +21,7 @@ memory, 4 I/O error.
 import argparse
 import contextlib
 import json
+import math
 import sys
 
 from . import __version__
@@ -32,10 +33,11 @@ from .errors import (
     HermiticityError,
     TruncationError,
 )
-from .meanfield import PhaseLabel, critical_inverse_temperature
-from .model import CONFIG_KEYS, _check_mapping_keys, effective_coupling, params_from_mapping
+from .meanfield import PhaseLabel, _critical_point
+from .model import CONFIG_KEYS, _check_mapping_keys, params_from_mapping
 from .sweep import (
     GridSpec,
+    _check_digits,
     _write_rows,
     evaluate_point,
     oracle_table,
@@ -49,9 +51,6 @@ from .sweep import (
 )
 
 FERMION_PASS_TOL = 1e-10
-# the most significant digits in the exact decimal expansion of a double; as
-# "g" strips trailing zeros, any larger --digits prints the same bytes
-MAX_DIGITS = 767
 
 
 class _UniqueStore(argparse.Action):
@@ -125,15 +124,9 @@ def _merged_config(args) -> dict:
     return merged
 
 
-@contextlib.contextmanager
 def _output(args):
-    """(stream, digits) for the result; main has checked --digits."""
-    digits = getattr(args, "digits", None)
-    if args.out:
-        with open(args.out, "w", newline="") as handle:
-            yield handle, digits
-    else:
-        yield sys.stdout, digits
+    """A context manager for the result's stream: the --out file, else stdout."""
+    return open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout)
 
 
 def _truncation(args, params, thermo):
@@ -150,30 +143,32 @@ def _truncation(args, params, thermo):
 
 def _cmd_tc(args, config) -> int:
     params, _ = params_from_mapping(config)  # a given beta is validated, then unused
-    G = effective_coupling(params).G
-    ratio = params.omega0 * params.Omega / G if G != 0 else None
-    beta_c = critical_inverse_temperature(params)
+    ratio, beta_c = _critical_point(params)
     if beta_c is None:
         columns, row = ("phase", "ratio"), (PhaseLabel.NO_FINITE_TRANSITION, ratio)
     else:
         columns, row = ("beta_c", "T_c", "ratio"), (beta_c, 1.0 / beta_c, ratio)
-    with _output(args) as (stream, digits):
-        _write_rows(stream, columns, [row], digits, "json")
+    for name, value in zip(columns, row):
+        # beta_c raises where it overflows; the ratio and 1/beta_c may
+        if isinstance(value, float) and math.isinf(value):
+            raise ConvergenceError(f"{name} overflows a double")
+    with _output(args) as stream:
+        _write_rows(stream, columns, [row], args.digits, "json")
     return 0
 
 
 def _cmd_point(args, config) -> int:
     record = evaluate_point(config)
-    with _output(args) as (stream, digits):
-        write_sweep_jsonl([record], stream, digits)
+    with _output(args) as stream:
+        write_sweep_jsonl([record], stream, args.digits)
     return 0
 
 
 def _cmd_sweep(args, _config) -> int:
     records = run_grid(GridSpec.from_mapping(_read_json(args.grid, "grid")))
     write = write_sweep_jsonl if args.format == "json" else write_sweep_csv
-    with _output(args) as (stream, digits):
-        write(records, stream, digits)
+    with _output(args) as stream:
+        write(records, stream, args.digits)
     return 0
 
 
@@ -185,8 +180,8 @@ def _cmd_oracle(args, config) -> int:
         raise DomainError(f"--N must be a comma-separated integer list: {exc}") from exc
     rows = oracle_table(params, thermo, n_list, _truncation(args, params, thermo))
     write = write_oracle_jsonl if args.format == "json" else write_oracle_csv
-    with _output(args) as (stream, digits):
-        write(rows, stream, digits)
+    with _output(args) as stream:
+        write(rows, stream, args.digits)
     return 0
 
 
@@ -197,7 +192,7 @@ def _cmd_fermion_check(args, config) -> int:
     trunc = _truncation(args, params, thermo)
     discrepancy = fermionic_identity_check(params, args.N, thermo, trunc)
     verdict = "PASS" if discrepancy < FERMION_PASS_TOL else "FAIL"
-    with _output(args) as (stream, _):
+    with _output(args) as stream:
         stream.write(f"{verdict} {discrepancy:.1e}\n")
     return 0 if verdict == "PASS" else 1
 
@@ -214,8 +209,8 @@ def _cmd_boundary(args, config) -> int:
         (args.lambda_min, args.lambda_max),
         args.count,
     )
-    with _output(args) as (stream, digits):
-        write_boundary_csv(points, stream, digits)
+    with _output(args) as stream:
+        write_boundary_csv(points, stream, args.digits)
     return 0
 
 
@@ -287,12 +282,8 @@ def main(argv=None) -> int:
                 print(json.dumps(config, sort_keys=True))
                 return 0
         # before any work, so that a bad value cannot cost a whole oracle table
-        digits = getattr(args, "digits", None)
-        if digits is not None:
-            if digits < 1:
-                raise DomainError(f"--digits must be >= 1, got {digits}")
-            # once here, not per cell: format() refuses a huge precision
-            args.digits = min(digits, MAX_DIGITS)
+        if hasattr(args, "digits"):
+            args.digits = _check_digits(args.digits, "--digits")
         return args.handler(args, config)
     except (DomainError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -111,20 +111,48 @@ class CurvePoint(NamedTuple):
     omega_delta: float
 
 
+def _critical_point(params: ModelParams) -> tuple[float | None, float | None]:
+    """(ratio, beta_c): ratio = omega0*Omega/G, None where G = 0 and +-inf
+    where it overflows a double, and beta_c as critical_inverse_temperature
+    returns it.
+
+    Both are formed from the frexp mantissas of omega0, Omega and G and
+    scaled back exactly, so that neither omega0*Omega, nor 2/Omega, nor a
+    ratio that underflows can spoil a result that fits in a double; where no
+    intermediate underflows or overflows, the bits are those of the unscaled
+    (2/Omega)*artanh(omega0*Omega/G).  A beta_c that overflows a double
+    raises ConvergenceError.
+    """
+    G = effective_coupling(params).G
+    if G == 0:
+        return None, None
+    (w0, a), (w, b), (g, c) = map(math.frexp, (params.omega0, params.Omega, G))
+    q, e = math.frexp(w0 * w / g)
+    e += a + b - c  # ratio == q * 2**e with 0.5 <= |q| < 1, so it overflows iff e > 1024
+    ratio = math.ldexp(q, e) if e <= 1024 else math.copysign(math.inf, q)
+    if G < 0 or ratio >= 1.0:
+        return ratio, None
+    # artanh(x) rounds to x below 2**-27, so a ratio below 2**-60 keeps its
+    # scale, and one that would underflow still gives beta_c
+    t, k = (math.atanh(ratio), 0) if e > -60 else (q, e)
+    try:
+        return ratio, math.ldexp((2.0 / w) * t, k - b)
+    except OverflowError:
+        raise ConvergenceError(f"beta_c = (2/Omega)*artanh(omega0*Omega/G) overflows a double "
+                               f"(omega0={params.omega0}, Omega={params.Omega}, G={G})") from None
+
+
 def critical_inverse_temperature(params: ModelParams) -> float | None:
     """Inverse critical temperature beta_c, or None if no finite transition.
 
     beta_c = (2/Omega)*artanh(omega0*Omega/G) whenever 0 < omega0*Omega/G < 1;
     for G <= 0 or omega0*Omega/G >= 1 the critical condition has no solution
     at any beta > 0 and None is returned (a normal outcome, not an error).
+    The value is accurate wherever it fits in a double, even where
+    omega0*Omega or 2/Omega does not; a beta_c that overflows raises
+    ConvergenceError.
     """
-    G = effective_coupling(params).G
-    if G <= 0:
-        return None
-    ratio = params.omega0 * params.Omega / G
-    if ratio >= 1.0:
-        return None
-    return (2.0 / params.Omega) * math.atanh(ratio)
+    return _critical_point(params)[1]
 
 
 def critical_coupling_zero_temperature(
@@ -139,17 +167,19 @@ def critical_coupling_zero_temperature(
 
     ``ratio`` is g2/g1 >= 0.  Raises DomainError when omega0*(Omega + lam)
     <= 0, i.e. lam <= -Omega, where no transition exists at any coupling.
+    The product is formed from frexp mantissas, so it cannot underflow.
     """
     ModelParams(omega0=omega0, Omega=Omega, g1=0.0, g2=0.0, lam=lam)  # validates the three
     if _check_real("ratio g2/g1", ratio) < 0:
         raise DomainError(f"ratio g2/g1 must be finite and nonnegative, got {ratio!r}")
-    product = omega0 * (Omega + lam)
-    if product <= 0:
+    if Omega + lam <= 0:
         raise DomainError(
-            f"omega0*(Omega + lambda) = {product} is not positive; "
+            f"omega0*(Omega + lambda) = {omega0 * (Omega + lam)} is not positive; "
             "no zero-temperature transition exists"
         )
-    return math.sqrt(product) / (1.0 + ratio)
+    (w0, a), (w, b), (d, c) = math.frexp(omega0), math.frexp(Omega + lam), math.frexp(1.0 + ratio)
+    # sqrt(x * 4**n) == sqrt(x) * 2**n exactly: an odd exponent moves one 2 into x
+    return math.ldexp(math.sqrt(math.ldexp(w0 * w, (a + b) % 2)) / d, (a + b) // 2 - c)
 
 
 def _gap_kernel(omega0, Omega, g1, g2, lam, beta):

@@ -6,16 +6,16 @@ back as a SweepTable: the kernel's arrays, one per column, read as a
 sequence of SweepRecords in row-major input order.  A single point is built
 by the same function, from 1-element input columns.  Numeric output uses the
 shortest round-trip decimal representation of each double, so a given grid
-spec always produces byte-identical files.  The CSV writer formats cells a
-column at a time over blocks of rows, and each distinct double once; a
-SweepTable's columns go to it as they are, other rows are transposed first.
-The bytes are those of formatting every cell on its own.  Sweep and oracle
-records are NamedTuples in column order, so each record is its printed row;
-an Enum cell, such as a phase, prints its value.
+spec always produces byte-identical files; ``digits`` rounds it instead, and
+every writer checks it the one way, through _check_digits.  The CSV writer
+formats a SweepTable a column at a time over blocks of rows, each distinct
+double once, and any other rows one cell at a time; the bytes are the same.
+Sweep and oracle records are NamedTuples in column order, so each record is
+its printed row; an Enum cell, such as a phase, prints its value.
 """
 
-import itertools
 import json
+import math
 import operator
 from collections.abc import Sequence
 from dataclasses import astuple, dataclass
@@ -33,6 +33,9 @@ if TYPE_CHECKING:
     from .exact import TruncationConfig
 
 MAX_GRID_POINTS = 10**7
+# the most significant digits in the exact decimal expansion of a double; as
+# "g" strips trailing zeros, any larger digits prints the same bytes
+MAX_DIGITS = 767
 
 # SweepRecord's fields in order, lam printed as lambda
 SWEEP_COLUMNS = CONFIG_KEYS + ("phase", "b0", "omega_delta", "f_diff")
@@ -237,7 +240,10 @@ def phase_boundary(
     count: int,
 ) -> list[tuple]:
     """(lambda, T_c) along a lambda scan; T_c is None past the endpoint
-    lambda = ((g1+g2)**2 - omega0*Omega)/omega0 where the transition dies."""
+    lambda = ((g1+g2)**2 - omega0*Omega)/omega0 where the transition dies.
+
+    A beta_c or T_c that overflows a double raises ConvergenceError naming
+    the lambda, as an invalid lambda raises DomainError."""
     if _check_count("count", count) > MAX_GRID_POINTS:
         raise DomainError(f"count is {count}, cap is {MAX_GRID_POINTS}")
     lo, hi = float(lambda_range[0]), float(lambda_range[1])
@@ -247,8 +253,10 @@ def phase_boundary(
     for i, lam in enumerate(np.linspace(lo, hi, count).tolist()):
         try:
             beta_c = critical_inverse_temperature(ModelParams(omega0, Omega, g1, g2, lam))
-        except DomainError as exc:
-            raise DomainError(f"lambda[{i}]={lam!r}: {exc}") from exc
+            if beta_c is not None and math.isinf(1.0 / beta_c):
+                raise ConvergenceError("T_c = 1/beta_c overflows a double")
+        except (DomainError, ConvergenceError) as exc:
+            raise type(exc)(f"lambda[{i}]={lam!r}: {exc}") from exc
         points.append((lam, None if beta_c is None else 1.0 / beta_c))
     return points
 
@@ -300,6 +308,18 @@ def oracle_table(
     return rows
 
 
+def _check_digits(digits, name: str = "digits") -> int | None:
+    """digits as the writers take it: None, or an int >= 1 (not a bool)
+    clamped to MAX_DIGITS, since format() refuses a huge precision."""
+    if digits is None:
+        return None
+    if isinstance(digits, bool) or not isinstance(digits, int):
+        raise DomainError(f"{name} must be an integer, got {digits!r}")
+    if digits < 1:
+        raise DomainError(f"{name} must be >= 1, got {digits}")
+    return min(digits, MAX_DIGITS)
+
+
 def _format_number(value: float, digits: int | None) -> str:
     # repr() of a float is its shortest round-trip decimal form
     if digits is None:
@@ -307,21 +327,21 @@ def _format_number(value: float, digits: int | None) -> str:
     return format(float(value), f".{digits}g")
 
 
-def _csv_column(cells, digits: int | None) -> list[str]:
-    """The CSV fields of one column: a float64 array, or a sequence of cells.
+def _csv_field(value, digits: int | None) -> str:
+    # float first: in a mixed column, such as boundary T_c, most cells are one
+    return (_format_number(value, digits) if isinstance(value, float) else "" if value is None
+            else str(value.value if isinstance(value, Enum) else value))
+
+
+def _csv_column(values: np.ndarray, digits: int | None) -> list[str]:
+    """The CSV fields of a float64 array, each distinct double formatted once.
 
     Doubles are keyed by bit pattern, so 0.0 and -0.0 (and NaN payloads) stay
-    apart, and each distinct double is formatted once; any other column is
-    formatted cell by cell.
+    apart.
     """
-    if isinstance(cells, np.ndarray) or set(map(type, cells)) == {float}:
-        values = np.asarray(cells)
-        _, first, inverse = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
-        fields = [_format_number(v, digits) for v in values[first].tolist()]
-        return np.array(fields, dtype=object)[inverse].tolist()
-    # float first: in a mixed column, such as boundary T_c, most cells are one
-    return [_format_number(v, digits) if isinstance(v, float) else "" if v is None
-            else str(v.value if isinstance(v, Enum) else v) for v in cells]
+    _, first, inverse = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
+    fields = [_format_number(v, digits) for v in values[first].tolist()]
+    return np.array(fields, dtype=object)[inverse].tolist()
 
 
 # the CSV fields of a SweepTable's phase flags
@@ -331,15 +351,18 @@ _PHASE_FIELDS = np.array([phase.value for phase in _PHASES], dtype=object)
 def _write_rows(stream, columns, rows, digits: int | None = None, fmt: str = "csv") -> None:
     """Write rows as CSV (a header, then one line per row) or as JSON lines.
 
-    A CSV cell is a float through _format_number, a str as is, an int through
-    str, an Enum as its value, and None as an empty field.  Cells are
-    formatted a column at a time over blocks of rows, and each distinct
-    double once.  A SweepTable's float columns go to the formatter as array
-    slices and its phase flags index their fields, so no record is built;
-    any other rows are transposed block by block.  A JSON line maps columns
-    to the row's values, an Enum again as its value; floats are rounded
-    through _format_number only when digits is set.
+    digits is checked by _check_digits before anything is written, and
+    rounds the floats of both formats through _format_number.  A CSV cell
+    is a float through _format_number, None as an empty field, an Enum as
+    its value, and anything else through str (_csv_field).  A SweepTable is
+    written a column at a time over blocks of rows: each float64 slice goes
+    to _csv_column, which formats each distinct double once, and the phase
+    flags index their fields, so no record is built.  Any other rows (record
+    lists, boundary points, oracle rows, generators) print one line per row,
+    cell by cell; both give the bytes of formatting every cell on its own.
+    A JSON line maps columns to the row's values, an Enum again as its value.
     """
+    digits = _check_digits(digits)
     if fmt == "json":
         for row in rows:
             if digits:
@@ -349,16 +372,14 @@ def _write_rows(stream, columns, rows, digits: int | None = None, fmt: str = "cs
             stream.write(json.dumps(dict(zip(columns, row)), default=lambda e: e.value) + "\n")
         return
     stream.write(",".join(columns) + "\n")
-    if isinstance(rows, SweepTable):
+    if not isinstance(rows, SweepTable):
+        for row in rows:
+            stream.write(",".join([_csv_field(v, digits) for v in row]) + "\n")
+        return
+    for start in range(0, len(rows), _CSV_CHUNK_ROWS):
         # the phase comes as its fields, an object array; every other column is float64
-        blocks = ([column.tolist() if column.dtype == object else _csv_column(column, digits)
-                   for column in rows._block(start, start + _CSV_CHUNK_ROWS, _PHASE_FIELDS)]
-                  for start in range(0, len(rows), _CSV_CHUNK_ROWS))
-    else:
-        rows = iter(rows)
-        chunks = iter(lambda: list(itertools.islice(rows, _CSV_CHUNK_ROWS)), [])
-        blocks = ([_csv_column(cells, digits) for cells in zip(*chunk)] for chunk in chunks)
-    for fields in blocks:
+        fields = [column.tolist() if column.dtype == object else _csv_column(column, digits)
+                  for column in rows._block(start, start + _CSV_CHUNK_ROWS, _PHASE_FIELDS)]
         stream.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 

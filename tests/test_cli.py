@@ -3,6 +3,8 @@
 import argparse
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ import pytest
 
 from dicke_dipole import cli
 from dicke_dipole.cli import main
-from dicke_dipole.sweep import MAX_GRID_POINTS
+from dicke_dipole.sweep import MAX_DIGITS, MAX_GRID_POINTS
 from oracles import mean_field_point
 
 TC_FLAGS = ["--omega0", "1", "--Omega", "1", "--g1", "0.6", "--g2", "0.6", "--lambda", "0"]
@@ -221,12 +223,12 @@ def test_digits_checked_before_any_work(tmp_path, capsys):
 
 def test_huge_digits_prints_the_longest_expansion(capsys):
     # the largest subnormal double has the longest exact decimal expansion,
-    # cli.MAX_DIGITS significant digits; "g" strips the zeros past it
+    # MAX_DIGITS significant digits; "g" strips the zeros past it
     x = 2.2250738585072009e-308
-    assert format(x, f".{cli.MAX_DIGITS - 1}g") != format(x, f".{cli.MAX_DIGITS}g")
-    assert format(x, f".{cli.MAX_DIGITS}g") == format(x, f".{2 * cli.MAX_DIGITS}g")
+    assert format(x, f".{MAX_DIGITS - 1}g") != format(x, f".{MAX_DIGITS}g")
+    assert format(x, f".{MAX_DIGITS}g") == format(x, f".{2 * MAX_DIGITS}g")
     # a precision format() refuses is clamped once, before any cell is formatted
-    expected = run(capsys, ["gap", *POINT_FLAGS, "--digits", str(cli.MAX_DIGITS)])
+    expected = run(capsys, ["gap", *POINT_FLAGS, "--digits", str(MAX_DIGITS)])
     assert expected[0] == 0 and expected[2] == ""
     assert run(capsys, ["gap", *POINT_FLAGS, "--digits", "100000000000"]) == expected
 
@@ -516,8 +518,9 @@ _GOLDEN_SWEEP_JSON = (
 )
 _GOLDEN_BOUNDARY = ("boundary --omega0 1 --Omega 1 --g1 0.6 --g2 0.6 "
                     "--lambda-min 0 --lambda-max 0.5 --count 3")
-_GOLDEN_ORACLE = ("oracle --omega0 1 --Omega 1 --g1 0.4 --g2 0.4 --lambda 0.1 --beta 1 "
-                  "--N 1,2 --n-max 8 --format json")
+_GOLDEN_ORACLE_CSV = ("oracle --omega0 1 --Omega 1 --g1 0.4 --g2 0.4 --lambda 0.1 --beta 1 "
+                      "--N 1,2 --n-max 8")
+_GOLDEN_ORACLE = f"{_GOLDEN_ORACLE_CSV} --format json"
 _GOLDEN_ORACLE_MF = '"f_diff_mf": 0.0, "b0_sq_mf": 0.0}\n'
 _GOLDEN_ORACLE_INF = ('{"N": "inf", "f_diff_exact": 0.0, "boson_occupation": 0.0, '
                       + _GOLDEN_ORACLE_MF)
@@ -575,13 +578,23 @@ GOLDEN = [
      '{"N": 1, "f_diff_exact": -0.1487, "boson_occupation": 0.731, ' + _GOLDEN_ORACLE_MF
      + '{"N": 2, "f_diff_exact": -0.07823, "boson_occupation": 0.3745, ' + _GOLDEN_ORACLE_MF
      + _GOLDEN_ORACLE_INF),
+    (_GOLDEN_ORACLE_CSV,
+     "N,f_diff_exact,boson_occupation,f_diff_mf,b0_sq_mf\n"
+     "1,-0.14872818419846046,0.7309969970072567,0.0,0.0\n"
+     "2,-0.07822549883514585,0.374462461990184,0.0,0.0\n"
+     "inf,0.0,0.0,0.0,0.0\n"),
+    (f"{_GOLDEN_ORACLE_CSV} --digits 4",
+     "N,f_diff_exact,boson_occupation,f_diff_mf,b0_sq_mf\n"
+     "1,-0.1487,0.731,0,0\n"
+     "2,-0.07823,0.3745,0,0\n"
+     "inf,0,0,0,0\n"),
 ]
 
 
 GOLDEN_IDS = [
     f"{name}{suffix}"
     for name in ("tc", "tc-no_transition", "gap", "free-energy", "sweep-csv", "sweep-json",
-                 "boundary", "oracle-json")
+                 "boundary", "oracle-json", "oracle-csv")
     for suffix in ("", "-digits")
 ]
 
@@ -595,3 +608,68 @@ def test_printed_formats_golden(command, expected, tmp_path, monkeypatch, capsys
         "fixed": {"omega0": 1.0, "Omega": 1.0, "g2": 0.6, "lambda": 0.0},
     }))
     assert run(capsys, command.split()) == (0, expected, "")
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
+    # every dicke-dipole example in the README's "Command line" block, run
+    # where the README's params.json and grid spec examples are written
+    monkeypatch.chdir(tmp_path)
+    text = README.read_text()
+    for block in re.findall(r"```json\n(.*?)```", text, re.S):
+        name = "grid.json" if "axis1" in json.loads(block) else "params.json"
+        (tmp_path / name).write_text(block)
+    examples = re.search(r"## Command line\n\n```sh\n(.*?)```", text, re.S).group(1)
+    commands = [shlex.split(line) for line in examples.replace("\\\n", " ").splitlines()
+                if line.startswith("dicke-dipole ")]
+    assert {argv[1] for argv in commands} == {
+        "tc", "gap", "free-energy", "sweep", "boundary", "oracle", "fermion-check"}
+    for argv in commands:
+        code, out, err = run(capsys, argv[1:])
+        assert code == 0, f"{shlex.join(argv)}: {err}"
+        assert argv[1] != "fermion-check" or out.startswith("PASS ")
+    assert (tmp_path / "pd.csv").read_text().startswith("omega0,Omega,g1,g2,lambda,beta,")
+
+
+# --- closed forms where an intermediate leaves the range of a double ------------
+
+def test_tc_where_omega0_omega_underflows(capsys):
+    flags = ["--omega0", "1e-200", "--Omega", "1e-200", "--g1", "1", "--g2", "0"]
+    code, out, err = run(capsys, ["tc", *flags, "--lambda", "0"])
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    # beta_c = 2*omega0/G to rounding; the ratio 1e-400 rounds to 0
+    assert payload["beta_c"] == pytest.approx(2e-200, rel=1e-15)
+    assert payload["T_c"] == pytest.approx(5e199, rel=1e-15)
+    assert payload["ratio"] == 0.0
+    code, out, err = run(capsys, ["boundary", *flags, "--lambda-min", "0", "--lambda-max", "1",
+                                  "--count", "3"])
+    assert (code, err) == (0, "")
+    assert [float(line.split(",")[1]) for line in out.splitlines()[1:]] == pytest.approx(
+        [5e199] * 3, rel=1e-15)
+
+
+def test_tc_where_two_over_omega_overflows(capsys):
+    code, out, _ = run(capsys, ["tc", "--omega0", "1", "--Omega", "1e-310", "--g1", "1",
+                                "--g2", "0", "--lambda", "0"])
+    assert code == 0
+    assert json.loads(out) == {"beta_c": 2.0, "T_c": 0.5, "ratio": 1e-310}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["tc", "--omega0", "1e-300", "--Omega", "1", "--g1", "1e5", "--g2", "0", "--lambda", "0"],
+     "error: T_c overflows a double\n"),
+    (["tc", "--omega0", "1", "--Omega", "1", "--g1", "0", "--g2", "0", "--lambda=-1e-320"],
+     "error: ratio overflows a double\n"),
+    (["tc", "--omega0", "1e12", "--Omega", "5e-324", "--g1", "1e-155", "--g2", "0",
+      "--lambda", "0"],
+     "error: beta_c = (2/Omega)*artanh(omega0*Omega/G) overflows a double "
+     "(omega0=1000000000000.0, Omega=5e-324, G=1e-310)\n"),
+    (["boundary", "--omega0", "1e-300", "--Omega", "1", "--g1", "1e5", "--g2", "0",
+      "--lambda-min", "0", "--lambda-max", "1", "--count", "3"],
+     "error: lambda[0]=0.0: T_c = 1/beta_c overflows a double\n"),
+], ids=["tc-T_c", "tc-ratio", "tc-beta_c", "boundary-T_c"])
+def test_printed_value_that_overflows_exits_3(capsys, argv, message):
+    assert run(capsys, argv) == (3, "", message)

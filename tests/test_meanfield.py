@@ -92,6 +92,48 @@ def test_beta_c_increases_with_lambda():
         assert b_hi is None or b_hi > b_lo
 
 
+# (omega0, Omega, g1, g2, lam) where omega0*Omega, 2/Omega or the ratio
+# omega0*Omega/G leaves the normal range of a double, but beta_c does not
+EXTREME_TRANSITIONS = [
+    (1e-200, 1e-200, 1.0, 0.0, 0.0),  # omega0*Omega and the ratio underflow to 0
+    (1.0, 1e-310, 1.0, 0.0, 0.0),  # 2/Omega overflows
+    (1e-300, 1.0, 1e5, 0.0, 0.0),  # the ratio and beta_c are subnormal
+    (1e-200, 1e-200, 1e-150, 0.0, 0.0),  # omega0*Omega underflows, the ratio does not
+    (3e-170, 2e-160, 0.0, 0.0, -7e-150),  # G = -omega0*lam is subnormal
+    (1e12, 2e-318, 1.5e-148, 0.0, 0.0),  # 2/Omega overflows, beta_c is near the largest double
+]
+
+
+def _within_ulps(got, want, ulps=4):
+    return abs(got - want) <= ulps * math.ulp(want)
+
+
+@pytest.mark.parametrize("args", EXTREME_TRANSITIONS)
+def test_beta_c_at_extreme_magnitudes_matches_mpmath(args):
+    mp = pytest.importorskip("mpmath")
+    params = ModelParams(*args)
+    with mp.workdps(60):
+        omega0, Omega, G = (mp.mpf(v) for v in (args[0], args[1], effective_coupling(params).G))
+        want = float(2 / Omega * mp.atanh(omega0 * Omega / G))
+    assert 0.0 < want < math.inf
+    assert _within_ulps(critical_inverse_temperature(params), want)
+
+
+def test_beta_c_agrees_with_the_gap_kernel_where_2_over_omega_overflows():
+    params = ModelParams(1.0, 1e-310, 1.0, 0.0, 0.0)
+    assert critical_inverse_temperature(params) == 2.0
+    assert solve_gap(params, Thermo(1.0)).phase is PhaseLabel.NORMAL
+    assert solve_gap(params, Thermo(3.0)).phase is PhaseLabel.SUPERRADIANT
+
+
+def test_beta_c_that_overflows_raises():
+    # ratio 0.049, but 2/Omega = 4e323
+    with pytest.raises(ConvergenceError, match="beta_c = .* overflows a double"):
+        critical_inverse_temperature(ModelParams(1e12, 5e-324, 1e-155, 0.0, 0.0))
+    # a ratio that overflows is no transition, not an error
+    assert critical_inverse_temperature(ModelParams(1.0, 1.0, 0.0, 0.0, -1e-320)) is None
+
+
 # --- zero-temperature critical coupling -----------------------------------
 
 def test_zero_temperature_coupling_known_value():
@@ -112,6 +154,23 @@ def test_zero_temperature_coupling_domain_errors():
     for bad in (True, math.nan, "1"):
         with pytest.raises(DomainError, match="ratio"):
             critical_coupling_zero_temperature(1.0, 1.0, 0.0, bad)
+
+
+@pytest.mark.parametrize("args", [
+    (1e-200, 1e-200, 0.0, 1.0),  # omega0*(Omega + lam) underflows to 0
+    (5e-324, 5e-324, 0.0, 0.0),  # g1_c is the least subnormal
+    (1.0, 1e-310, 0.0, 0.0),
+    (1e12, 1e12, 1e12, 0.0),
+    (1.0, 1.0, 0.0, 1.7e308),  # g1_c is subnormal
+    (1e-300, 1.0, -1.0 + 2**-52, 0.0),
+])
+def test_zero_temperature_coupling_at_extreme_magnitudes_matches_mpmath(args):
+    mp = pytest.importorskip("mpmath")
+    omega0, Omega, lam, ratio = args
+    with mp.workdps(60):
+        want = float(mp.sqrt(mp.mpf(omega0) * (mp.mpf(Omega) + lam)) / (1 + mp.mpf(ratio)))
+    assert 0.0 < want < math.inf
+    assert _within_ulps(critical_coupling_zero_temperature(*args), want)
 
 
 def _phase_flip_coupling(omega0, Omega, lam, ratio, beta=1e6):

@@ -36,6 +36,7 @@ from dicke_dipole import (
 )
 from dicke_dipole.sweep import (
     _CSV_CHUNK_ROWS,
+    MAX_DIGITS,
     MAX_GRID_POINTS,
     _ORACLE_COLUMNS,
     SWEEP_COLUMNS,
@@ -44,6 +45,7 @@ from dicke_dipole.sweep import (
     SweepTable,
     _write_rows,
     evaluate_point,
+    write_oracle_jsonl,
 )
 from dicke_dipole.meanfield import _free_energy_arrays, _gap_kernel
 from oracles import bisect_critical_beta, mean_field_point
@@ -491,6 +493,63 @@ def test_jsonl_writer_prints_an_enum_cell_as_its_value(digits):
         f'{{"phase": "superradiant", "x": {x}, "n": 2}}\n'
         '{"phase": "no_transition", "x": null, "n": 3}\n'
     )
+
+
+# --- the digits rule -------------------------------------------------------------
+
+def _every_writer():
+    """(writer, rows) for each public writer, on rows with floats to round."""
+    table = run_grid(_table_grid(4, 5))
+    boundary = phase_boundary(1, 1, 0.6, 0.6, (0.4, 0.5), 3)
+    oracle = [OracleRow(2, -0.123456789, 0.987654321, -0.1, 1 / 3),
+              OracleRow(None, -0.1, 1 / 3, -0.1, 1 / 3)]
+    return [(write_sweep_csv, table), (write_sweep_jsonl, table),
+            (write_sweep_csv, list(table)), (write_sweep_jsonl, list(table)),
+            (write_boundary_csv, boundary), (write_oracle_csv, oracle),
+            (write_oracle_jsonl, oracle)]
+
+
+@pytest.mark.parametrize("digits", [0, -1, True, 2.5, "3"])
+def test_every_writer_refuses_a_bad_digits_before_writing(digits):
+    for write, rows in _every_writer():
+        buffer = io.StringIO()
+        with pytest.raises(DomainError, match="^digits must be"):
+            write(rows, buffer, digits)
+        assert buffer.getvalue() == ""
+
+
+def test_every_writer_prints_a_huge_digits_as_max_digits():
+    # format() refuses a precision this large; the writers clamp it first
+    for write, rows in _every_writer():
+        outputs = []
+        for digits in (MAX_DIGITS, MAX_DIGITS + 1, 10**10):
+            buffer = io.StringIO()
+            write(rows, buffer, digits)
+            outputs.append(buffer.getvalue())
+        assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("digits", range(1, 18))
+def test_csv_and_json_lines_round_alike(digits):
+    table = run_grid(_table_grid(4, 5))
+    assert {r.phase for r in table} == {PhaseLabel.NORMAL, PhaseLabel.SUPERRADIANT}
+    outputs = []
+    for rows in (table, list(table)):
+        csv_text, jsonl_text = io.StringIO(), io.StringIO()
+        write_sweep_csv(rows, csv_text, digits)
+        write_sweep_jsonl(rows, jsonl_text, digits)
+        outputs.append((csv_text.getvalue(), jsonl_text.getvalue()))
+        csv_rows = [line.split(",") for line in csv_text.getvalue().splitlines()[1:]]
+        json_rows = [json.loads(line) for line in jsonl_text.getvalue().splitlines()]
+        assert len(csv_rows) == len(json_rows) == len(table)
+        for fields, mapping, record in zip(csv_rows, json_rows, table):
+            assert fields[6] == mapping["phase"] == record.phase.value
+            for field, column, value in zip(fields, SWEEP_COLUMNS, record):
+                if column != "phase":
+                    rounded = float(format(value, f".{digits}g"))
+                    assert float(field) == mapping[column] == rounded
+    # a table and the list of its records write the same bytes
+    assert outputs[0] == outputs[1]
 
 
 REFERENCE_CSV = (
