@@ -130,7 +130,7 @@ def _output(args):
 
 
 def _truncation(args, params, thermo):
-    """--n-max as the starting boson cutoff, else the seeded heuristic."""
+    """--n-max as the smallest boson cutoff tried, else the seeded heuristic."""
     # imported here, as in the fermion-check handler, so that the mean-field
     # commands never load SciPy
     from .exact import TruncationConfig
@@ -245,8 +245,13 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p_oracle)
     p_oracle.add_argument("--N", required=True, help="comma-separated atom counts, e.g. 2,4,6,8")
     p_oracle.add_argument("--n-max", dest="n_max", type=int,
-                          help="starting boson cutoff (default: seeded heuristic)")
-    p_oracle.add_argument("--tol", type=float, default=1e-8)
+                          help="the smallest boson cutoff tried (default: seeded heuristic); "
+                               "each row starts where the mean-field saddle point predicts, "
+                               "from this cutoff up to twice it")
+    p_oracle.add_argument("--tol", type=float, default=1e-8,
+                          help="absolute tolerance on each row's f_diff_exact and "
+                               "boson_occupation: a row's cutoff is the first whose bound on "
+                               "the truncation error of both is below it (default: 1e-8)")
     _add_output_flags(p_oracle, formats=True)
     p_oracle.set_defaults(handler=_cmd_oracle)
 

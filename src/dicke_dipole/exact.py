@@ -59,15 +59,26 @@ values than the count.  Where every block takes the full solve (all blocks
 small, or a high temperature), the sums are bit for bit those of the full
 spectra.
 
-One cutoff-doubling loop, _converged, serves free_energy_exact and the
-oracle table (sweep.oracle_table).  The starting cutoff never ends the loop,
-so it is solved for eigenvalues only; when <b'b> is wanted, every later
-level is solved with eigenvectors, and one thermal sum gives both ln Z and
-<b'b> at the level that converges.  Each solve checks its size where it
-starts, through _check_dim; the loop checks its starting level and the
-first doubling, which it always solves, before it solves either.
+One cutoff loop, _converged, serves free_energy_exact and the oracle table
+(sweep.oracle_table).  It starts where the mean-field saddle point predicts
+(_saddle_cutoff): the boson is displaced by sqrt(N) b0 and thermal, so its
+occupation is about N b0^2 plus 1/(exp(beta omega0) - 1), with a tail that
+the mean-field Boltzmann factor of each occupation widens at high
+temperature, and the start is the cutoff at which that tail is small
+enough, at least the given n_max and at most twice it.  With no eigenvectors wanted
+(free_energy_exact, in either basis), every level is solved for eigenvalues
+only, and the cutoff doubles until two levels agree to the tolerance.  When
+<b'b> is wanted (the oracle rows), each level is solved once, with
+eigenvectors, and certifies itself: the eigenvectors that give <b'b> also
+give the thermal weight on the top Fock levels, whose decay bounds the
+truncation error of both f and <b'b>/N (_tail_bound); the loop stops at the
+first level whose bound is below the tolerance, or else grows to the level
+where that decay predicts it will be, at most twice the last.  Each solve
+checks its size where it starts, through _check_dim; the loop checks its
+starting level and that level's doubling before it solves either.
 """
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -75,8 +86,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sparse
 
-from .errors import CommutationError, DimensionError, DomainError, HermiticityError, TruncationError
-from .model import ModelParams, Thermo, _check_count, _check_real
+from .errors import (CommutationError, ConvergenceError, DimensionError, DomainError,
+                     HermiticityError, TruncationError)
+from .model import ModelParams, Thermo, _check_count, _check_real, effective_coupling
 
 FULL_DIM_CAP = 30_000
 COLLECTIVE_DIM_CAP = 100_000
@@ -93,12 +105,26 @@ WINDOW_MIN_DIM = 256
 WINDOW_MAX_SHARE = 1 / 24
 WINDOW_MAX_SHARE_VECTORS = 1 / 6
 PIVOT_TOL = 2.0**-26
+# The boson cutoff's certificate (_tail_decay, _tail_bound): the thermal
+# weights on the top TAIL_LEVELS Fock levels give the tail's decay, and
+# weights at or below TAIL_FLOOR are rounding.  A predicted cutoff, from the
+# saddle point or from a measured tail, aims AIM_MARGIN times below the
+# tolerance, so that the level it names is seldom one short.
+TAIL_LEVELS = 5
+TAIL_FLOOR = 2.0**-70
+AIM_MARGIN = 10.0
 
 
 @dataclass(frozen=True)
 class TruncationConfig:
     """Boson Fock cutoff n_max (highest retained occupation) plus the
-    absolute free-energy tolerance used by the adaptive doubling loop."""
+    absolute tolerance of the adaptive cutoff loop.
+
+    A fixed-cutoff solve uses n_max as it is.  The adaptive loop
+    (free_energy_exact, the oracle table) tries no cutoff below n_max and
+    starts where the mean-field saddle point predicts, at most 2 n_max; tol
+    bounds how far two levels of free_energy_exact's doubling may differ,
+    and the truncation error of each oracle row's f and <b'b>/N."""
 
     n_max: int
     tol: float = 1e-8
@@ -109,7 +135,7 @@ class TruncationConfig:
 
     @classmethod
     def seeded(cls, params: ModelParams, thermo: Thermo, tol: float = 1e-8):
-        """Heuristic starting cutoff for the adaptive doubling loop.
+        """Heuristic smallest cutoff for the adaptive cutoff loop.
 
         Superradiant states displace the oscillator by O(sqrt(N)*g/omega0),
         and low beta populates the thermal tail, so seed with
@@ -191,10 +217,20 @@ def _parity_split(h, n_max: int, spin_dim: int):
     return blocks
 
 
+def _vector_sums(vecs, obs):
+    """sum_i |v_i|^2 obs_i for each eigenvector v (a column of vecs): one value
+    per eigenvector for a 1-d obs, one row per column of a 2-d obs, such as
+    the basis occupations and the indicators of the top Fock levels."""
+    weights = np.abs(vecs) ** 2
+    # elementwise, not a matrix product: NumPy's BLAS must not run among SciPy's solves
+    sums = [(weights * column[:, None]).sum(axis=0) for column in obs.reshape(len(obs), -1).T]
+    return sums[0] if obs.ndim == 1 else np.array(sums)
+
+
 def _block_eigh(a, occ):
     """Every eigenvalue of the sparse symmetric block a, read from its lower
-    triangle, and the <b'b> of each eigenvector when occ (the basis
-    occupations) is given."""
+    triangle, and the _vector_sums of the eigenvectors with occ (the basis
+    observables: occupations, or more columns) when occ is given."""
     # imported here, as scipy.sparse.linalg is in the solvers below, so that
     # fermion-check and build_full, which call none of them, load neither
     import scipy.linalg
@@ -214,7 +250,7 @@ def _block_eigh(a, occ):
     dense = np.zeros((size, size), dtype=data.dtype)
     dense[r, c] = data
     vals, vecs = scipy.linalg.eigh(dense, lower=True, driver="evd")
-    return vals, (np.abs(vecs) ** 2 * occ[:, None]).sum(axis=0)
+    return vals, _vector_sums(vecs, occ)
 
 
 def _lowest_ritz_value(a) -> float:
@@ -260,7 +296,7 @@ def _window_eigh(a, top, occ):
         return None
     count = int((pivots < 0).sum())
     if count == 0:
-        return np.empty(0), None if occ is None else np.empty(0)
+        return np.empty(0), None if occ is None else _vector_sums(np.empty((size, 0)), occ)
     if count > (WINDOW_MAX_SHARE if occ is None else WINDOW_MAX_SHARE_VECTORS) * size:
         return None
     inverse = splinalg.LinearOperator((size, size), matvec=lu.solve, dtype=float)
@@ -275,7 +311,7 @@ def _window_eigh(a, top, occ):
     # a value within rounding of top may have been counted on the wrong side
     if vals.shape != (count,) or not (vals < top - tiny).all():
         return None
-    return vals, None if occ is None else (np.abs(vecs) ** 2 * occ[:, None]).sum(axis=0)
+    return vals, None if occ is None else _vector_sums(vecs, occ)
 
 
 def _check_dim(what: str, dim: int, cap: int) -> int:
@@ -430,7 +466,8 @@ def build_collective(
     J^z = 2 S^z, and the dipole exchange enters as
     (lam/N) * (S^+ S^- - (N + 2 S^z)/2).
     """
-    vals, occupations, _ = _sector_spectrum(params, n_atoms, j, trunc.n_max, want_occupations)
+    vals, sums, _ = _sector_spectrum(params, n_atoms, j, trunc.n_max, want_occupations)
+    occupations = None if sums is None else sums[0]
     return SpectralData(vals, vals.size, "collective", n_atoms, trunc.n_max, float(j), occupations)
 
 
@@ -448,19 +485,24 @@ def _collective_hamiltonian(params, n_atoms, j, n_max):
 
 
 def _sector_spectrum(params, n_atoms, j, n_max, want_occupations, width=math.inf, top=math.inf):
-    """(ascending eigenvalues, occupations or None, top) of the spin-j
-    sector: each eigenpair below top, or all of them when width is infinite.
+    """(ascending eigenvalues, per-eigenvector sums or None, top) of the
+    spin-j sector: each eigenpair below top, or all of them when width is
+    infinite.
 
-    A parity block of at least WINDOW_MIN_DIM states is windowed (an
-    infinite top starts at its lowest Ritz value + width); any other, or one
-    the window cannot certify, is solved in full.  top falls to each solved
-    block's lowest eigenvalue + width and is returned for the next sector.
+    With want_occupations, row 0 of the sums holds each eigenvector's <b'b>,
+    and row 1 + i its weight on the Fock level n_max - i, for i below
+    TAIL_LEVELS.  A parity block of at least WINDOW_MIN_DIM states is
+    windowed (an infinite top starts at its lowest Ritz value + width); any
+    other, or one the window cannot certify, is solved in full.  top falls
+    to each solved block's lowest eigenvalue + width and is returned for the
+    next sector.
     """
     h = _collective_hamiltonian(params, n_atoms, j, n_max)
     _check_hermitian(h)
+    levels = n_max - np.arange(TAIL_LEVELS)
     parts = []
     for a, occ in _parity_split(h, n_max, round(2 * j) + 1):
-        occ = occ if want_occupations else None
+        occ = np.column_stack([occ, occ[:, None] == levels]) if want_occupations else None
         part = None
         if a.shape[0] >= WINDOW_MIN_DIM and math.isfinite(width):
             if math.isinf(top):
@@ -472,9 +514,9 @@ def _sector_spectrum(params, n_atoms, j, n_max, want_occupations, width=math.inf
             top = min(top, float(part[0].min()) + width)
         parts.append(part)
     vals = np.concatenate([v for v, _ in parts])
-    order = np.argsort(vals, kind="stable")  # occupations permuted alike
-    occupations = np.concatenate([o for _, o in parts])[order] if want_occupations else None
-    return vals[order], occupations, top
+    order = np.argsort(vals, kind="stable")  # the sums permuted alike
+    sums = np.concatenate([o for _, o in parts], axis=1)[:, order] if want_occupations else None
+    return vals[order], sums, top
 
 
 def sector_multiplicity(n_atoms: int, j) -> int:
@@ -506,17 +548,18 @@ class LogPartition:
 
 def _thermal_sums(sectors, beta):
     """(sum_k d exp(-beta (E_k - E_min)), E_min, the same sum weighted by
-    <b'b>_k) over (multiplicity d, ascending eigenvalues, occupations or
-    None) sectors; a sector without occupations adds nothing to the last."""
+    each row of the per-eigenvector sums) over (multiplicity d, ascending
+    eigenvalues, sums or None) sectors; a sector without sums adds nothing
+    to the last, which stays 0.0 when none has them."""
     e_min = min(float(vals[0]) for _, vals, _ in sectors if vals.size)
     shifted = 0.0
-    occupation = 0.0
-    for degeneracy, vals, occupations in sectors:
+    weighted = 0.0
+    for degeneracy, vals, sums in sectors:
         weights = np.exp(-beta * (vals - e_min))
         shifted += degeneracy * float(weights.sum())
-        if occupations is not None:
-            occupation += degeneracy * float((weights * occupations).sum())
-    return shifted, e_min, occupation
+        if sums is not None:
+            weighted = weighted + degeneracy * (weights * sums).sum(axis=-1)
+    return shifted, e_min, weighted
 
 
 def partition_function(spectral: SpectralData, thermo: Thermo) -> LogPartition:
@@ -550,10 +593,10 @@ def _check_level(n_atoms, n_max, basis="collective") -> None:
 
 
 def _check_cutoffs(n_atoms, n_max, basis="collective") -> None:
-    """Check the first two levels of the cutoff-doubling loop before either
-    is solved: DimensionError when the starting cutoff n_max fails a size
-    check, TruncationError when its doubling does, as the loop never ends at
-    its starting level."""
+    """Check the starting level n_max of the cutoff loop and its doubling
+    before either is solved: DimensionError when n_max fails a size check,
+    TruncationError when its doubling does.  The doubling loop never ends at
+    its starting level, and the certified loop may grow to its doubling."""
     _check_level(n_atoms, n_max, basis)
     try:
         _check_level(n_atoms, 2 * n_max, basis)
@@ -562,10 +605,32 @@ def _check_cutoffs(n_atoms, n_max, basis="collective") -> None:
                               f"its first doubling is refused: {exc}") from exc
 
 
+def _starting_cutoff(params, n_atoms, thermo, trunc, basis="collective") -> int:
+    """The checked level the cutoff loop starts at: the saddle-point cutoff
+    (_saddle_cutoff), or trunc.n_max when the size checks refuse that
+    level's doubling, so that every refusal is the one trunc.n_max gives.
+
+    trunc.n_max is checked first, and the atom count with it, before the
+    saddle point is formed; then _check_cutoffs checks the start and its
+    doubling.
+    """
+    _check_level(n_atoms, trunc.n_max, basis)
+    start = _saddle_cutoff(params, n_atoms, thermo, trunc)
+    if start > trunc.n_max:
+        try:
+            _check_level(n_atoms, 2 * start, basis)
+        except DimensionError:
+            start = trunc.n_max
+    _check_cutoffs(n_atoms, start, basis)
+    return start
+
+
 def _sector_sums(params, n_atoms, thermo, n_max, want_occupations=False):
-    """(ln Z, and <b'b>/N with want_occupations, else None) of the thermal
-    state over every spin sector at the cutoff n_max, from one sector pass
-    that solves each sector for at least each eigenpair below e_min + width.
+    """(ln Z, <b'b>/N, top weights) of the thermal state over every spin
+    sector at the cutoff n_max, from one sector pass that solves each sector
+    for at least each eigenpair below e_min + width; the last two are None
+    unless want_occupations.  The top weights are the thermal weights on the
+    Fock levels n_max, n_max - 1, ..., n_max - TAIL_LEVELS + 1 (_tail_decay).
 
     With width = (ln(n_max * sum_j d_j dim_j) + 53 ln 2) / beta, the states
     left out weigh less than 2^-53/n_max of Z, and as none holds more than
@@ -581,12 +646,135 @@ def _sector_sums(params, n_atoms, thermo, n_max, want_occupations=False):
     top = math.inf
     sectors = []
     for d, j in zip(multiplicities, spins):
-        vals, occupations, top = _sector_spectrum(
-            params, n_atoms, j, n_max, want_occupations, width, top)
-        sectors.append((d, vals, occupations))
-    shifted, e_min, occupation = _thermal_sums(sectors, beta)
-    return (math.log(shifted) - beta * e_min,
-            occupation / shifted / n_atoms if want_occupations else None)
+        vals, sums, top = _sector_spectrum(params, n_atoms, j, n_max, want_occupations, width, top)
+        sectors.append((d, vals, sums))
+    shifted, e_min, weighted = _thermal_sums(sectors, beta)
+    ln_z = math.log(shifted) - beta * e_min
+    if not want_occupations:
+        return ln_z, None, None
+    return ln_z, float(weighted[0]) / shifted / n_atoms, weighted[1:] / shifted
+
+
+def _tail_decay(top):
+    """(p, r) of a truncated thermal state: p estimates the weight on its
+    top Fock level n_max, and r the ratio by which the weights above it
+    fall per level, from top, the weights on the levels n_max, n_max - 1,
+    ..., n_max - TAIL_LEVELS + 1.
+
+    The top level and the one below it are depleted by the truncation, so r
+    is the largest of the ratios between the levels below, and p the larger
+    of the top weight and the weight below it times r.  r is not below 1
+    (no bound) where the weights still rise, or where one is zero below a
+    nonzero one.  Weights at or below TAIL_FLOOR cannot be told from the
+    eigenvectors' rounding: a level whose top weights all lie there is read
+    as a tail of weight TAIL_FLOOR that halves per level.
+    """
+    if top.max() <= TAIL_FLOOR:
+        return TAIL_FLOOR, 0.5
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = float((top[1:-1] / top[2:]).max())  # nan, from 0/0, gives no bound
+    return max(float(top[0]), float(top[1]) * r), r
+
+
+def _geometric_tail(n_max, p, r):
+    """(s, m) of a tail that weighs p at level n_max and falls by r per
+    level: its weight s = sum_i p r^i and its occupation
+    m = sum_i (n_max + i) p r^i, summed over i >= 0."""
+    if not r < 1.0:
+        return math.inf, math.inf
+    return p / (1.0 - r), p * (n_max / (1.0 - r) + r / (1.0 - r) ** 2)
+
+
+def _tail_bound(n_max, s, m, n_atoms, beta, omega0) -> float:
+    """A bound on the truncation errors of both f and <b'b>/N at the cutoff
+    n_max, where the thermal weight from the top level up is s and its
+    occupation m.
+
+    Cutting off a weight s moves ln Z by about s when the states cut off are
+    thermal, and by beta times their energy when they are the tail of a
+    displaced ground state, and each holds at least omega0 n_max boson
+    energy; so the error of f = -ln Z/(N beta) is taken as
+    (1 + beta omega0 n_max) s/(N beta).  <b'b> = -(1/beta) d ln Z/d omega0
+    and the weight of level n falls like exp(-beta omega0 n), which gives m
+    in place of s/beta for <b'b>/N.  The estimates are taken as the bound,
+    which leaves a constant margin of about 4: at the cutoffs 8 to 32 of
+    the points that tests/test_exact.py certifies (CERTIFIED_POINTS), with
+    N = 2, 6 and 12 and s and m from _tail_decay, the errors against a
+    cutoff 4x larger were at most 0.26 (f) and 0.2 (<b'b>/N) of them.
+    """
+    energy = 1.0 + beta * omega0 * n_max
+    return energy * max(s / (n_atoms * beta), m / n_atoms)
+
+
+def _next_cutoff(n_max, p, r, tol, n_atoms, beta, omega0) -> int:
+    """The cutoff after n_max: the first level above it at which the tail
+    (p, r) measured at n_max, continued at the same r, passes tol AIM_MARGIN
+    times over, but never more than 2 n_max."""
+    if r < 1.0:
+        for step in range(1, n_max + 1):
+            level = n_max + step
+            if AIM_MARGIN * _tail_bound(level, *_geometric_tail(level, p * r**step, r),
+                                        n_atoms, beta, omega0) < tol:
+                return level
+    return 2 * n_max
+
+
+def _saddle_cutoff(params, n_atoms, thermo, trunc) -> int:
+    """The starting cutoff that the mean-field saddle point predicts, in
+    [trunc.n_max, 2 trunc.n_max]; trunc.n_max when no saddle can be formed.
+
+    Two models of the boson occupation, and the larger weight of the two at
+    each level:
+      * at the saddle the boson is displaced by sqrt(N) b0 and thermal: a
+        Poisson count of mean N b0^2 plus a geometric one of mean
+        1/(exp(beta omega0) - 1), which holds the quantum width at low
+        temperature;
+      * each occupation n weighed by its mean-field Boltzmann factor,
+        exp(-beta omega0 n) (2 cosh(beta Omega_n/2))^N with
+        Omega_n^2 = Omega^2 + 4 K n/N, which peaks at the saddle's N b0^2
+        when K = G, and holds the heavy thermal tail that the coupling gives
+        at high temperature.  K = max(G, (g1 + g2)^2): lam < 0 keeps its
+        share of G, and at lam > 0 the bare coupling sets the tail at large n.
+    Both are summed up to 4 trunc.n_max.  The start is the smallest cutoff
+    at which their tail passes _tail_bound AIM_MARGIN times over.
+    """
+    # imported here, as the SciPy solvers are, so that importing exact
+    # stays as cheap as a fixed-cutoff solve needs
+    from .meanfield import solve_gap
+
+    n_max = trunc.n_max
+    try:
+        b0 = solve_gap(params, thermo).b0
+    except ConvergenceError:
+        return n_max
+    beta, omega0 = thermo.beta, params.omega0
+    mean = n_atoms * b0 * b0
+    x = math.exp(-beta * omega0)
+    gap = -math.expm1(-beta * omega0)  # 1 - x, without cancellation
+    if not (math.isfinite(mean) and gap > 0.0):
+        return n_max
+    k = np.arange(4 * n_max + 1)
+    if mean > 0.0:
+        ln_factorial = np.concatenate(([0.0], np.cumsum(np.log(k[1:]))))
+        poisson = np.exp(k * math.log(mean) - mean - ln_factorial)
+    else:
+        poisson = (k == 0).astype(float)
+    # the geometric part convolved in: q_k = x q_(k-1) + (1 - x) poisson_k
+    displaced = np.fromiter(itertools.accumulate(gap * poisson, lambda acc, t: x * acc + t),
+                            float, k.size)
+    total = params.g1 + params.g2
+    coupling = max(effective_coupling(params).G, total * total)
+    half_gaps = 0.5 * beta * np.sqrt(params.Omega**2 + (4.0 * coupling / n_atoms) * k)
+    ln_boltzmann = n_atoms * np.logaddexp(half_gaps, -half_gaps) - beta * omega0 * k
+    boltzmann = np.exp(ln_boltzmann - ln_boltzmann.max())
+    weights = np.maximum(displaced, boltzmann / boltzmann.sum())
+    s = np.cumsum(weights[::-1])[::-1]  # the weight from each level up
+    m = np.cumsum((k * weights)[::-1])[::-1]
+    for level in range(n_max, 2 * n_max):
+        if AIM_MARGIN * _tail_bound(level, float(s[level]), float(m[level]), n_atoms,
+                                    beta, omega0) < trunc.tol:
+            return level
+    return 2 * n_max
 
 
 def _ln_z_free(params, n_atoms, beta, n_max) -> float:
@@ -617,66 +805,74 @@ def free_energy_exact(
 ) -> ExactFreeEnergy:
     """Finite-N free energy per atom with adaptive boson cutoff.
 
-    Starting from trunc.n_max, the cutoff doubles until the free energy
-    moves by less than trunc.tol.  basis="collective" assembles Z as the
-    multiplicity-weighted sector sum; basis="full" uses the product basis
-    (both agree, which the tests assert).  Every level is solved for
+    The cutoff starts where the mean-field saddle point predicts
+    (_saddle_cutoff: N b0^2 plus the thermal occupation and their tail), at
+    least trunc.n_max and at most twice it, and doubles until the free
+    energy moves by less than trunc.tol.  basis="collective" assembles Z as
+    the multiplicity-weighted sector sum; basis="full" uses the product
+    basis (both agree, which the tests assert).  Every level is solved for
     eigenvalues only.  Each level is checked against COLLECTIVE_DIM_CAP (its
     largest sector) or FULL_DIM_CAP before it is assembled, and a collective
     level also against sector sums that overflow a double: DimensionError if
-    the starting cutoff fails a check, TruncationError if a doubling does.
-    The first doubling is checked with the starting cutoff, before either is
-    solved.
+    trunc.n_max fails a check, TruncationError if a doubling does.  The
+    start and its first doubling are checked before either is solved; a
+    start whose doubling is refused falls back to trunc.n_max.
     """
     return _converged(params, n_atoms, thermo, trunc, basis)[0]
 
 
 def _converged(params, n_atoms, thermo, trunc, basis="collective", want_occupations=False):
-    """(ExactFreeEnergy, <b'b>/N or None): the cutoff-doubling loop of
-    free_energy_exact, with the occupation at the converged cutoff on request.
+    """(ExactFreeEnergy, <b'b>/N or None): the cutoff loop of
+    free_energy_exact, with the occupation at the final cutoff on request.
 
-    The seed level trunc.n_max never ends the loop, so it is solved for
-    eigenvalues only.  With want_occupations (collective basis only: the
-    full basis gives None), every later level is solved with eigenvectors,
-    and one thermal sum gives both ln Z and <b'b>/N at the level that
-    converges: the occupation is bit for bit that of
-    thermal_boson_occupation at the returned n_max, while f may differ from
-    free_energy_exact's in its last bits, as the windows differ.  A loop
-    that needs more than one doubling solves its intermediate levels with
-    eigenvectors for nothing; the benchmark's oracle rows converge at the
-    first doubling.  Both the seed level and the first doubling are checked
-    (_check_cutoffs) before either is solved; the seed level's DimensionError
-    passes through, and a doubled level's becomes a TruncationError.
+    Both loops start at _starting_cutoff.  Without want_occupations, or in
+    the full basis (which gives None), every level is solved for eigenvalues
+    only, and the cutoff doubles until two levels agree to trunc.tol.  With
+    want_occupations in the collective basis, every level is solved once,
+    with eigenvectors, and certifies itself: the eigenvectors that give
+    <b'b> also give the thermal weights on the top Fock levels, and the loop
+    stops at the first level whose _tail_bound on the errors of both f and
+    <b'b>/N is below trunc.tol, or else grows to the level where the
+    measured decay of those weights predicts it will be (_next_cutoff), at
+    most twice the last.  One thermal sum gives ln Z and <b'b>/N at each
+    level: the occupation is bit for bit that of thermal_boson_occupation at
+    the returned n_max, while f may differ from free_energy_exact's, whose
+    cutoff and windows differ, within tol.  A level that fails a size check
+    raises TruncationError; the start and its doubling are checked before
+    either is solved.
     """
     if basis not in ("collective", "full"):
         raise DomainError(f"basis must be 'collective' or 'full', got {basis!r}")
-    _check_cutoffs(n_atoms, trunc.n_max, basis)
-
-    def level(n_max, occupations):
-        """(ln Z, <b'b>/N or None) at the cutoff n_max."""
-        if basis == "full":
-            return partition_function(build_full(params, n_atoms, TruncationConfig(n_max)), thermo).ln_z, None
-        return _sector_sums(params, n_atoms, thermo, n_max, occupations)
-
-    n_max = trunc.n_max
-    ln_z = level(n_max, False)[0]  # checks n_atoms before scale divides by it
+    n_next = _starting_cutoff(params, n_atoms, thermo, trunc, basis)
     scale = -1.0 / (n_atoms * thermo.beta)
-    f_prev = scale * ln_z
+    certify = want_occupations and basis == "collective"
+    n_max = f_prev = None
     while True:
         try:
-            ln_z, occupation = level(2 * n_max, want_occupations)
+            if basis == "full":
+                spectral = build_full(params, n_atoms, TruncationConfig(n_next))
+                ln_z, occupation, top = partition_function(spectral, thermo).ln_z, None, None
+            else:
+                ln_z, occupation, top = _sector_sums(params, n_atoms, thermo, n_next, certify)
         except DimensionError as exc:
             raise TruncationError(
                 f"free energy not stable to tol={trunc.tol:g} within the size limits "
                 f"(last n_max={n_max}, f={f_prev!r}): {exc}"
             ) from exc
-        n_max *= 2
-        f_next = scale * ln_z
-        if abs(f_next - f_prev) < trunc.tol:
+        n_max, f = n_next, scale * ln_z
+        if certify:
+            p, r = _tail_decay(top)
+            args = (n_atoms, thermo.beta, params.omega0)
+            if _tail_bound(n_max, *_geometric_tail(n_max, p, r), *args) < trunc.tol:
+                break
+            n_next = _next_cutoff(n_max, p, r, trunc.tol, *args)
+        elif f_prev is not None and abs(f - f_prev) < trunc.tol:
             break
-        f_prev = f_next
+        else:
+            n_next = 2 * n_max
+        f_prev = f
     f0 = scale * _ln_z_free(params, n_atoms, thermo.beta, n_max)
-    return ExactFreeEnergy(f_next - f0, f_next, n_max), occupation
+    return ExactFreeEnergy(f - f0, f, n_max), occupation
 
 
 def boson_occupation(spectral: SpectralData, thermo: Thermo) -> float:
@@ -688,7 +884,7 @@ def boson_occupation(spectral: SpectralData, thermo: Thermo) -> float:
         raise DomainError("spectral data was built without occupation expectations")
     shifted, _, occupation = _thermal_sums(
         [(1, spectral.eigenvalues, spectral.occupations)], thermo.beta)
-    return occupation / shifted / spectral.n_atoms
+    return float(occupation) / shifted / spectral.n_atoms
 
 
 def thermal_boson_occupation(

@@ -36,6 +36,7 @@ the products sqrt(lam)*r0 = lam*r0~, which stay real.
 """
 
 import math
+import sys
 from dataclasses import astuple, dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -43,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .model import ModelParams, Thermo, _check_real, effective_coupling
+from .model import ModelParams, Thermo, _check_real, _coupling, effective_coupling
 
 # Bisection relative tolerance on Omega_Delta.
 GAP_RTOL = 1e-13
@@ -197,7 +198,7 @@ def _gap_kernel(omega0, Omega, g1, g2, lam, beta):
     omega0, Omega, g1, g2, lam, beta = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (omega0, Omega, g1, g2, lam, beta))
     )
-    G = (g1 + g2) * (g1 + g2) - omega0 * lam
+    G = _coupling(omega0, Omega, g1, g2, lam)
     safe_G = np.where(G > 0, G, 1.0)
     half_beta = 0.5 * beta
 
@@ -216,7 +217,7 @@ def _gap_kernel(omega0, Omega, g1, g2, lam, beta):
     # that f_diff needs may overflow, and are rejected below
     with np.errstate(divide="ignore", over="ignore"):
         target = omega0 / safe_G
-        superradiant = (G > 0) & (np.tanh(half_beta * Omega) / Omega > target)
+        superradiant = (G > 0) & (_tanh_ratio(half_beta, Omega) > target)
         lo, hi = Omega, 2.0 * np.maximum(Omega, 1.0 / target)
         unbracketed = superradiant & ~np.isfinite(hi)
         if unbracketed.any():
@@ -247,6 +248,19 @@ def _gap_kernel(omega0, Omega, g1, g2, lam, beta):
     return superradiant, omega_delta, delta, b0, r0
 
 
+def _tanh_ratio(half_beta, Omega):
+    """tanh(half_beta*Omega)/Omega, the gap equation's left side at Omega.
+
+    Where half_beta*Omega is below the smallest normal double it is
+    half_beta: tanh(x)/Omega equals it to rounding there, while the product
+    underflows or loses bits.  Every other point keeps its bits.
+    """
+    x = half_beta * Omega
+    ratio = np.tanh(x) / Omega
+    np.copyto(ratio, half_beta, where=x < sys.float_info.min)
+    return ratio
+
+
 def _gap_excess(omega_delta, Omega):
     """(excess, e) with omega_delta**2 - Omega**2 == excess * 4.0**e, squared
     after an exact scaling by 2**-e: it rounds as the unscaled difference
@@ -266,7 +280,7 @@ def _free_energy_arrays(omega0, Omega, g1, g2, lam, beta, omega_delta, superradi
         return np.abs(x) + np.log1p(np.exp(-2.0 * np.abs(x)))
 
     ln_2cosh_x, ln_2cosh_omega = ln_2cosh(0.5 * beta * omega_delta), ln_2cosh(0.5 * beta * Omega)
-    G = np.where(superradiant, (g1 + g2) * (g1 + g2) - omega0 * lam, 1.0)
+    G = np.where(superradiant, _coupling(omega0, Omega, g1, g2, lam), 1.0)
     excess, e = _gap_excess(omega_delta, Omega)
     quad = np.ldexp(omega0 * excess / (4.0 * G), 2 * e)
     entropic = ((ln_2cosh_x - _LN2) - (ln_2cosh_omega - _LN2)) / beta

@@ -28,6 +28,7 @@ CONFIG_KEYS = ("omega0", "Omega", "g1", "g2", "lambda", "beta")
 
 # the least int whose float() overflows: it rounds up to 2**1024
 _INT_OVERFLOW = 2**1024 - 2**970
+_SMALLEST_DOUBLE = math.ulp(0.0)  # 2**-1074
 
 
 def _check_real(name, value, finite=True, positive=False):
@@ -132,13 +133,41 @@ def validate(params: ModelParams) -> ModelParams:
     return params
 
 
+def _any(flags) -> bool:
+    """Whether a bool, or any element of a NumPy bool array, is set."""
+    return bool(flags.any()) if hasattr(flags, "any") else flags
+
+
+def _coupling(omega0, Omega, g1, g2, lam):
+    """G = (g1 + g2)*(g1 + g2) - omega0*lam, for floats and NumPy arrays alike:
+    the one formula of G, so that the closed forms and the gap kernel always
+    see the same value.
+
+    DomainError where g1 + g2 > 0 but its square underflows to 0 (g1 + g2
+    below about 1.5e-162) and omega0*Omega is below the smallest positive
+    double: there G would read as no coupling, although a G that small gives
+    a transition (one exists iff G > omega0*Omega).  Where omega0*Omega is
+    not that small, no G below the smallest double gives one, and G = 0
+    gives the same normal phase.
+    """
+    total = g1 + g2
+    square = total * total
+    lost = (total > 0) & (square == 0)
+    if _any(lost) and _any(lost & (omega0 * Omega < _SMALLEST_DOUBLE)):
+        raise DomainError("G = (g1 + g2)**2 - omega0*lambda cannot be formed: (g1 + g2)**2 "
+                          "underflows to 0 although g1 + g2 > 0 and omega0*Omega is smaller still")
+    return square - omega0 * lam
+
+
 def effective_coupling(params: ModelParams) -> EffectiveCoupling:
     """Return G = (g1 + g2)**2 - omega0*lam, exactly in that form.
 
     G depends on the couplings only through g1 + g2 and may be negative,
     which signals that no superradiant transition exists downstream.
+    DomainError where (g1 + g2)**2 underflows to 0 although a transition
+    could hang on it (see _coupling).
     """
-    return EffectiveCoupling((params.g1 + params.g2) ** 2 - params.omega0 * params.lam)
+    return EffectiveCoupling(_coupling(*astuple(params)))
 
 
 def _check_mapping_keys(mapping) -> None:

@@ -283,20 +283,23 @@ def oracle_table(
 ) -> list[OracleRow]:
     """One row per finite N, in the order given, plus the N = infinity mean-field row.
 
-    Each finite-N row takes f_diff and <b'b>/N from the same converged
-    sector pass of the cutoff-doubling loop: the occupation is bit for bit
-    thermal_boson_occupation's at the converged cutoff, and f_diff agrees
-    with free_energy_exact's to rounding (1e-12).  An N given twice is
-    solved once and printed twice.  Every N is checked, its largest sector
-    at the starting cutoff and at its first doubling against the cap
-    included, before the first row is computed.
+    Each finite-N row takes f_diff and <b'b>/N from the same sector pass,
+    with eigenvectors, at a cutoff that certifies itself: it starts where
+    the mean-field saddle point predicts, from trunc.n_max up to twice it,
+    and the loop stops at the first level whose bound on the truncation
+    error of both values is below trunc.tol (exact._converged).  The
+    occupation is bit for bit thermal_boson_occupation's at that cutoff,
+    and f_diff agrees with free_energy_exact's to within trunc.tol.  An N
+    given twice is solved once and printed twice.  Every N is checked, its
+    largest sector at the starting cutoff and at its doubling against the
+    cap included, before the first row is computed.
     """
     # imported here, so that the mean-field commands never load SciPy
-    from .exact import _check_cutoffs, _converged
+    from .exact import _converged, _starting_cutoff
 
     n_list = list(n_list)
     for n_atoms in n_list:
-        _check_cutoffs(n_atoms, trunc.n_max)
+        _starting_cutoff(params, n_atoms, thermo, trunc)
     mf = evaluate_point(params_to_mapping(params, thermo))
     f_diff_mf, b0_sq = mf.f_diff, mf.b0 ** 2
     # the checks admit only ints, so equal keys are equal atom counts

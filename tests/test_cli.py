@@ -395,9 +395,9 @@ def test_oracle_table_golden(capsys):
     assert code == 0
     assert out == (
         "N,f_diff_exact,boson_occupation,f_diff_mf,b0_sq_mf\n"
-        "1,-0.148728184198,0.730996997007,0,0\n"
-        "2,-0.0782254988351,0.37446246199,0,0\n"
-        "3,-0.0531965374422,0.252306928279,0,0\n"
+        "1,-0.148728184198,0.730996996993,0,0\n"
+        "2,-0.0782254988344,0.374462461969,0,0\n"
+        "3,-0.0531965374418,0.252306928266,0,0\n"
         "inf,0,0,0,0\n"
     )
 
@@ -570,18 +570,18 @@ GOLDEN = [
     (f"{_GOLDEN_BOUNDARY} --digits 4",
      "lambda,T_c\n0,0.5838\n0.25,0.4091\n0.5,\n"),
     (_GOLDEN_ORACLE,
-     '{"N": 1, "f_diff_exact": -0.14872818419846046, '
-     '"boson_occupation": 0.7309969970072567, ' + _GOLDEN_ORACLE_MF
-     + '{"N": 2, "f_diff_exact": -0.07822549883514585, '
-     '"boson_occupation": 0.374462461990184, ' + _GOLDEN_ORACLE_MF + _GOLDEN_ORACLE_INF),
+     '{"N": 1, "f_diff_exact": -0.14872818419802658, '
+     '"boson_occupation": 0.7309969969934694, ' + _GOLDEN_ORACLE_MF
+     + '{"N": 2, "f_diff_exact": -0.07822549883444374, '
+     '"boson_occupation": 0.3744624619685052, ' + _GOLDEN_ORACLE_MF + _GOLDEN_ORACLE_INF),
     (f"{_GOLDEN_ORACLE} --digits 4",
      '{"N": 1, "f_diff_exact": -0.1487, "boson_occupation": 0.731, ' + _GOLDEN_ORACLE_MF
      + '{"N": 2, "f_diff_exact": -0.07823, "boson_occupation": 0.3745, ' + _GOLDEN_ORACLE_MF
      + _GOLDEN_ORACLE_INF),
     (_GOLDEN_ORACLE_CSV,
      "N,f_diff_exact,boson_occupation,f_diff_mf,b0_sq_mf\n"
-     "1,-0.14872818419846046,0.7309969970072567,0.0,0.0\n"
-     "2,-0.07822549883514585,0.374462461990184,0.0,0.0\n"
+     "1,-0.14872818419802658,0.7309969969934694,0.0,0.0\n"
+     "2,-0.07822549883444374,0.3744624619685052,0.0,0.0\n"
      "inf,0.0,0.0,0.0,0.0\n"),
     (f"{_GOLDEN_ORACLE_CSV} --digits 4",
      "N,f_diff_exact,boson_occupation,f_diff_mf,b0_sq_mf\n"
@@ -649,6 +649,30 @@ def test_tc_where_omega0_omega_underflows(capsys):
     assert (code, err) == (0, "")
     assert [float(line.split(",")[1]) for line in out.splitlines()[1:]] == pytest.approx(
         [5e199] * 3, rel=1e-15)
+
+
+def test_gap_where_beta_omega_underflows(capsys):
+    # beta*Omega/2 underflows on both sides of beta_c = 2e-200, where
+    # tanh(beta*Omega/2)/Omega is beta/2
+    flags = ["--omega0", "1e-200", "--Omega", "1e-200", "--g1", "1", "--g2", "0", "--lambda", "0"]
+    for beta, phase in (("1e-200", "normal"), ("1.9e-200", "normal"),
+                        ("2.1e-200", "superradiant"), ("3e-200", "superradiant")):
+        code, out, err = run(capsys, ["gap", *flags, "--beta", beta])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["phase"] == phase
+
+
+@pytest.mark.parametrize("command", ["tc", "gap"])
+def test_coupling_whose_square_underflows_exits_2(capsys, command):
+    # G = 1e-340 cannot be held, while omega0*Omega = 1e-400 is smaller still,
+    # so a transition hangs on it; omega0*Omega = 1 leaves none to lose
+    flags = ["--omega0", "1e-200", "--Omega", "1e-200", "--g1", "1e-170", "--g2", "0",
+             "--lambda", "0", "--beta", "1"]
+    code, out, err = run(capsys, [command, *flags])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: G = (g1 + g2)**2 - omega0*lambda cannot be formed: ")
+    flags[1] = flags[3] = "1"
+    assert run(capsys, ["tc", *flags]) == (0, '{"phase": "no_transition", "ratio": null}\n', "")
 
 
 def test_tc_where_two_over_omega_overflows(capsys):

@@ -10,6 +10,7 @@ import scipy.sparse as sparse
 
 from dicke_dipole import (
     CommutationError,
+    ConvergenceError,
     DimensionError,
     DomainError,
     HermiticityError,
@@ -29,7 +30,7 @@ from dicke_dipole import (
     solve_gap,
     thermal_boson_occupation,
 )
-from dicke_dipole import exact
+from dicke_dipole import exact, meanfield
 from dicke_dipole.exact import _sector_sums
 from oracles import (
     collective_hamiltonian,
@@ -730,13 +731,18 @@ def test_collective_solves_use_scipy_lapack_only(monkeypatch):
 
     monkeypatch.setattr(exact, "_block_eigh", block)
     monkeypatch.setattr(exact, "_window_eigh", window)
-    # the starting cutoff's blocks (under 256 states) take the banded solve;
-    # at the doubled one the j = 4 blocks are windowed and the rest dense
+    # free_energy_exact's eigenvalue-only levels (32 and 64 here) take the
+    # banded solve, the oracle row's level 42 the dense one, and at 84 the
+    # j = 4 blocks are windowed
     params, thermo = _bench_inputs(0)
+    free_energy_exact(params, 8, thermo, TruncationConfig(16))
+    assert paths == {"banded"}
     result, occupation = exact._converged(params, 8, thermo, TruncationConfig(42),
                                           want_occupations=True)
+    assert paths == {"banded", "dense"}
+    assert result.n_max == 42 and 0 < occupation < 42
+    thermal_boson_occupation(params, 8, thermo, TruncationConfig(84))
     assert paths == {"banded", "dense", "window"}
-    assert result.n_max == 84 and 0 < occupation < 84
 
 
 @functools.cache
@@ -781,20 +787,25 @@ def _count_sector_passes(monkeypatch):
 
 
 def test_oracle_rows_take_one_sector_pass_per_level(monkeypatch):
-    # each bench row converges at the first doubling: the seed level is
-    # solved for eigenvalues, the converged one once, with eigenvectors
+    # each bench row certifies the cutoff its saddle point starts at: one
+    # sector pass per N, with eigenvectors, and none for eigenvalues alone
     params, thermo = _bench_inputs(0)
+    trunc = TruncationConfig.seeded(params, thermo)
     n_table = (4, 8, 12, 16)
     calls = _count_sector_passes(monkeypatch)
-    rows = oracle_table(params, thermo, n_table, TruncationConfig.seeded(params, thermo))
-    assert calls == [False, True] * len(n_table)
+    rows = oracle_table(params, thermo, n_table, trunc)
+    assert calls == [True] * len(n_table)
     monkeypatch.undo()
     assert [row.n_atoms for row in rows[:-1]] == list(n_table)
     for row in rows[:-1]:
-        result, occupation = _separate_solves(0, row.n_atoms)
-        assert result.n_max == 2 * TruncationConfig.seeded(params, thermo).n_max
-        assert row.boson_occupation == occupation
-        assert row.f_diff == pytest.approx(result.f_diff, abs=1e-12)
+        result, occupation = exact._converged(params, row.n_atoms, thermo, trunc,
+                                              want_occupations=True)
+        assert result.n_max == exact._starting_cutoff(params, row.n_atoms, thermo, trunc)
+        assert row.f_diff == result.f_diff and row.boson_occupation == occupation
+        assert occupation == thermal_boson_occupation(
+            params, row.n_atoms, thermo, TruncationConfig(result.n_max))
+        assert row.f_diff == pytest.approx(_separate_solves(0, row.n_atoms)[0].f_diff,
+                                           abs=trunc.tol)
 
 
 def test_oracle_table_solves_each_distinct_n_once(monkeypatch):
@@ -815,17 +826,102 @@ def test_oracle_table_solves_each_distinct_n_once(monkeypatch):
     assert rows[:2] + rows[4:] == oracle_table(params, thermo, [2, 3, 1], trunc)
 
 
-def test_oracle_row_past_several_doublings(monkeypatch):
-    # the oracle golden case: 8 -> 16 -> 32 -> 64, every level past the seed
-    # solved with eigenvectors, the occupation that of the converged cutoff
-    params, thermo = ModelParams(1.0, 1.0, 0.4, 0.4, 0.1), Thermo(1.0)
-    calls = _count_sector_passes(monkeypatch)
-    rows = oracle_table(params, thermo, [1, 2, 3], TruncationConfig(8))
-    assert calls == [False, True, True, True] * 3
+def test_oracle_row_grows_to_the_predicted_cutoff(monkeypatch):
+    # the oracle golden case: the saddle point starts at 16, twice the given
+    # 8, whose tail is not certified; the decay measured there names the
+    # level that is, and the occupation is that of the final cutoff
+    params, thermo, trunc = ModelParams(1.0, 1.0, 0.4, 0.4, 0.1), Thermo(1.0), TruncationConfig(8)
+    levels = []
+    sector_sums = exact._sector_sums
+
+    def recorded(params, n_atoms, thermo, n_max, want_occupations=False):
+        levels.append((n_atoms, n_max, want_occupations))
+        return sector_sums(params, n_atoms, thermo, n_max, want_occupations)
+
+    monkeypatch.setattr(exact, "_sector_sums", recorded)
+    rows = oracle_table(params, thermo, [1, 2, 3], trunc)
     monkeypatch.undo()
-    for row in rows[:-1]:
-        result = free_energy_exact(params, row.n_atoms, thermo, TruncationConfig(8))
-        assert result.n_max == 64
+    assert levels == [(1, 16, True), (1, 31, True), (2, 16, True), (2, 31, True),
+                      (3, 16, True), (3, 32, True)]
+    for row, (_, n_max, _) in zip(rows, levels[1::2]):
         assert row.boson_occupation == thermal_boson_occupation(
-            params, row.n_atoms, thermo, TruncationConfig(64))
-        assert row.f_diff == pytest.approx(result.f_diff, abs=1e-12)
+            params, row.n_atoms, thermo, TruncationConfig(n_max))
+        result = free_energy_exact(params, row.n_atoms, thermo, trunc)
+        assert row.f_diff == pytest.approx(result.f_diff, abs=trunc.tol)
+
+
+def test_eigenvalue_only_loop_doubles_from_the_saddle_start(monkeypatch):
+    # free_energy_exact never solves for eigenvectors: it doubles from the
+    # saddle start until two levels agree, in either basis
+    params, thermo = _bench_inputs(0)
+    trunc = TruncationConfig.seeded(params, thermo)
+    calls = _count_sector_passes(monkeypatch)
+    start = exact._starting_cutoff(params, 20, thermo, trunc)
+    assert trunc.n_max < start < 2 * trunc.n_max  # N b0^2 = 18.4 moves it up
+    assert free_energy_exact(params, 20, thermo, trunc).n_max == 2 * start
+    assert calls == [False, False]
+    params, thermo = ModelParams(1.0, 1.0, 1.0, 1.0, 0.5), Thermo(5.0)
+    trunc = TruncationConfig.seeded(params, thermo)
+    start = exact._starting_cutoff(params, 4, thermo, trunc, "full")
+    full = free_energy_exact(params, 4, thermo, trunc, basis="full")
+    assert full.n_max == 2 * start
+    assert full.f == pytest.approx(free_energy_exact(params, 4, thermo, trunc).f, abs=1e-12)
+
+
+def test_saddle_start_falls_back_to_the_given_cutoff(monkeypatch):
+    params, thermo = _bench_inputs(0)
+    trunc = TruncationConfig.seeded(params, thermo)
+    assert exact._saddle_cutoff(params, 20, thermo, trunc) == 57
+    # a cap that admits the given cutoff's doubling but not the start's
+    monkeypatch.setattr(exact, "COLLECTIVE_DIM_CAP", 21 * 85)
+    assert exact._starting_cutoff(params, 20, thermo, trunc) == trunc.n_max
+    monkeypatch.undo()
+
+    def fails(*args):
+        raise ConvergenceError("no saddle")
+
+    monkeypatch.setattr(meanfield, "solve_gap", fails)
+    assert exact._saddle_cutoff(params, 20, thermo, trunc) == trunc.n_max
+    monkeypatch.undo()
+    # beta*omega0 underflows, so no thermal occupation can be formed
+    tiny = ModelParams(1e-300, 1.0, 0.1, 0.1, 0.0)
+    assert exact._saddle_cutoff(tiny, 2, Thermo(1e-300), TruncationConfig(6)) == 6
+    # a saddle occupation far past twice the cutoff starts at twice it
+    assert exact._saddle_cutoff(params, 400, thermo, TruncationConfig(10)) == 20
+
+
+def test_tail_weights_at_the_rounding_floor():
+    floor = exact.TAIL_FLOOR
+    # rounding noise that rises towards the top is no reason to grow
+    noise = np.array([3e-33, 1e-33, 4e-34, 1e-33, 2e-33])
+    assert exact._tail_decay(noise) == exact._tail_decay(np.zeros(5)) == (floor, 0.5)
+    s, m = exact._geometric_tail(40, floor, 0.5)
+    assert exact._tail_bound(40, s, m, 4, 5.0, 1.0) < 1e-15
+    # weights that still rise give no bound, nor does a zero under a weight
+    for rising in ([1e-3, 2e-3, 1e-3, 5e-4, 2e-4], [1e-3, 1e-4, 1e-5, 0.0, 0.0]):
+        p, r = exact._tail_decay(np.array(rising))
+        assert exact._geometric_tail(40, p, r) == (math.inf, math.inf)
+
+
+# The certificate's test points: both phases, g1 != g2, lam < 0, g2 = 0 (the
+# U(1) line), beta_c itself, and a slow geometric tail (omega0 = 0.3, beta = 1)
+CERTIFIED_POINTS = [
+    ((1.0, 1.0, 0.4, 0.4, 0.1), 0.5),
+    ((1.0, 1.0, 0.4, 0.4, 0.1), 1.0),
+    ((2.0, 0.5, 0.3, 0.6, -0.2), 0.7),
+    ((1.0, 1.0, 1.5, 0.0, 0.0), 5.0),
+    ((1.0, 1.0, 0.6, 0.6, 0.4), 3.932),
+    ((1.0, 1.0, 1.0, 1.0, 0.5), 5.0),
+    ((0.3, 1.0, 0.4, 0.2, 0.0), 1.0),
+]
+
+
+@pytest.mark.parametrize("n_atoms", [2, 6])
+@pytest.mark.parametrize("couplings, beta", CERTIFIED_POINTS)
+def test_certified_cutoff_is_within_tol_of_a_level_four_times_larger(couplings, beta, n_atoms):
+    params, thermo = ModelParams(*couplings), Thermo(beta)
+    trunc = TruncationConfig.seeded(params, thermo)
+    result, occupation = exact._converged(params, n_atoms, thermo, trunc, want_occupations=True)
+    ln_z, reference, _ = _sector_sums(params, n_atoms, thermo, 4 * result.n_max, True)
+    assert abs(result.f - (-ln_z / (n_atoms * beta))) < trunc.tol
+    assert abs(occupation - reference) < trunc.tol

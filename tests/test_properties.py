@@ -1,6 +1,7 @@
 """Property tests: the three finite-N engines agree, the fermionic trace
 identity holds, the mean-field solution is stationary, f_diff is never
-positive, and b0 never falls as beta grows."""
+positive, b0 never falls as beta grows, and the gap kernel is covariant
+under a power-of-two change of energy scale."""
 
 import math
 
@@ -24,6 +25,7 @@ from dicke_dipole import (
     solve_gap,
     stationary_residuals,
 )
+from dicke_dipole.meanfield import _free_energy_arrays, _gap_kernel
 from oracles import full_product_hamiltonian
 
 # fixed and derandomized, so tier-1 runs the same few examples every time
@@ -99,3 +101,29 @@ def test_fermionic_trace_identity_holds(p, n_atoms, n_max, beta):
 def test_stationary_residuals_vanish_at_the_solution(p, beta):
     thermo = Thermo(beta)
     assert stationary_residuals(p, thermo, solve_gap(p, thermo)).max_abs() < 1e-10
+
+
+@pytest.mark.parametrize("k", [-500, -300, 300, 500])
+def test_gap_kernel_is_scale_covariant_bit_for_bit(k):
+    # energies scale with the couplings: (2^k (omega0, Omega, g1, g2, lam),
+    # beta/2^k) gives 2^k Omega_Delta, Delta, f_diff and f0, and the same b0
+    # and phase, exactly while nothing leaves the normal double range (k even,
+    # so that sqrt(lam) scales exactly too); the kernel runs unvalidated, as
+    # these inputs pass the magnitude caps
+    rng = np.random.default_rng(abs(k))
+    size = 20_000
+    inputs = [rng.uniform(0.2, 2.0, size), rng.uniform(0.2, 2.0, size),
+              rng.uniform(0.0, 1.5, size), rng.uniform(0.0, 1.5, size),
+              rng.uniform(-1.0, 1.0, size)]
+    beta = np.exp(rng.uniform(math.log(0.05), math.log(50.0), size))
+    scale = 2.0**k
+    results = []
+    for energies, b in ((inputs, beta), ([scale * x for x in inputs], beta / scale)):
+        superradiant, omega_delta, delta, b0, _ = _gap_kernel(*energies, b)
+        f_diff, f0 = _free_energy_arrays(*energies, b, omega_delta, superradiant)
+        results.append((superradiant, omega_delta, delta, b0, f_diff, f0))
+    (sr, od, de, b0, fd, f0), (sr_k, od_k, de_k, b0_k, fd_k, f0_k) = results
+    assert 0.2 < sr.mean() < 0.8  # both phases are drawn
+    assert np.array_equal(sr_k, sr) and np.array_equal(b0_k, b0)
+    for unscaled, scaled in ((od, od_k), (de, de_k), (fd, fd_k), (f0, f0_k)):
+        assert np.array_equal(scaled, scale * unscaled)
