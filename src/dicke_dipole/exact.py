@@ -65,17 +65,19 @@ One cutoff loop, _converged, serves free_energy_exact and the oracle table
 occupation is about N b0^2 plus 1/(exp(beta omega0) - 1), with a tail that
 the mean-field Boltzmann factor of each occupation widens at high
 temperature, and the start is the cutoff at which that tail is small
-enough, at least the given n_max and at most twice it.  With no eigenvectors wanted
-(free_energy_exact, in either basis), every level is solved for eigenvalues
-only, and the cutoff doubles until two levels agree to the tolerance.  When
-<b'b> is wanted (the oracle rows), each level is solved once, with
-eigenvectors, and certifies itself: the eigenvectors that give <b'b> also
-give the thermal weight on the top Fock levels, whose decay bounds the
-truncation error of both f and <b'b>/N (_tail_bound); the loop stops at the
-first level whose bound is below the tolerance, or else grows to the level
-where that decay predicts it will be, at most twice the last.  Each solve
-checks its size where it starts, through _check_dim; the loop checks its
-starting level and that level's doubling before it solves either.
+enough, at least the given n_max and at most twice it.  In the collective
+basis each level is solved once, with eigenvectors, and certifies itself:
+the eigenvectors that give <b'b> also give the thermal weight on the top
+Fock levels, whose decay bounds the truncation error of both f and <b'b>/N
+(_tail_bound); the loop stops at the first level whose bound is below the
+tolerance, or else grows to the level where that decay predicts it will be,
+at most twice the last.  It stops at once when that predicted level fails a
+size check, or, where the top weights do not fall, when the saddle point's
+mean occupation does, as no level below it can be certified.  The full product basis, the independent oracle, is
+solved for eigenvalues only, and its cutoff doubles until two levels agree
+to the tolerance.  Each solve checks its size where it starts, through
+_check_dim; the loop checks its starting level and that level's doubling
+before it solves either.
 """
 
 import itertools
@@ -93,16 +95,18 @@ from .model import ModelParams, Thermo, _check_count, _check_real, effective_cou
 FULL_DIM_CAP = 30_000
 COLLECTIVE_DIM_CAP = 100_000
 MAX_ATOMS_FULL = 12
+# The bytes one thermal sector sum may need for its largest eigenvector
+# solve (_check_level): the dense half-size block of the j = N/2 sector.
+VECTOR_BYTE_BUDGET = 2**31
 HERMITICITY_TOL = 1e-12
 COMMUTATOR_TOL = 1e-12
-# Thermal-window sector solves.  A parity block of at least WINDOW_MIN_DIM
-# states is windowed when at most WINDOW_MAX_SHARE of it lies below the top,
-# or WINDOW_MAX_SHARE_VECTORS when eigenvectors are wanted: past those shares
-# the full solve (banded O(dim^2), dense eigh O(dim^3)) is the faster.  A
-# pivot within PIVOT_TOL of the largest |H - top| element, or an eigenvalue
-# that close below the top, sends the block to the full solve.
+# Thermal-window sector solves, which always want eigenvectors.  A parity
+# block of at least WINDOW_MIN_DIM states is windowed when at most
+# WINDOW_MAX_SHARE_VECTORS of it lies below the top: past that share the
+# full solve (dense eigh, O(dim^3)) is the faster.  A pivot within PIVOT_TOL
+# of the largest |H - top| element, or an eigenvalue that close below the
+# top, sends the block to the full solve.
 WINDOW_MIN_DIM = 256
-WINDOW_MAX_SHARE = 1 / 24
 WINDOW_MAX_SHARE_VECTORS = 1 / 6
 PIVOT_TOL = 2.0**-26
 # The boson cutoff's certificate (_tail_decay, _tail_bound): the thermal
@@ -123,8 +127,9 @@ class TruncationConfig:
     A fixed-cutoff solve uses n_max as it is.  The adaptive loop
     (free_energy_exact, the oracle table) tries no cutoff below n_max and
     starts where the mean-field saddle point predicts, at most 2 n_max; tol
-    bounds how far two levels of free_energy_exact's doubling may differ,
-    and the truncation error of each oracle row's f and <b'b>/N."""
+    bounds the truncation error of f and <b'b>/N at the level the
+    collective loop certifies, and how far two levels of the full basis's
+    doubling may differ."""
 
     n_max: int
     tol: float = 1e-8
@@ -269,8 +274,9 @@ def _lowest_ritz_value(a) -> float:
 
 
 def _window_eigh(a, top, occ):
-    """Every eigenpair of the sparse symmetric block a below top, or None
-    when the full solve must be used instead.
+    """(every eigenvalue of the sparse symmetric block a below top, the
+    _vector_sums of their eigenvectors with occ), or None when the full
+    solve must be used instead.
 
     H - top is factored once by SuperLU in natural order without pivoting,
     so its negative pivots count the eigenvalues below top (Sylvester's law
@@ -296,22 +302,20 @@ def _window_eigh(a, top, occ):
         return None
     count = int((pivots < 0).sum())
     if count == 0:
-        return np.empty(0), None if occ is None else _vector_sums(np.empty((size, 0)), occ)
-    if count > (WINDOW_MAX_SHARE if occ is None else WINDOW_MAX_SHARE_VECTORS) * size:
+        return np.empty(0), _vector_sums(np.empty((size, 0)), occ)
+    if count > WINDOW_MAX_SHARE_VECTORS * size:
         return None
     inverse = splinalg.LinearOperator((size, size), matvec=lu.solve, dtype=float)
     v0 = np.random.default_rng(0).standard_normal(size)
     try:
         # which="SA" on 1/(E - top): the most negative values are those below top
-        found = splinalg.eigsh(a, count, sigma=top, which="SA", OPinv=inverse, v0=v0,
-                               return_eigenvectors=occ is not None)
+        vals, vecs = splinalg.eigsh(a, count, sigma=top, which="SA", OPinv=inverse, v0=v0)
     except RuntimeError:  # ArpackError, no convergence included
         return None
-    vals, vecs = found if occ is not None else (found, None)
     # a value within rounding of top may have been counted on the wrong side
     if vals.shape != (count,) or not (vals < top - tiny).all():
         return None
-    return vals, None if occ is None else _vector_sums(vecs, occ)
+    return vals, _vector_sums(vecs, occ)
 
 
 def _check_dim(what: str, dim: int, cap: int) -> int:
@@ -491,9 +495,11 @@ def _sector_spectrum(params, n_atoms, j, n_max, want_occupations, width=math.inf
 
     With want_occupations, row 0 of the sums holds each eigenvector's <b'b>,
     and row 1 + i its weight on the Fock level n_max - i, for i below
-    TAIL_LEVELS.  A parity block of at least WINDOW_MIN_DIM states is
-    windowed (an infinite top starts at its lowest Ritz value + width); any
-    other, or one the window cannot certify, is solved in full.  top falls
+    TAIL_LEVELS.  A finite width, which only the thermal sums give and
+    always with want_occupations, windows each parity block of at least
+    WINDOW_MIN_DIM states (an infinite top starts at its lowest Ritz value +
+    width); any other, or one the window cannot certify, is solved in full,
+    banded without want_occupations and dense with it.  top falls
     to each solved block's lowest eigenvalue + width and is returned for the
     next sector.
     """
@@ -573,18 +579,30 @@ def _check_level(n_atoms, n_max, basis="collective") -> None:
 
     The full product basis checks the atom count and FULL_DIM_CAP.  The
     collective sectors check the atom count, then the largest sector,
-    j = N/2, at the cutoff n_max against COLLECTIVE_DIM_CAP, then that the
-    sector sums fit a double, before any spin or multiplicity is listed:
-    n_max 2^N (n_max+1) bounds every multiplicity d(N,j) <= 2^N, the shifted
-    sum (each state weighs at most 1) and the occupation-weighted sum; past
-    the largest double, d times a weight would raise OverflowError.
+    j = N/2, at the cutoff n_max against COLLECTIVE_DIM_CAP and its larger
+    parity block, about half of it, against VECTOR_BYTE_BUDGET, then that
+    the sector sums fit a double, before any spin or multiplicity is listed.
+    The block is solved densely with eigenvectors when its window fails, and
+    holds about six doubles per entry then: the matrix, eigh's copy that
+    becomes the vectors, dsyevd's work array (two) and _vector_sums'
+    weights.  n_max 2^N (n_max+1) bounds every multiplicity d(N,j) <= 2^N,
+    the shifted sum (each state weighs at most 1) and the occupation-weighted
+    sum; past the largest double, d times a weight would raise
+    OverflowError.
     """
     if basis == "full":
         _check_count("n_atoms", n_atoms, 1, MAX_ATOMS_FULL)
         _check_dim("full-product", 2**n_atoms * (n_max + 1), FULL_DIM_CAP)
         return
-    _check_dim("collective-sector", (_check_count("n_atoms", n_atoms) + 1) * (n_max + 1),
-               COLLECTIVE_DIM_CAP)
+    dim = _check_dim("collective-sector", (_check_count("n_atoms", n_atoms) + 1) * (n_max + 1),
+                     COLLECTIVE_DIM_CAP)
+    block = (dim + 1) // 2
+    if 6 * 8 * block * block > VECTOR_BYTE_BUDGET:
+        raise DimensionError(
+            f"the eigenvector solve at N={n_atoms}, n_max={n_max} needs about "
+            f"{6 * 8 * block * block} bytes for a block of {block} states, over the "
+            f"budget {VECTOR_BYTE_BUDGET}"
+        )
     if n_max * 2**n_atoms * (n_max + 1) >= sys.float_info.max:
         raise DimensionError(
             f"the sector sums at N={n_atoms}, n_max={n_max} overflow a double: "
@@ -594,9 +612,11 @@ def _check_level(n_atoms, n_max, basis="collective") -> None:
 
 def _check_cutoffs(n_atoms, n_max, basis="collective") -> None:
     """Check the starting level n_max of the cutoff loop and its doubling
-    before either is solved: DimensionError when n_max fails a size check,
-    TruncationError when its doubling does.  The doubling loop never ends at
-    its starting level, and the certified loop may grow to its doubling."""
+    before either is solved: DimensionError when n_max fails a size check
+    (VECTOR_BYTE_BUDGET included), TruncationError when its doubling does.
+    The full basis's doubling loop never ends at its starting level, and the
+    collective loop, which certifies each level from its eigenvectors, may
+    grow to its doubling."""
     _check_level(n_atoms, n_max, basis)
     try:
         _check_level(n_atoms, 2 * n_max, basis)
@@ -607,30 +627,33 @@ def _check_cutoffs(n_atoms, n_max, basis="collective") -> None:
 
 def _starting_cutoff(params, n_atoms, thermo, trunc, basis="collective") -> int:
     """The checked level the cutoff loop starts at: the saddle-point cutoff
-    (_saddle_cutoff), or trunc.n_max when the size checks refuse that
-    level's doubling, so that every refusal is the one trunc.n_max gives.
+    (_saddle_cutoff), lowered to the highest level whose doubling the size
+    checks admit, but not below trunc.n_max, so that every refusal is the
+    one trunc.n_max gives.
 
     trunc.n_max is checked first, and the atom count with it, before the
-    saddle point is formed; then _check_cutoffs checks the start and its
-    doubling.
+    saddle point is formed; the checks grow with the level, so the highest
+    level is bisected; then _check_cutoffs checks the start and its doubling.
     """
     _check_level(n_atoms, trunc.n_max, basis)
-    start = _saddle_cutoff(params, n_atoms, thermo, trunc)
-    if start > trunc.n_max:
+    low, high = trunc.n_max, _saddle_cutoff(params, n_atoms, thermo, trunc)
+    while low < high:
+        mid = (low + high + 1) // 2
         try:
-            _check_level(n_atoms, 2 * start, basis)
+            _check_level(n_atoms, 2 * mid, basis)
+            low = mid
         except DimensionError:
-            start = trunc.n_max
-    _check_cutoffs(n_atoms, start, basis)
-    return start
+            high = mid - 1
+    _check_cutoffs(n_atoms, low, basis)
+    return low
 
 
-def _sector_sums(params, n_atoms, thermo, n_max, want_occupations=False):
+def _sector_sums(params, n_atoms, thermo, n_max):
     """(ln Z, <b'b>/N, top weights) of the thermal state over every spin
     sector at the cutoff n_max, from one sector pass that solves each sector
-    for at least each eigenpair below e_min + width; the last two are None
-    unless want_occupations.  The top weights are the thermal weights on the
-    Fock levels n_max, n_max - 1, ..., n_max - TAIL_LEVELS + 1 (_tail_decay).
+    for at least each eigenpair below e_min + width, with eigenvectors.  The
+    top weights are the thermal weights on the Fock levels n_max,
+    n_max - 1, ..., n_max - TAIL_LEVELS + 1 (_tail_decay).
 
     With width = (ln(n_max * sum_j d_j dim_j) + 53 ln 2) / beta, the states
     left out weigh less than 2^-53/n_max of Z, and as none holds more than
@@ -646,12 +669,10 @@ def _sector_sums(params, n_atoms, thermo, n_max, want_occupations=False):
     top = math.inf
     sectors = []
     for d, j in zip(multiplicities, spins):
-        vals, sums, top = _sector_spectrum(params, n_atoms, j, n_max, want_occupations, width, top)
+        vals, sums, top = _sector_spectrum(params, n_atoms, j, n_max, True, width, top)
         sectors.append((d, vals, sums))
     shifted, e_min, weighted = _thermal_sums(sectors, beta)
     ln_z = math.log(shifted) - beta * e_min
-    if not want_occupations:
-        return ln_z, None, None
     return ln_z, float(weighted[0]) / shifted / n_atoms, weighted[1:] / shifted
 
 
@@ -706,17 +727,50 @@ def _tail_bound(n_max, s, m, n_atoms, beta, omega0) -> float:
     return energy * max(s / (n_atoms * beta), m / n_atoms)
 
 
-def _next_cutoff(n_max, p, r, tol, n_atoms, beta, omega0) -> int:
-    """The cutoff after n_max: the first level above it at which the tail
-    (p, r) measured at n_max, continued at the same r, passes tol AIM_MARGIN
-    times over, but never more than 2 n_max."""
-    if r < 1.0:
-        for step in range(1, n_max + 1):
-            level = n_max + step
-            if AIM_MARGIN * _tail_bound(level, *_geometric_tail(level, p * r**step, r),
-                                        n_atoms, beta, omega0) < tol:
-                return level
-    return 2 * n_max
+def _next_cutoff(n_max, p, r, tol, n_atoms, beta, omega0) -> int | None:
+    """The cutoff that the tail (p, r) measured at n_max predicts: the first
+    level above n_max at which that tail, continued at the same r, passes
+    tol AIM_MARGIN times over; None when r is not below 1.
+
+    The levels up to 2 n_max are tried one by one.  Past them the level
+    doubles until one passes and is then bisected down to one that passes
+    above one that does not; the bound is a polynomial in the level times
+    r^level, so it falls from some level on, and r^level reaches 0 within
+    about 2^63 levels."""
+    if not r < 1.0:
+        return None
+
+    def passes(level):
+        step = level - n_max
+        return AIM_MARGIN * _tail_bound(level, *_geometric_tail(level, p * r**step, r),
+                                        n_atoms, beta, omega0) < tol
+
+    for level in range(n_max + 1, 2 * n_max + 1):
+        if passes(level):
+            return level
+    low, high = 2 * n_max, 4 * n_max
+    while not passes(high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if passes(mid) else (mid, high)
+    return high
+
+
+def _saddle_occupation(params, n_atoms, thermo) -> int:
+    """The boson occupation at the mean-field saddle point, N b0^2 plus
+    1/(exp(beta omega0) - 1), rounded up and at most 2^62, which every size
+    check refuses; 0 when no saddle can be formed."""
+    from .meanfield import solve_gap
+
+    try:
+        b0 = solve_gap(params, thermo).b0
+    except ConvergenceError:
+        return 0
+    x = math.exp(-thermo.beta * params.omega0)
+    gap = -math.expm1(-thermo.beta * params.omega0)  # 1 - x, without cancellation
+    mean = n_atoms * b0 * b0 + (x / gap if gap > 0.0 else math.inf)
+    return math.ceil(min(mean, 2.0**62))
 
 
 def _saddle_cutoff(params, n_atoms, thermo, trunc) -> int:
@@ -807,70 +861,91 @@ def free_energy_exact(
 
     The cutoff starts where the mean-field saddle point predicts
     (_saddle_cutoff: N b0^2 plus the thermal occupation and their tail), at
-    least trunc.n_max and at most twice it, and doubles until the free
-    energy moves by less than trunc.tol.  basis="collective" assembles Z as
-    the multiplicity-weighted sector sum; basis="full" uses the product
-    basis (both agree, which the tests assert).  Every level is solved for
-    eigenvalues only.  Each level is checked against COLLECTIVE_DIM_CAP (its
-    largest sector) or FULL_DIM_CAP before it is assembled, and a collective
-    level also against sector sums that overflow a double: DimensionError if
-    trunc.n_max fails a check, TruncationError if a doubling does.  The
-    start and its first doubling are checked before either is solved; a
-    start whose doubling is refused falls back to trunc.n_max.
+    least trunc.n_max and at most twice it.  basis="collective" assembles Z
+    as the multiplicity-weighted sector sum, and solves each level once,
+    with eigenvectors: it stops at the first level whose thermal weight on
+    the top Fock levels bounds the truncation error of f below trunc.tol,
+    and is bit for bit the oracle table's row (_converged).  basis="full"
+    uses the product basis, the independent oracle, solved for eigenvalues
+    only; its cutoff doubles until the free energy moves by less than
+    trunc.tol.  Each level is checked against COLLECTIVE_DIM_CAP and
+    VECTOR_BYTE_BUDGET (its largest sector) or FULL_DIM_CAP before it is
+    assembled, and a collective level also against sector sums that
+    overflow a double: DimensionError if trunc.n_max fails a check,
+    TruncationError if a later level does.  The start and its first
+    doubling are checked before either is solved; a start whose doubling is
+    refused is lowered to the highest level whose doubling is not, but not
+    below trunc.n_max.
     """
     return _converged(params, n_atoms, thermo, trunc, basis)[0]
 
 
-def _converged(params, n_atoms, thermo, trunc, basis="collective", want_occupations=False):
+def _converged(params, n_atoms, thermo, trunc, basis="collective"):
     """(ExactFreeEnergy, <b'b>/N or None): the cutoff loop of
-    free_energy_exact, with the occupation at the final cutoff on request.
+    free_energy_exact and the oracle rows, with the occupation at the final
+    cutoff in the collective basis.
 
-    Both loops start at _starting_cutoff.  Without want_occupations, or in
-    the full basis (which gives None), every level is solved for eigenvalues
-    only, and the cutoff doubles until two levels agree to trunc.tol.  With
-    want_occupations in the collective basis, every level is solved once,
-    with eigenvectors, and certifies itself: the eigenvectors that give
-    <b'b> also give the thermal weights on the top Fock levels, and the loop
-    stops at the first level whose _tail_bound on the errors of both f and
-    <b'b>/N is below trunc.tol, or else grows to the level where the
-    measured decay of those weights predicts it will be (_next_cutoff), at
-    most twice the last.  One thermal sum gives ln Z and <b'b>/N at each
-    level: the occupation is bit for bit that of thermal_boson_occupation at
-    the returned n_max, while f may differ from free_energy_exact's, whose
-    cutoff and windows differ, within tol.  A level that fails a size check
-    raises TruncationError; the start and its doubling are checked before
-    either is solved.
+    Both bases start at _starting_cutoff.  In the full basis (which gives
+    None) every level is solved for eigenvalues only, and the cutoff doubles
+    until two levels agree to trunc.tol.  In the collective basis every
+    level is solved once, with eigenvectors, and certifies itself: the
+    eigenvectors that give <b'b> also give the thermal weights on the top
+    Fock levels, and the loop stops at the first level whose _tail_bound on
+    the errors of both f and <b'b>/N is below trunc.tol.  Otherwise the
+    measured decay of those weights predicts the level that will be
+    certified (_next_cutoff); the loop grows to it, at most twice the last,
+    or doubles where the weights do not decay.  It raises TruncationError at
+    once when the predicted level fails a size check, or, where the weights
+    do not decay, when the saddle point's mean occupation does
+    (_saddle_occupation): no level below it is certified.  One thermal sum
+    gives ln Z and <b'b>/N at each level: the occupation is bit for bit that
+    of thermal_boson_occupation at the returned n_max.  A level that fails a
+    size check raises TruncationError; the start and its doubling are
+    checked before either is solved.
     """
     if basis not in ("collective", "full"):
         raise DomainError(f"basis must be 'collective' or 'full', got {basis!r}")
     n_next = _starting_cutoff(params, n_atoms, thermo, trunc, basis)
     scale = -1.0 / (n_atoms * thermo.beta)
-    certify = want_occupations and basis == "collective"
-    n_max = f_prev = None
+    args = (n_atoms, thermo.beta, params.omega0)
+    n_max = f = None
+
+    def refused(exc, why=""):
+        return TruncationError(
+            f"free energy not stable to tol={trunc.tol:g} within the size limits "
+            f"(last n_max={n_max}, f={f!r}){why}: {exc}"
+        )
+
     while True:
+        f_prev = f
         try:
             if basis == "full":
                 spectral = build_full(params, n_atoms, TruncationConfig(n_next))
-                ln_z, occupation, top = partition_function(spectral, thermo).ln_z, None, None
+                ln_z, occupation = partition_function(spectral, thermo).ln_z, None
             else:
-                ln_z, occupation, top = _sector_sums(params, n_atoms, thermo, n_next, certify)
+                ln_z, occupation, top = _sector_sums(params, n_atoms, thermo, n_next)
         except DimensionError as exc:
-            raise TruncationError(
-                f"free energy not stable to tol={trunc.tol:g} within the size limits "
-                f"(last n_max={n_max}, f={f_prev!r}): {exc}"
-            ) from exc
+            raise refused(exc) from exc
         n_max, f = n_next, scale * ln_z
-        if certify:
-            p, r = _tail_decay(top)
-            args = (n_atoms, thermo.beta, params.omega0)
-            if _tail_bound(n_max, *_geometric_tail(n_max, p, r), *args) < trunc.tol:
+        if basis == "full":
+            if f_prev is not None and abs(f - f_prev) < trunc.tol:
                 break
-            n_next = _next_cutoff(n_max, p, r, trunc.tol, *args)
-        elif f_prev is not None and abs(f - f_prev) < trunc.tol:
-            break
-        else:
             n_next = 2 * n_max
-        f_prev = f
+            continue
+        p, r = _tail_decay(top)
+        if _tail_bound(n_max, *_geometric_tail(n_max, p, r), *args) < trunc.tol:
+            break
+        level = _next_cutoff(n_max, p, r, trunc.tol, *args)
+        if level is not None:
+            floor, why = level, f"its tail predicts a certified cutoff at n_max={level}"
+        else:  # no decay to continue, but a certified level lies above the mean
+            floor = _saddle_occupation(params, n_atoms, thermo)
+            why = f"its top weights do not fall, and the saddle point's mean occupation is {floor}"
+        try:
+            _check_level(n_atoms, floor)
+        except DimensionError as exc:
+            raise refused(exc, f"; {why}") from exc
+        n_next = 2 * n_max if level is None else min(level, 2 * n_max)
     f0 = scale * _ln_z_free(params, n_atoms, thermo.beta, n_max)
     return ExactFreeEnergy(f - f0, f, n_max), occupation
 
@@ -892,7 +967,7 @@ def thermal_boson_occupation(
 ) -> float:
     """<b'b>/N of the full thermal state, assembled from collective sectors
     with their multiplicities at the fixed cutoff trunc.n_max."""
-    return _sector_sums(params, n_atoms, thermo, trunc.n_max, want_occupations=True)[1]
+    return _sector_sums(params, n_atoms, thermo, trunc.n_max)[1]
 
 
 def _fermion_site_ops():

@@ -289,7 +289,7 @@ def oracle_table(
     and the loop stops at the first level whose bound on the truncation
     error of both values is below trunc.tol (exact._converged).  The
     occupation is bit for bit thermal_boson_occupation's at that cutoff,
-    and f_diff agrees with free_energy_exact's to within trunc.tol.  An N
+    and f_diff is bit for bit free_energy_exact's.  An N
     given twice is solved once and printed twice.  Every N is checked, its
     largest sector at the starting cutoff and at its doubling against the
     cap included, before the first row is computed.
@@ -303,7 +303,7 @@ def oracle_table(
     mf = evaluate_point(params_to_mapping(params, thermo))
     f_diff_mf, b0_sq = mf.f_diff, mf.b0 ** 2
     # the checks admit only ints, so equal keys are equal atom counts
-    solved = {n_atoms: _converged(params, n_atoms, thermo, trunc, want_occupations=True)
+    solved = {n_atoms: _converged(params, n_atoms, thermo, trunc)
               for n_atoms in dict.fromkeys(n_list)}
     rows = [OracleRow(n_atoms, solved[n_atoms][0].f_diff, solved[n_atoms][1], f_diff_mf, b0_sq)
             for n_atoms in n_list]

@@ -289,6 +289,48 @@ def test_oracle_refuses_an_n_whose_first_doubling_fails(capsys, monkeypatch):
                    "n_max * 2^N * (n_max+1) is not below 1.79769e+308\n")
 
 
+@pytest.mark.parametrize("budget, code, message", [
+    (3071, 2, "error: the eigenvector solve at N=2, n_max=4 needs about 3072 bytes for a "
+              "block of 8 states, over the budget 3071\n"),
+    (3072, 3, "error: no converged cutoff from n_max=4: its first doubling is refused: the "
+              "eigenvector solve at N=2, n_max=8 needs about 9408 bytes for a block of 14 "
+              "states, over the budget 3072\n"),
+])
+def test_oracle_past_the_eigenvector_budget_exits_2_or_3(capsys, monkeypatch, budget, code, message):
+    from dicke_dipole import exact
+
+    monkeypatch.setattr(exact, "VECTOR_BYTE_BUDGET", budget)
+    monkeypatch.setattr(exact, "_hamiltonian", lambda *args: pytest.fail("a level was assembled"))
+    assert run(capsys, ["oracle", *POINT_FLAGS, "--N", "2", "--n-max", "4"]) == (code, "", message)
+
+
+@pytest.mark.parametrize("g1, reason", [
+    # the weights still rise at the top, towards the saddle's N b0^2 = 4949
+    ("0.1", "its top weights do not fall, and the saddle point's mean occupation is 5949: "
+            "the eigenvector solve at N=2, n_max=5949 needs about"),
+    # the normal phase: a thermal tail that falls by 1e-3 per level
+    ("0.01", "its tail predicts a certified cutoff at n_max=41079: "
+             "collective-sector dimension 123240 exceeds the cap"),
+])
+def test_nearly_classical_boson_exits_3_before_any_large_solve(capsys, monkeypatch, g1, reason):
+    # beta omega0 = 1e-3: no cutoff within the size limits holds the boson,
+    # which is refused after the first level instead of doubling to the caps
+    from dicke_dipole import exact
+
+    assembled = []
+    hamiltonian = exact._hamiltonian
+    monkeypatch.setattr(exact, "_hamiltonian", lambda params, n_atoms, n_max, *ops: (
+        assembled.append(n_max) or hamiltonian(params, n_atoms, n_max, *ops)))
+    code, out, err = run(capsys, ["oracle", "--omega0", "1e-3", "--Omega", "1", "--g1", g1,
+                                  "--g2", "0", "--lambda", "0", "--beta", "1",
+                                  "--N", "2", "--n-max", "4"])
+    assert code == 3 and out == ""
+    assert err.startswith("error: free energy not stable to tol=1e-08 within the size limits "
+                          "(last n_max=8, f=")
+    assert reason in err
+    assert max(assembled) == 8
+
+
 @pytest.mark.parametrize("exc, message", [
     (MemoryError(), "error: out of memory\n"),
     (MemoryError("Unable to allocate 7.6 GiB"),

@@ -1,6 +1,7 @@
 """Finite-N diagonalization: bases, partition sums, fermionic identity."""
 
 import functools
+import itertools
 import math
 import tracemalloc
 
@@ -402,12 +403,16 @@ def test_free_energy_sector_sum_matches_full_basis():
 
 
 def test_free_energy_exact_basis_options_agree():
+    # the collective loop certifies its level and the full one doubles, so
+    # the two stop at different cutoffs: the collective f is checked against
+    # the full product basis at its own cutoff, and the full loop's f within tol
     thermo = Thermo(1.5)
     trunc = TruncationConfig(6)
     a = free_energy_exact(P_MIXED, 2, thermo, trunc, basis="collective")
     b = free_energy_exact(P_MIXED, 2, thermo, trunc, basis="full")
-    assert a.f == pytest.approx(b.f, rel=1e-12)
-    assert a.n_max == b.n_max
+    ln_z = partition_function(build_full(P_MIXED, 2, TruncationConfig(a.n_max)), thermo).ln_z
+    assert a.f == pytest.approx(-ln_z / (2 * thermo.beta), rel=1e-12)
+    assert abs(a.f - b.f) < trunc.tol
 
 
 def test_free_energy_exact_truncation_error(monkeypatch):
@@ -415,6 +420,9 @@ def test_free_energy_exact_truncation_error(monkeypatch):
     hamiltonian = exact._hamiltonian
     monkeypatch.setattr(exact, "_hamiltonian", lambda params, n_atoms, n_max, *ops: (
         assembled.append(n_max) or hamiltonian(params, n_atoms, n_max, *ops)))
+    # top weights that never fall predict no level, so the collective loop
+    # doubles as the full one does, until a doubling fails a size check
+    monkeypatch.setattr(exact, "_tail_decay", lambda top: (1.0, 1.0))
     # the largest collective sector (j = 1) holds 3 spin states, the full basis 4
     for basis, cap, spin_dim in (("collective", "COLLECTIVE_DIM_CAP", 3),
                                  ("full", "FULL_DIM_CAP", 4)):
@@ -654,27 +662,29 @@ def test_window_falls_back_when_it_cannot_certify(monkeypatch):
     size = a.shape[0]
     vals = np.sort(exact._block_eigh(a, None)[0])
     top = 0.5 * (vals[9] + vals[10])
-    assert exact._window_eigh(a, top, None)[0].shape == (10,)
-    # more than WINDOW_MAX_SHARE of the block below the top
-    assert exact._window_eigh(a, 0.5 * (vals[size // 8] + vals[size // 8 + 1]), None) is None
+    assert exact._window_eigh(a, top, occ)[0].shape == (10,)
+    # more than WINDOW_MAX_SHARE_VECTORS of the block below the top
+    share = int(exact.WINDOW_MAX_SHARE_VECTORS * size) + 1
+    assert exact._window_eigh(a, 0.5 * (vals[share] + vals[share + 1]), occ) is None
     # a top on an eigenvalue of a diagonal block gives a zero pivot
-    diag, _ = _parity_block((1.0, 0.5, 0.0, 0.0, 0.3), 12, 6, 60)
-    assert exact._window_eigh(diag, float(np.sort(diag.diagonal())[5]), None) is None
+    diag, diag_occ = _parity_block((1.0, 0.5, 0.0, 0.0, 0.3), 12, 6, 60)
+    assert exact._window_eigh(diag, float(np.sort(diag.diagonal())[5]), diag_occ) is None
     # a tiny first pivot, though no level lies near the top (10.5)
     levels = np.arange(400.0)
     levels[0] = 10.5 + 1e-12
     coupled = sparse.diags(levels) + sparse.coo_matrix(([1.0, 1.0], ([0, 1], [1, 0])), shape=(400, 400))
-    assert exact._window_eigh(coupled.tocsc(), 10.5, None) is None
+    assert exact._window_eigh(coupled.tocsc(), 10.5, levels) is None
 
     eigsh = splinalg.eigsh
     for damage in (lambda w: w[1:],  # Lanczos misses an eigenvalue
                    lambda w: np.where(w == w.max(), top + 1.0, w),  # or finds one above the top
                    lambda w: np.where(w == w.max(), top - 1e-15, w)):  # or one at the top
-        monkeypatch.setattr(
-            splinalg, "eigsh",
-            lambda *args, damage=damage, **kwargs: damage(eigsh(*args, **kwargs)),
-        )
-        assert exact._window_eigh(a, top, None) is None
+        def damaged(*args, damage=damage, **kwargs):
+            vals, vecs = eigsh(*args, **kwargs)
+            return damage(vals), vecs
+
+        monkeypatch.setattr(splinalg, "eigsh", damaged)
+        assert exact._window_eigh(a, top, occ) is None
 
 
 def _full_path(monkeypatch, fn, *args):
@@ -687,9 +697,11 @@ def _full_path(monkeypatch, fn, *args):
 def test_window_holding_every_state_is_the_full_solve(monkeypatch, beta):
     # the window's top lies above every level, so every block is solved in full
     thermo, n_max = Thermo(beta), 60
-    for fn, args in ((_sector_sums, (P_MIXED, 12, thermo, n_max)),
-                     (thermal_boson_occupation, (P_MIXED, 12, thermo, TruncationConfig(n_max)))):
-        assert fn(*args) == _full_path(monkeypatch, fn, *args)
+    args = (P_MIXED, 12, thermo, n_max)
+    (ln_z, occupation, top), full = _sector_sums(*args), _full_path(monkeypatch, _sector_sums, *args)
+    assert (ln_z, occupation) == full[:2] and np.array_equal(top, full[2])
+    args = (P_MIXED, 12, thermo, TruncationConfig(n_max))
+    assert thermal_boson_occupation(*args) == _full_path(monkeypatch, thermal_boson_occupation, *args)
 
 
 def test_window_falls_back_bit_identically(monkeypatch):
@@ -731,15 +743,15 @@ def test_collective_solves_use_scipy_lapack_only(monkeypatch):
 
     monkeypatch.setattr(exact, "_block_eigh", block)
     monkeypatch.setattr(exact, "_window_eigh", window)
-    # free_energy_exact's eigenvalue-only levels (32 and 64 here) take the
-    # banded solve, the oracle row's level 42 the dense one, and at 84 the
-    # j = 4 blocks are windowed
+    # build_collective's eigenvalues alone take the banded solve, the cutoff
+    # loop's level 42 (free_energy_exact and the oracle row alike) the dense
+    # one, and at 84 the j = 4 blocks are windowed
     params, thermo = _bench_inputs(0)
-    free_energy_exact(params, 8, thermo, TruncationConfig(16))
+    build_collective(params, 8, 4, TruncationConfig(64))
     assert paths == {"banded"}
-    result, occupation = exact._converged(params, 8, thermo, TruncationConfig(42),
-                                          want_occupations=True)
+    assert free_energy_exact(params, 8, thermo, TruncationConfig(42)).n_max == 42
     assert paths == {"banded", "dense"}
+    result, occupation = exact._converged(params, 8, thermo, TruncationConfig(42))
     assert result.n_max == 42 and 0 < occupation < 42
     thermal_boson_occupation(params, 8, thermo, TruncationConfig(84))
     assert paths == {"banded", "dense", "window"}
@@ -774,13 +786,13 @@ def test_window_matches_full_path_on_bench_inputs(monkeypatch, seed):
 
 
 def _count_sector_passes(monkeypatch):
-    """A list that records the want_occupations flag of each _sector_sums call from now on."""
+    """A list that records the (N, n_max) of each _sector_sums call from now on."""
     calls = []
     sector_sums = exact._sector_sums
 
-    def counted(params, n_atoms, thermo, n_max, want_occupations=False):
-        calls.append(want_occupations)
-        return sector_sums(params, n_atoms, thermo, n_max, want_occupations)
+    def counted(params, n_atoms, thermo, n_max):
+        calls.append((n_atoms, n_max))
+        return sector_sums(params, n_atoms, thermo, n_max)
 
     monkeypatch.setattr(exact, "_sector_sums", counted)
     return calls
@@ -788,18 +800,17 @@ def _count_sector_passes(monkeypatch):
 
 def test_oracle_rows_take_one_sector_pass_per_level(monkeypatch):
     # each bench row certifies the cutoff its saddle point starts at: one
-    # sector pass per N, with eigenvectors, and none for eigenvalues alone
+    # sector pass per N, with eigenvectors
     params, thermo = _bench_inputs(0)
     trunc = TruncationConfig.seeded(params, thermo)
     n_table = (4, 8, 12, 16)
     calls = _count_sector_passes(monkeypatch)
     rows = oracle_table(params, thermo, n_table, trunc)
-    assert calls == [True] * len(n_table)
     monkeypatch.undo()
+    assert calls == [(n, exact._starting_cutoff(params, n, thermo, trunc)) for n in n_table]
     assert [row.n_atoms for row in rows[:-1]] == list(n_table)
     for row in rows[:-1]:
-        result, occupation = exact._converged(params, row.n_atoms, thermo, trunc,
-                                              want_occupations=True)
+        result, occupation = exact._converged(params, row.n_atoms, thermo, trunc)
         assert result.n_max == exact._starting_cutoff(params, row.n_atoms, thermo, trunc)
         assert row.f_diff == result.f_diff and row.boson_occupation == occupation
         assert occupation == thermal_boson_occupation(
@@ -831,41 +842,62 @@ def test_oracle_row_grows_to_the_predicted_cutoff(monkeypatch):
     # 8, whose tail is not certified; the decay measured there names the
     # level that is, and the occupation is that of the final cutoff
     params, thermo, trunc = ModelParams(1.0, 1.0, 0.4, 0.4, 0.1), Thermo(1.0), TruncationConfig(8)
-    levels = []
-    sector_sums = exact._sector_sums
-
-    def recorded(params, n_atoms, thermo, n_max, want_occupations=False):
-        levels.append((n_atoms, n_max, want_occupations))
-        return sector_sums(params, n_atoms, thermo, n_max, want_occupations)
-
-    monkeypatch.setattr(exact, "_sector_sums", recorded)
+    levels = _count_sector_passes(monkeypatch)
     rows = oracle_table(params, thermo, [1, 2, 3], trunc)
     monkeypatch.undo()
-    assert levels == [(1, 16, True), (1, 31, True), (2, 16, True), (2, 31, True),
-                      (3, 16, True), (3, 32, True)]
-    for row, (_, n_max, _) in zip(rows, levels[1::2]):
+    assert levels == [(1, 16), (1, 31), (2, 16), (2, 31), (3, 16), (3, 32)]
+    for row, (_, n_max) in zip(rows, levels[1::2]):
         assert row.boson_occupation == thermal_boson_occupation(
             params, row.n_atoms, thermo, TruncationConfig(n_max))
         result = free_energy_exact(params, row.n_atoms, thermo, trunc)
-        assert row.f_diff == pytest.approx(result.f_diff, abs=trunc.tol)
+        assert row.f_diff == result.f_diff and result.n_max == n_max
 
 
-def test_eigenvalue_only_loop_doubles_from_the_saddle_start(monkeypatch):
-    # free_energy_exact never solves for eigenvectors: it doubles from the
-    # saddle start until two levels agree, in either basis
+def test_full_basis_loop_doubles_from_the_saddle_start(monkeypatch):
+    # the full product basis, the independent oracle, has no eigenvectors to
+    # certify a level: it doubles from the saddle start until two levels agree
+    params, thermo = ModelParams(1.0, 1.0, 1.0, 1.0, 0.5), Thermo(5.0)
+    trunc = TruncationConfig.seeded(params, thermo)
+    levels = []
+    build = exact.build_full
+    monkeypatch.setattr(exact, "build_full", lambda params, n_atoms, trunc: (
+        levels.append(trunc.n_max) or build(params, n_atoms, trunc)))
+    calls = _count_sector_passes(monkeypatch)
+    start = exact._starting_cutoff(params, 4, thermo, trunc, "full")
+    full = free_energy_exact(params, 4, thermo, trunc, basis="full")
+    assert levels == [start, 2 * start] and full.n_max == 2 * start
+    assert calls == []
+    monkeypatch.undo()
+    ln_z = _sector_sums(params, 4, thermo, full.n_max)[0]
+    assert full.f == pytest.approx(-ln_z / (4 * thermo.beta), abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_free_energy_exact_certifies_the_bench_start_in_one_pass(monkeypatch, seed):
+    # the ed_oracle draws at N = 20: one sector pass, with eigenvectors, at
+    # the saddle start, which holds f to tol against a level 4x larger
+    params, thermo = _bench_inputs(seed)
+    trunc = TruncationConfig.seeded(params, thermo)
+    start = exact._starting_cutoff(params, 20, thermo, trunc)
+    assert trunc.n_max < start < 2 * trunc.n_max  # N b0^2 = 18.4 moves it up
+    calls = _count_sector_passes(monkeypatch)
+    result = free_energy_exact(params, 20, thermo, trunc)
+    monkeypatch.undo()
+    assert calls == [(20, start)] and result.n_max == start
+    ln_z = _sector_sums(params, 20, thermo, 4 * start)[0]
+    assert abs(result.f - (-ln_z / (20 * thermo.beta))) < trunc.tol
+
+
+def test_free_energy_exact_is_the_oracle_row_bit_for_bit(monkeypatch):
     params, thermo = _bench_inputs(0)
     trunc = TruncationConfig.seeded(params, thermo)
     calls = _count_sector_passes(monkeypatch)
-    start = exact._starting_cutoff(params, 20, thermo, trunc)
-    assert trunc.n_max < start < 2 * trunc.n_max  # N b0^2 = 18.4 moves it up
-    assert free_energy_exact(params, 20, thermo, trunc).n_max == 2 * start
-    assert calls == [False, False]
-    params, thermo = ModelParams(1.0, 1.0, 1.0, 1.0, 0.5), Thermo(5.0)
-    trunc = TruncationConfig.seeded(params, thermo)
-    start = exact._starting_cutoff(params, 4, thermo, trunc, "full")
-    full = free_energy_exact(params, 4, thermo, trunc, basis="full")
-    assert full.n_max == 2 * start
-    assert full.f == pytest.approx(free_energy_exact(params, 4, thermo, trunc).f, abs=1e-12)
+    rows = oracle_table(params, thermo, (4, 8, 12, 16), trunc)
+    monkeypatch.undo()
+    row_cutoffs = dict(calls)  # the last level solved for each N
+    for row in rows[:-1]:
+        result = free_energy_exact(params, row.n_atoms, thermo, trunc)
+        assert result.f_diff == row.f_diff and result.n_max == row_cutoffs[row.n_atoms]
 
 
 def test_saddle_start_falls_back_to_the_given_cutoff(monkeypatch):
@@ -875,6 +907,10 @@ def test_saddle_start_falls_back_to_the_given_cutoff(monkeypatch):
     # a cap that admits the given cutoff's doubling but not the start's
     monkeypatch.setattr(exact, "COLLECTIVE_DIM_CAP", 21 * 85)
     assert exact._starting_cutoff(params, 20, thermo, trunc) == trunc.n_max
+    # one between them lowers the start to the highest level whose doubling
+    # it admits, 2 * 50 + 1 states a spin state
+    monkeypatch.setattr(exact, "COLLECTIVE_DIM_CAP", 21 * 102)
+    assert exact._starting_cutoff(params, 20, thermo, trunc) == 50
     monkeypatch.undo()
 
     def fails(*args):
@@ -888,6 +924,41 @@ def test_saddle_start_falls_back_to_the_given_cutoff(monkeypatch):
     assert exact._saddle_cutoff(tiny, 2, Thermo(1e-300), TruncationConfig(6)) == 6
     # a saddle occupation far past twice the cutoff starts at twice it
     assert exact._saddle_cutoff(params, 400, thermo, TruncationConfig(10)) == 20
+
+
+@pytest.mark.parametrize("p, r", [(0.1, 0.999), (1e-3, 0.9), (exact.TAIL_FLOOR, 0.5)])
+def test_predicted_cutoff_is_the_first_level_that_passes(p, r):
+    # past 2 n_max the level is found by doubling and bisection; it must be
+    # the one a scan level by level finds
+    n_max, tol, args = 8, 1e-8, (2, 1.0, 1e-3)
+
+    def passes(level):
+        tail = exact._geometric_tail(level, p * r ** (level - n_max), r)
+        return exact.AIM_MARGIN * exact._tail_bound(level, *tail, *args) < tol
+
+    first = next(level for level in itertools.count(n_max + 1) if passes(level))
+    assert exact._next_cutoff(n_max, p, r, tol, *args) == first
+    assert exact._next_cutoff(n_max, p, 1.0, tol, *args) is None
+
+
+def test_eigenvector_budget_is_checked_before_any_level_is_solved(monkeypatch):
+    # the j = 1 sector at N = 2, n_max = 4 holds 15 states, so its larger
+    # parity block holds 8 and its eigenvector solve about 6 * 8 * 8^2 bytes
+    monkeypatch.setattr(exact, "VECTOR_BYTE_BUDGET", 6 * 8 * 8**2 - 1)
+    # the full basis solves no eigenvectors and has no byte budget
+    free_energy_exact(P_MIXED, 2, Thermo(1.0), TruncationConfig(4), basis="full")
+    monkeypatch.setattr(exact, "_hamiltonian", lambda *args: pytest.fail("a level was assembled"))
+    refused = "the eigenvector solve at N=2, n_max=4 needs about 3072 bytes for a block of 8 states"
+    for solve in (free_energy_exact, thermal_boson_occupation):
+        with pytest.raises(DimensionError, match=refused):
+            solve(P_MIXED, 2, Thermo(1.0), TruncationConfig(4))
+    with pytest.raises(DimensionError, match=refused):
+        oracle_table(P_MIXED, Thermo(1.0), [2], TruncationConfig(4))
+    # a budget that admits n_max = 4 but not its doubling, 14 states a block
+    monkeypatch.setattr(exact, "VECTOR_BYTE_BUDGET", 6 * 8 * 8**2)
+    with pytest.raises(TruncationError, match="from n_max=4: its first doubling is refused: "
+                       "the eigenvector solve at N=2, n_max=8 needs about 9408 bytes"):
+        free_energy_exact(P_MIXED, 2, Thermo(1.0), TruncationConfig(4))
 
 
 def test_tail_weights_at_the_rounding_floor():
@@ -921,7 +992,7 @@ CERTIFIED_POINTS = [
 def test_certified_cutoff_is_within_tol_of_a_level_four_times_larger(couplings, beta, n_atoms):
     params, thermo = ModelParams(*couplings), Thermo(beta)
     trunc = TruncationConfig.seeded(params, thermo)
-    result, occupation = exact._converged(params, n_atoms, thermo, trunc, want_occupations=True)
-    ln_z, reference, _ = _sector_sums(params, n_atoms, thermo, 4 * result.n_max, True)
+    result, occupation = exact._converged(params, n_atoms, thermo, trunc)
+    ln_z, reference, _ = _sector_sums(params, n_atoms, thermo, 4 * result.n_max)
     assert abs(result.f - (-ln_z / (n_atoms * beta))) < trunc.tol
     assert abs(occupation - reference) < trunc.tol
