@@ -130,7 +130,8 @@ def _output(args):
 
 
 def _truncation(args, params, thermo):
-    """--n-max as the smallest boson cutoff tried, else the seeded heuristic."""
+    """--n-max, else the seeded heuristic: the oracle's smallest boson cutoff
+    tried, and fermion-check's fixed cutoff."""
     # imported here, as in the fermion-check handler, so that the mean-field
     # commands never load SciPy
     from .exact import TruncationConfig
@@ -257,8 +258,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_fermion = sub.add_parser("fermion-check", help="fermionic trace identity check")
     _add_param_flags(p_fermion)
-    p_fermion.add_argument("--N", type=int, required=True, choices=(1, 2))
-    p_fermion.add_argument("--n-max", dest="n_max", type=int)
+    p_fermion.add_argument("--N", type=int, required=True, choices=(1, 2), help="atom count")
+    p_fermion.add_argument("--n-max", dest="n_max", type=int,
+                           help="the boson cutoff both traces are taken at "
+                                "(default: seeded heuristic)")
     _add_output_flags(p_fermion, digits=False)
     p_fermion.set_defaults(handler=_cmd_fermion_check)
 

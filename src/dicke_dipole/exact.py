@@ -60,26 +60,31 @@ small, or a high temperature), the sums are bit for bit those of the full
 spectra.
 
 One cutoff loop, _converged, serves free_energy_exact and the oracle table
-(sweep.oracle_table).  It starts where the mean-field saddle point predicts
-(_saddle_cutoff): the boson is displaced by sqrt(N) b0 and thermal, so its
-occupation is about N b0^2 plus 1/(exp(beta omega0) - 1), with a tail that
-the mean-field Boltzmann factor of each occupation widens at high
-temperature, and the start is the cutoff at which that tail is small
-enough, at least the given n_max and at most twice it.  In the collective
-basis each level is solved once, with eigenvectors, and certifies itself:
-the eigenvectors that give <b'b> also give the thermal weight on the top
-Fock levels, whose decay bounds the truncation error of both f and <b'b>/N
-(_tail_bound); the loop stops at the first level whose bound is below the
-tolerance, or else grows to the level where that decay predicts it will be,
-at most twice the last.  It stops at once when that predicted level fails a
-size check, or, where the top weights do not fall, when the saddle point's
-mean occupation does, as no level below it can be certified.  The full product basis, the independent oracle, is
-solved for eigenvalues only, and its cutoff doubles until two levels agree
-to the tolerance.  Each solve checks its size where it starts, through
-_check_dim; the loop checks its starting level and that level's doubling
-before it solves either.
+(sweep.oracle_table), and each atom count's plan for it is formed once
+(_starting_cutoff).  The plan starts where the mean-field saddle point
+predicts (_saddle_cutoff): the boson is displaced by sqrt(N) b0 and
+thermal, so its mean occupation is N b0^2 plus 1/(exp(beta omega0) - 1),
+with a tail that the mean-field Boltzmann factor of each occupation widens
+at high temperature, and the start is the cutoff at which that tail is
+small enough, at least the given n_max and at most twice it, lowered (not
+below n_max) where the size checks refuse its doubling; the plan keeps that
+mean occupation too.  Each level is solved once in the collective
+basis, with eigenvectors, and certifies itself: the eigenvectors that give
+<b'b> also give the thermal weight on the top Fock levels, whose decay
+bounds the truncation error of both f and <b'b>/N (_tail_bound); the loop
+stops at the first level whose bound is below the tolerance, or else grows
+to the level where that decay predicts it will be, at most twice the last.
+It stops at once when that predicted level fails a size check, or, where
+the top weights do not fall, when the plan's mean occupation does, as no
+level below it can be certified.  The full product basis, the independent
+oracle, starts at the same saddle point and is solved for eigenvalues
+only; its cutoff doubles until two levels agree to the tolerance.  Each
+solve checks its size where it starts (_check_level, _check_dim), the
+bytes of a dense solve against VECTOR_BYTE_BUDGET included; the plan
+checks its start and that start's doubling before either is solved.
 """
 
+import functools
 import itertools
 import math
 import sys
@@ -95,8 +100,8 @@ from .model import ModelParams, Thermo, _check_count, _check_real, effective_cou
 FULL_DIM_CAP = 30_000
 COLLECTIVE_DIM_CAP = 100_000
 MAX_ATOMS_FULL = 12
-# The bytes one thermal sector sum may need for its largest eigenvector
-# solve (_check_level): the dense half-size block of the j = N/2 sector.
+# The bytes one dense solve may need (_check_bytes): the whole full product
+# basis, or the larger parity block of a collective sector with eigenvectors.
 VECTOR_BYTE_BUDGET = 2**31
 HERMITICITY_TOL = 1e-12
 COMMUTATOR_TOL = 1e-12
@@ -124,12 +129,10 @@ class TruncationConfig:
     """Boson Fock cutoff n_max (highest retained occupation) plus the
     absolute tolerance of the adaptive cutoff loop.
 
-    A fixed-cutoff solve uses n_max as it is.  The adaptive loop
-    (free_energy_exact, the oracle table) tries no cutoff below n_max and
-    starts where the mean-field saddle point predicts, at most 2 n_max; tol
-    bounds the truncation error of f and <b'b>/N at the level the
-    collective loop certifies, and how far two levels of the full basis's
-    doubling may differ."""
+    A fixed-cutoff solve uses n_max as it is.  The adaptive loops
+    (free_energy_exact, the oracle table; the module docstring describes
+    them) try no cutoff below n_max, and stop where tol bounds the
+    truncation error."""
 
     n_max: int
     tol: float = 1e-8
@@ -434,8 +437,8 @@ def build_full(
     if want_occupations:
         vals, vecs = np.linalg.eigh(hd)
         # b'b is diagonal; the boson index is fastest
-        occ = np.tile(np.arange(trunc.n_max + 1, dtype=float), 2**n_atoms)
-        occupations = (np.abs(vecs) ** 2 * occ[:, None]).sum(axis=0)
+        occupations = _vector_sums(vecs, np.tile(np.arange(trunc.n_max + 1, dtype=float),
+                                                 2**n_atoms))
     else:
         vals, occupations = np.linalg.eigvalsh(hd), None
     return SpectralData(vals, dim, "full_product", n_atoms, trunc.n_max, None, occupations)
@@ -476,9 +479,7 @@ def build_collective(
 
 
 def _collective_hamiltonian(params, n_atoms, j, n_max):
-    _check_sector(n_atoms, j)
     spin_dim = int(round(2 * j)) + 1
-    _check_dim("collective-sector", spin_dim * (n_max + 1), COLLECTIVE_DIM_CAP)
     m = -float(j) + np.arange(spin_dim, dtype=float)
     ladder = np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0))  # <m+1|S^+|m>
     states = np.arange(spin_dim)
@@ -501,8 +502,13 @@ def _sector_spectrum(params, n_atoms, j, n_max, want_occupations, width=math.inf
     width); any other, or one the window cannot certify, is solved in full,
     banded without want_occupations and dense with it.  top falls
     to each solved block's lowest eigenvalue + width and is returned for the
-    next sector.
+    next sector.  The sector and its size are checked first: with
+    want_occupations, the bytes of its larger parity block's dense solve too.
     """
+    _check_sector(n_atoms, j)
+    dim = _check_dim("collective-sector", (round(2 * j) + 1) * (n_max + 1), COLLECTIVE_DIM_CAP)
+    if want_occupations:
+        _check_bytes("eigenvector", n_atoms, n_max, (dim + 1) // 2)
     h = _collective_hamiltonian(params, n_atoms, j, n_max)
     _check_hermitian(h)
     levels = n_max - np.arange(TAIL_LEVELS)
@@ -574,35 +580,42 @@ def partition_function(spectral: SpectralData, thermo: Thermo) -> LogPartition:
     return LogPartition(shifted, e_min, thermo.beta)
 
 
+def _check_bytes(solve, n_atoms, n_max, block) -> None:
+    """DimensionError when the dense solve (an "eigenvector" or "dense"
+    solve) of a block of block states at N = n_atoms and the cutoff n_max
+    needs more than VECTOR_BYTE_BUDGET bytes.  It is counted as six doubles
+    per entry, as a solve with eigenvectors holds them: the matrix, eigh's
+    copy that becomes the vectors, LAPACK dsyevd's work array (two) and
+    _vector_sums' weights.  An eigenvalue-only solve, which needs fewer, is
+    counted alike."""
+    if 6 * 8 * block * block > VECTOR_BYTE_BUDGET:
+        raise DimensionError(f"the {solve} solve at N={n_atoms}, n_max={n_max} needs about "
+                             f"{6 * 8 * block * block} bytes for a block of {block} states, "
+                             f"over the budget {VECTOR_BYTE_BUDGET}")
+
+
 def _check_level(n_atoms, n_max, basis="collective") -> None:
     """The size checks that the solve of one cutoff level starts with.
 
-    The full product basis checks the atom count and FULL_DIM_CAP.  The
-    collective sectors check the atom count, then the largest sector,
-    j = N/2, at the cutoff n_max against COLLECTIVE_DIM_CAP and its larger
-    parity block, about half of it, against VECTOR_BYTE_BUDGET, then that
-    the sector sums fit a double, before any spin or multiplicity is listed.
-    The block is solved densely with eigenvectors when its window fails, and
-    holds about six doubles per entry then: the matrix, eigh's copy that
-    becomes the vectors, dsyevd's work array (two) and _vector_sums'
-    weights.  n_max 2^N (n_max+1) bounds every multiplicity d(N,j) <= 2^N,
-    the shifted sum (each state weighs at most 1) and the occupation-weighted
-    sum; past the largest double, d times a weight would raise
-    OverflowError.
+    The full product basis checks the atom count, FULL_DIM_CAP, then the
+    bytes of its dense solve.  The collective sectors check the atom count,
+    then the largest sector, j = N/2, at the cutoff n_max against
+    COLLECTIVE_DIM_CAP and the bytes of its larger parity block, about half
+    of it, which is solved densely with eigenvectors when its window fails;
+    then that the sector sums fit a double, before any spin or multiplicity
+    is listed.  n_max 2^N (n_max+1) bounds every multiplicity d(N,j) <= 2^N,
+    the shifted sum (each state weighs at most 1) and the
+    occupation-weighted sum; past the largest double, d times a weight would
+    raise OverflowError.  Every check grows with n_max.
     """
     if basis == "full":
         _check_count("n_atoms", n_atoms, 1, MAX_ATOMS_FULL)
-        _check_dim("full-product", 2**n_atoms * (n_max + 1), FULL_DIM_CAP)
+        dim = _check_dim("full-product", 2**n_atoms * (n_max + 1), FULL_DIM_CAP)
+        _check_bytes("dense", n_atoms, n_max, dim)
         return
     dim = _check_dim("collective-sector", (_check_count("n_atoms", n_atoms) + 1) * (n_max + 1),
                      COLLECTIVE_DIM_CAP)
-    block = (dim + 1) // 2
-    if 6 * 8 * block * block > VECTOR_BYTE_BUDGET:
-        raise DimensionError(
-            f"the eigenvector solve at N={n_atoms}, n_max={n_max} needs about "
-            f"{6 * 8 * block * block} bytes for a block of {block} states, over the "
-            f"budget {VECTOR_BYTE_BUDGET}"
-        )
+    _check_bytes("eigenvector", n_atoms, n_max, (dim + 1) // 2)
     if n_max * 2**n_atoms * (n_max + 1) >= sys.float_info.max:
         raise DimensionError(
             f"the sector sums at N={n_atoms}, n_max={n_max} overflow a double: "
@@ -610,33 +623,22 @@ def _check_level(n_atoms, n_max, basis="collective") -> None:
         )
 
 
-def _check_cutoffs(n_atoms, n_max, basis="collective") -> None:
-    """Check the starting level n_max of the cutoff loop and its doubling
-    before either is solved: DimensionError when n_max fails a size check
-    (VECTOR_BYTE_BUDGET included), TruncationError when its doubling does.
-    The full basis's doubling loop never ends at its starting level, and the
-    collective loop, which certifies each level from its eigenvectors, may
-    grow to its doubling."""
-    _check_level(n_atoms, n_max, basis)
-    try:
-        _check_level(n_atoms, 2 * n_max, basis)
-    except DimensionError as exc:
-        raise TruncationError(f"no converged cutoff from n_max={n_max}: "
-                              f"its first doubling is refused: {exc}") from exc
-
-
-def _starting_cutoff(params, n_atoms, thermo, trunc, basis="collective") -> int:
-    """The checked level the cutoff loop starts at: the saddle-point cutoff
-    (_saddle_cutoff), lowered to the highest level whose doubling the size
-    checks admit, but not below trunc.n_max, so that every refusal is the
-    one trunc.n_max gives.
+def _starting_cutoff(params, n_atoms, thermo, trunc, basis="collective"):
+    """The plan of one atom count's cutoff loop, from one saddle point
+    (_saddle_cutoff): (the checked level the loop starts at, the saddle
+    point's mean occupation).  The start is the saddle-point cutoff, lowered
+    to the highest level whose doubling the size checks admit, but not below
+    trunc.n_max, so that every refusal is the one trunc.n_max gives.
 
     trunc.n_max is checked first, and the atom count with it, before the
-    saddle point is formed; the checks grow with the level, so the highest
-    level is bisected; then _check_cutoffs checks the start and its doubling.
+    saddle point is formed: DimensionError when it fails.  The checks grow
+    with the level, so the highest level is bisected; TruncationError when
+    the start's doubling fails them, as the full basis's loop never ends at
+    its start and the collective loop may grow to its doubling.
     """
     _check_level(n_atoms, trunc.n_max, basis)
-    low, high = trunc.n_max, _saddle_cutoff(params, n_atoms, thermo, trunc)
+    high, occupation = _saddle_cutoff(params, n_atoms, thermo, trunc)
+    low = trunc.n_max
     while low < high:
         mid = (low + high + 1) // 2
         try:
@@ -644,8 +646,12 @@ def _starting_cutoff(params, n_atoms, thermo, trunc, basis="collective") -> int:
             low = mid
         except DimensionError:
             high = mid - 1
-    _check_cutoffs(n_atoms, low, basis)
-    return low
+    try:
+        _check_level(n_atoms, 2 * low, basis)
+    except DimensionError as exc:
+        raise TruncationError(f"no converged cutoff from n_max={low}: "
+                              f"its first doubling is refused: {exc}") from exc
+    return low, occupation
 
 
 def _sector_sums(params, n_atoms, thermo, n_max):
@@ -757,25 +763,13 @@ def _next_cutoff(n_max, p, r, tol, n_atoms, beta, omega0) -> int | None:
     return high
 
 
-def _saddle_occupation(params, n_atoms, thermo) -> int:
-    """The boson occupation at the mean-field saddle point, N b0^2 plus
-    1/(exp(beta omega0) - 1), rounded up and at most 2^62, which every size
-    check refuses; 0 when no saddle can be formed."""
-    from .meanfield import solve_gap
-
-    try:
-        b0 = solve_gap(params, thermo).b0
-    except ConvergenceError:
-        return 0
-    x = math.exp(-thermo.beta * params.omega0)
-    gap = -math.expm1(-thermo.beta * params.omega0)  # 1 - x, without cancellation
-    mean = n_atoms * b0 * b0 + (x / gap if gap > 0.0 else math.inf)
-    return math.ceil(min(mean, 2.0**62))
-
-
-def _saddle_cutoff(params, n_atoms, thermo, trunc) -> int:
-    """The starting cutoff that the mean-field saddle point predicts, in
-    [trunc.n_max, 2 trunc.n_max]; trunc.n_max when no saddle can be formed.
+def _saddle_cutoff(params, n_atoms, thermo, trunc):
+    """(the starting cutoff that the mean-field saddle point predicts, in
+    [trunc.n_max, 2 trunc.n_max], the saddle point's mean boson occupation
+    N b0^2 + 1/(exp(beta omega0) - 1), rounded up and at most 2^62, which
+    every size check refuses).  (trunc.n_max, 0) when no saddle can be
+    formed; the start is trunc.n_max, too, where N b0^2 is not finite or
+    beta omega0 underflows, and the occupation is 2^62 then.
 
     Two models of the boson occupation, and the larger weight of the two at
     each level:
@@ -800,13 +794,14 @@ def _saddle_cutoff(params, n_atoms, thermo, trunc) -> int:
     try:
         b0 = solve_gap(params, thermo).b0
     except ConvergenceError:
-        return n_max
+        return n_max, 0
     beta, omega0 = thermo.beta, params.omega0
     mean = n_atoms * b0 * b0
     x = math.exp(-beta * omega0)
     gap = -math.expm1(-beta * omega0)  # 1 - x, without cancellation
+    occupation = math.ceil(min(mean + (x / gap if gap > 0.0 else math.inf), 2.0**62))
     if not (math.isfinite(mean) and gap > 0.0):
-        return n_max
+        return n_max, occupation
     k = np.arange(4 * n_max + 1)
     if mean > 0.0:
         ln_factorial = np.concatenate(([0.0], np.cumsum(np.log(k[1:]))))
@@ -827,8 +822,8 @@ def _saddle_cutoff(params, n_atoms, thermo, trunc) -> int:
     for level in range(n_max, 2 * n_max):
         if AIM_MARGIN * _tail_bound(level, float(s[level]), float(m[level]), n_atoms,
                                     beta, omega0) < trunc.tol:
-            return level
-    return 2 * n_max
+            return level, occupation
+    return 2 * n_max, occupation
 
 
 def _ln_z_free(params, n_atoms, beta, n_max) -> float:
@@ -859,95 +854,85 @@ def free_energy_exact(
 ) -> ExactFreeEnergy:
     """Finite-N free energy per atom with adaptive boson cutoff.
 
-    The cutoff starts where the mean-field saddle point predicts
-    (_saddle_cutoff: N b0^2 plus the thermal occupation and their tail), at
-    least trunc.n_max and at most twice it.  basis="collective" assembles Z
-    as the multiplicity-weighted sector sum, and solves each level once,
-    with eigenvectors: it stops at the first level whose thermal weight on
-    the top Fock levels bounds the truncation error of f below trunc.tol,
-    and is bit for bit the oracle table's row (_converged).  basis="full"
-    uses the product basis, the independent oracle, solved for eigenvalues
-    only; its cutoff doubles until the free energy moves by less than
-    trunc.tol.  Each level is checked against COLLECTIVE_DIM_CAP and
-    VECTOR_BYTE_BUDGET (its largest sector) or FULL_DIM_CAP before it is
-    assembled, and a collective level also against sector sums that
-    overflow a double: DimensionError if trunc.n_max fails a check,
-    TruncationError if a later level does.  The start and its first
-    doubling are checked before either is solved; a start whose doubling is
-    refused is lowered to the highest level whose doubling is not, but not
-    below trunc.n_max.
+    basis="collective" assembles Z as the multiplicity-weighted sector sum
+    and runs the self-certifying cutoff loop (_converged), bit for bit the
+    oracle table's row.  basis="full" uses the product basis, the
+    independent oracle: from the same saddle start its eigenvalue-only
+    cutoff doubles until the free energy moves by less than trunc.tol.  The
+    module docstring describes both loops.  DimensionError if trunc.n_max
+    fails a size check (_check_level), TruncationError if a later level
+    does; the start and its doubling are checked before either is solved.
     """
-    return _converged(params, n_atoms, thermo, trunc, basis)[0]
-
-
-def _converged(params, n_atoms, thermo, trunc, basis="collective"):
-    """(ExactFreeEnergy, <b'b>/N or None): the cutoff loop of
-    free_energy_exact and the oracle rows, with the occupation at the final
-    cutoff in the collective basis.
-
-    Both bases start at _starting_cutoff.  In the full basis (which gives
-    None) every level is solved for eigenvalues only, and the cutoff doubles
-    until two levels agree to trunc.tol.  In the collective basis every
-    level is solved once, with eigenvectors, and certifies itself: the
-    eigenvectors that give <b'b> also give the thermal weights on the top
-    Fock levels, and the loop stops at the first level whose _tail_bound on
-    the errors of both f and <b'b>/N is below trunc.tol.  Otherwise the
-    measured decay of those weights predicts the level that will be
-    certified (_next_cutoff); the loop grows to it, at most twice the last,
-    or doubles where the weights do not decay.  It raises TruncationError at
-    once when the predicted level fails a size check, or, where the weights
-    do not decay, when the saddle point's mean occupation does
-    (_saddle_occupation): no level below it is certified.  One thermal sum
-    gives ln Z and <b'b>/N at each level: the occupation is bit for bit that
-    of thermal_boson_occupation at the returned n_max.  A level that fails a
-    size check raises TruncationError; the start and its doubling are
-    checked before either is solved.
-    """
-    if basis not in ("collective", "full"):
+    if basis == "collective":
+        return _cutoff_loop(params, n_atoms, thermo, trunc)()[0]
+    if basis != "full":
         raise DomainError(f"basis must be 'collective' or 'full', got {basis!r}")
-    n_next = _starting_cutoff(params, n_atoms, thermo, trunc, basis)
+    level, _ = _starting_cutoff(params, n_atoms, thermo, trunc, "full")
+    scale = -1.0 / (n_atoms * thermo.beta)
+    n_max = f = None
+    while True:
+        try:
+            spectral = build_full(params, n_atoms, TruncationConfig(level))
+        except DimensionError as exc:
+            raise _refused(trunc, n_max, f, exc) from exc
+        f_prev, n_max, f = f, level, scale * partition_function(spectral, thermo).ln_z
+        if f_prev is not None and abs(f - f_prev) < trunc.tol:
+            f0 = scale * _ln_z_free(params, n_atoms, thermo.beta, n_max)
+            return ExactFreeEnergy(f - f0, f, n_max)
+        level = 2 * n_max
+
+
+def _refused(trunc, n_max, f, exc, why=""):
+    """The TruncationError of a cutoff loop whose next level fails a size
+    check (exc) after the level n_max, which gave the free energy f."""
+    return TruncationError(f"free energy not stable to tol={trunc.tol:g} within the size limits "
+                           f"(last n_max={n_max}, f={f!r}){why}: {exc}")
+
+
+def _cutoff_loop(params, n_atoms, thermo, trunc):
+    """The collective cutoff loop of one atom count, its plan formed and
+    checked (_starting_cutoff): calling it without arguments runs it
+    (_converged)."""
+    return functools.partial(_converged, params, n_atoms, thermo, trunc,
+                             _starting_cutoff(params, n_atoms, thermo, trunc))
+
+
+def _converged(params, n_atoms, thermo, trunc, plan):
+    """(ExactFreeEnergy, <b'b>/N at its cutoff): the collective cutoff loop
+    that the module docstring describes, from plan, the (start, mean
+    occupation) that _starting_cutoff formed and checked.
+
+    One thermal sum gives ln Z, <b'b>/N and the top weights at each level,
+    so the occupation is bit for bit thermal_boson_occupation's at the
+    returned n_max.  TruncationError when a level it would grow to fails a
+    size check: the level its measured tail predicts (_next_cutoff), or,
+    where the top weights do not fall, the plan's mean occupation.
+    """
+    n_next, saddle = plan
     scale = -1.0 / (n_atoms * thermo.beta)
     args = (n_atoms, thermo.beta, params.omega0)
     n_max = f = None
-
-    def refused(exc, why=""):
-        return TruncationError(
-            f"free energy not stable to tol={trunc.tol:g} within the size limits "
-            f"(last n_max={n_max}, f={f!r}){why}: {exc}"
-        )
-
     while True:
-        f_prev = f
         try:
-            if basis == "full":
-                spectral = build_full(params, n_atoms, TruncationConfig(n_next))
-                ln_z, occupation = partition_function(spectral, thermo).ln_z, None
-            else:
-                ln_z, occupation, top = _sector_sums(params, n_atoms, thermo, n_next)
+            ln_z, occupation, top = _sector_sums(params, n_atoms, thermo, n_next)
         except DimensionError as exc:
-            raise refused(exc) from exc
+            raise _refused(trunc, n_max, f, exc) from exc
         n_max, f = n_next, scale * ln_z
-        if basis == "full":
-            if f_prev is not None and abs(f - f_prev) < trunc.tol:
-                break
-            n_next = 2 * n_max
-            continue
         p, r = _tail_decay(top)
         if _tail_bound(n_max, *_geometric_tail(n_max, p, r), *args) < trunc.tol:
-            break
+            f0 = scale * _ln_z_free(params, n_atoms, thermo.beta, n_max)
+            return ExactFreeEnergy(f - f0, f, n_max), occupation
         level = _next_cutoff(n_max, p, r, trunc.tol, *args)
         if level is not None:
             floor, why = level, f"its tail predicts a certified cutoff at n_max={level}"
         else:  # no decay to continue, but a certified level lies above the mean
-            floor = _saddle_occupation(params, n_atoms, thermo)
+            floor = saddle
             why = f"its top weights do not fall, and the saddle point's mean occupation is {floor}"
         try:
             _check_level(n_atoms, floor)
         except DimensionError as exc:
-            raise refused(exc, f"; {why}") from exc
+            raise _refused(trunc, n_max, f, exc, f"; {why}") from exc
         n_next = 2 * n_max if level is None else min(level, 2 * n_max)
-    f0 = scale * _ln_z_free(params, n_atoms, thermo.beta, n_max)
-    return ExactFreeEnergy(f - f0, f, n_max), occupation
 
 
 def boson_occupation(spectral: SpectralData, thermo: Thermo) -> float:

@@ -283,28 +283,28 @@ def oracle_table(
 ) -> list[OracleRow]:
     """One row per finite N, in the order given, plus the N = infinity mean-field row.
 
-    Each finite-N row takes f_diff and <b'b>/N from the same sector pass,
-    with eigenvectors, at a cutoff that certifies itself: it starts where
-    the mean-field saddle point predicts, from trunc.n_max up to twice it,
-    and the loop stops at the first level whose bound on the truncation
-    error of both values is below trunc.tol (exact._converged).  The
-    occupation is bit for bit thermal_boson_occupation's at that cutoff,
-    and f_diff is bit for bit free_energy_exact's.  An N
-    given twice is solved once and printed twice.  Every N is checked, its
-    largest sector at the starting cutoff and at its doubling against the
-    cap included, before the first row is computed.
+    Each finite-N row takes f_diff and <b'b>/N from one run of the
+    collective cutoff loop that the exact module's docstring describes,
+    whose cutoff bounds the truncation error of both by trunc.tol: the
+    occupation is bit for bit thermal_boson_occupation's at that cutoff, and
+    f_diff is bit for bit free_energy_exact's.  An N given twice is solved
+    once and printed twice.  Every N's plan is formed and checked, its start
+    and that start's doubling included, before the first row is computed,
+    and handed to its solve.
     """
     # imported here, so that the mean-field commands never load SciPy
-    from .exact import _converged, _starting_cutoff
+    from .exact import _cutoff_loop
 
     n_list = list(n_list)
+    loops = {}
     for n_atoms in n_list:
-        _starting_cutoff(params, n_atoms, thermo, trunc)
+        # each N is counted first, as an int (2.0 and True are refused), so
+        # equal keys are equal atom counts
+        if _check_count("n_atoms", n_atoms) not in loops:
+            loops[n_atoms] = _cutoff_loop(params, n_atoms, thermo, trunc)
     mf = evaluate_point(params_to_mapping(params, thermo))
     f_diff_mf, b0_sq = mf.f_diff, mf.b0 ** 2
-    # the checks admit only ints, so equal keys are equal atom counts
-    solved = {n_atoms: _converged(params, n_atoms, thermo, trunc)
-              for n_atoms in dict.fromkeys(n_list)}
+    solved = {n_atoms: loop() for n_atoms, loop in loops.items()}
     rows = [OracleRow(n_atoms, solved[n_atoms][0].f_diff, solved[n_atoms][1], f_diff_mf, b0_sq)
             for n_atoms in n_list]
     rows.append(OracleRow(None, f_diff_mf, b0_sq, f_diff_mf, b0_sq))

@@ -463,7 +463,8 @@ def test_thermal_sums_check_the_largest_sector_first(monkeypatch):
 
 
 @pytest.mark.parametrize("n_list, error", [([2, 4, 40000], DimensionError), ([2, 0], DomainError),
-                                           ([2, 1100], DimensionError)])
+                                           ([2, 1100], DimensionError), ([2, 2.0], DomainError),
+                                           ([1, True], DomainError)])
 def test_oracle_table_checks_every_n_before_the_first_row(monkeypatch, n_list, error):
     calls = []
     monkeypatch.setattr(exact, "_converged", lambda *args, **kwargs: calls.append(args))
@@ -751,7 +752,7 @@ def test_collective_solves_use_scipy_lapack_only(monkeypatch):
     assert paths == {"banded"}
     assert free_energy_exact(params, 8, thermo, TruncationConfig(42)).n_max == 42
     assert paths == {"banded", "dense"}
-    result, occupation = exact._converged(params, 8, thermo, TruncationConfig(42))
+    result, occupation = exact._cutoff_loop(params, 8, thermo, TruncationConfig(42))()
     assert result.n_max == 42 and 0 < occupation < 42
     thermal_boson_occupation(params, 8, thermo, TruncationConfig(84))
     assert paths == {"banded", "dense", "window"}
@@ -807,11 +808,11 @@ def test_oracle_rows_take_one_sector_pass_per_level(monkeypatch):
     calls = _count_sector_passes(monkeypatch)
     rows = oracle_table(params, thermo, n_table, trunc)
     monkeypatch.undo()
-    assert calls == [(n, exact._starting_cutoff(params, n, thermo, trunc)) for n in n_table]
+    assert calls == [(n, exact._starting_cutoff(params, n, thermo, trunc)[0]) for n in n_table]
     assert [row.n_atoms for row in rows[:-1]] == list(n_table)
     for row in rows[:-1]:
-        result, occupation = exact._converged(params, row.n_atoms, thermo, trunc)
-        assert result.n_max == exact._starting_cutoff(params, row.n_atoms, thermo, trunc)
+        result, occupation = exact._cutoff_loop(params, row.n_atoms, thermo, trunc)()
+        assert result.n_max == exact._starting_cutoff(params, row.n_atoms, thermo, trunc)[0]
         assert row.f_diff == result.f_diff and row.boson_occupation == occupation
         assert occupation == thermal_boson_occupation(
             params, row.n_atoms, thermo, TruncationConfig(result.n_max))
@@ -863,7 +864,7 @@ def test_full_basis_loop_doubles_from_the_saddle_start(monkeypatch):
     monkeypatch.setattr(exact, "build_full", lambda params, n_atoms, trunc: (
         levels.append(trunc.n_max) or build(params, n_atoms, trunc)))
     calls = _count_sector_passes(monkeypatch)
-    start = exact._starting_cutoff(params, 4, thermo, trunc, "full")
+    start, _ = exact._starting_cutoff(params, 4, thermo, trunc, "full")
     full = free_energy_exact(params, 4, thermo, trunc, basis="full")
     assert levels == [start, 2 * start] and full.n_max == 2 * start
     assert calls == []
@@ -878,7 +879,7 @@ def test_free_energy_exact_certifies_the_bench_start_in_one_pass(monkeypatch, se
     # the saddle start, which holds f to tol against a level 4x larger
     params, thermo = _bench_inputs(seed)
     trunc = TruncationConfig.seeded(params, thermo)
-    start = exact._starting_cutoff(params, 20, thermo, trunc)
+    start, _ = exact._starting_cutoff(params, 20, thermo, trunc)
     assert trunc.n_max < start < 2 * trunc.n_max  # N b0^2 = 18.4 moves it up
     calls = _count_sector_passes(monkeypatch)
     result = free_energy_exact(params, 20, thermo, trunc)
@@ -903,27 +904,29 @@ def test_free_energy_exact_is_the_oracle_row_bit_for_bit(monkeypatch):
 def test_saddle_start_falls_back_to_the_given_cutoff(monkeypatch):
     params, thermo = _bench_inputs(0)
     trunc = TruncationConfig.seeded(params, thermo)
-    assert exact._saddle_cutoff(params, 20, thermo, trunc) == 57
+    # the start, and the saddle's mean occupation ceil(N b0^2 + 1/(e^5 - 1))
+    assert exact._saddle_cutoff(params, 20, thermo, trunc) == (57, 19)
     # a cap that admits the given cutoff's doubling but not the start's
     monkeypatch.setattr(exact, "COLLECTIVE_DIM_CAP", 21 * 85)
-    assert exact._starting_cutoff(params, 20, thermo, trunc) == trunc.n_max
+    assert exact._starting_cutoff(params, 20, thermo, trunc) == (trunc.n_max, 19)
     # one between them lowers the start to the highest level whose doubling
     # it admits, 2 * 50 + 1 states a spin state
     monkeypatch.setattr(exact, "COLLECTIVE_DIM_CAP", 21 * 102)
-    assert exact._starting_cutoff(params, 20, thermo, trunc) == 50
+    assert exact._starting_cutoff(params, 20, thermo, trunc) == (50, 19)
     monkeypatch.undo()
 
     def fails(*args):
         raise ConvergenceError("no saddle")
 
     monkeypatch.setattr(meanfield, "solve_gap", fails)
-    assert exact._saddle_cutoff(params, 20, thermo, trunc) == trunc.n_max
+    assert exact._saddle_cutoff(params, 20, thermo, trunc) == (trunc.n_max, 0)
     monkeypatch.undo()
-    # beta*omega0 underflows, so no thermal occupation can be formed
+    # beta*omega0 underflows, so no thermal occupation can be formed, and the
+    # mean occupation is 2^62, which every size check refuses
     tiny = ModelParams(1e-300, 1.0, 0.1, 0.1, 0.0)
-    assert exact._saddle_cutoff(tiny, 2, Thermo(1e-300), TruncationConfig(6)) == 6
+    assert exact._saddle_cutoff(tiny, 2, Thermo(1e-300), TruncationConfig(6)) == (6, 2**62)
     # a saddle occupation far past twice the cutoff starts at twice it
-    assert exact._saddle_cutoff(params, 400, thermo, TruncationConfig(10)) == 20
+    assert exact._saddle_cutoff(params, 400, thermo, TruncationConfig(10)) == (20, 368)
 
 
 @pytest.mark.parametrize("p, r", [(0.1, 0.999), (1e-3, 0.9), (exact.TAIL_FLOOR, 0.5)])
@@ -945,9 +948,11 @@ def test_eigenvector_budget_is_checked_before_any_level_is_solved(monkeypatch):
     # the j = 1 sector at N = 2, n_max = 4 holds 15 states, so its larger
     # parity block holds 8 and its eigenvector solve about 6 * 8 * 8^2 bytes
     monkeypatch.setattr(exact, "VECTOR_BYTE_BUDGET", 6 * 8 * 8**2 - 1)
-    # the full basis solves no eigenvectors and has no byte budget
-    free_energy_exact(P_MIXED, 2, Thermo(1.0), TruncationConfig(4), basis="full")
     monkeypatch.setattr(exact, "_hamiltonian", lambda *args: pytest.fail("a level was assembled"))
+    # the full basis's dense solve, 4 * 5 states, is checked against the same budget
+    with pytest.raises(DimensionError, match="the dense solve at N=2, n_max=4 needs about "
+                       "19200 bytes for a block of 20 states, over the budget 3071"):
+        free_energy_exact(P_MIXED, 2, Thermo(1.0), TruncationConfig(4), basis="full")
     refused = "the eigenvector solve at N=2, n_max=4 needs about 3072 bytes for a block of 8 states"
     for solve in (free_energy_exact, thermal_boson_occupation):
         with pytest.raises(DimensionError, match=refused):
@@ -959,6 +964,73 @@ def test_eigenvector_budget_is_checked_before_any_level_is_solved(monkeypatch):
     with pytest.raises(TruncationError, match="from n_max=4: its first doubling is refused: "
                        "the eigenvector solve at N=2, n_max=8 needs about 9408 bytes"):
         free_energy_exact(P_MIXED, 2, Thermo(1.0), TruncationConfig(4))
+
+
+def test_dense_solves_are_checked_by_bytes_before_assembly(monkeypatch):
+    budget = exact.VECTOR_BYTE_BUDGET
+    monkeypatch.setattr(exact, "_hamiltonian", lambda *args: pytest.fail("a level was assembled"))
+    # the size caps still speak first, whatever the budget
+    monkeypatch.setattr(exact, "VECTOR_BYTE_BUDGET", 1)
+    with pytest.raises(DimensionError, match="full-product dimension 51456 exceeds the cap"):
+        build_full(P_MIXED, 8, TruncationConfig(200))
+    with pytest.raises(DimensionError, match="collective-sector dimension 120003 exceeds the cap"):
+        build_collective(P_MIXED, 2, 1, TruncationConfig(40000), want_occupations=True)
+    monkeypatch.setattr(exact, "VECTOR_BYTE_BUDGET", budget)
+    # within the caps, 1024 * 21 product states (the whole basis, dense) and
+    # a 50000-state parity block solved with eigenvectors are over the budget
+    with pytest.raises(DimensionError, match="the dense solve at N=10, n_max=20 needs about "
+                       "22196256768 bytes for a block of 21504 states, over the budget 2147483648"):
+        build_full(P_MIXED, 10, TruncationConfig(20), want_occupations=True)
+    with pytest.raises(DimensionError, match="the eigenvector solve at N=4999, n_max=19 needs "
+                       "about 120000000000 bytes for a block of 50000 states"):
+        build_collective(P_MIXED, 4999, 2499.5, TruncationConfig(19), want_occupations=True)
+
+
+def test_full_basis_loop_and_its_start_are_checked_by_bytes(monkeypatch):
+    # P_MIXED at N = 2 and beta = 1: the saddle start from n_max = 4 is 8
+    thermo = Thermo(1.0)
+    assert exact._starting_cutoff(P_MIXED, 2, thermo, TruncationConfig(4), "full") == (8, 1)
+    assembled = []
+    hamiltonian = exact._hamiltonian
+    monkeypatch.setattr(exact, "_hamiltonian", lambda params, n_atoms, n_max, *ops: (
+        assembled.append(n_max) or hamiltonian(params, n_atoms, n_max, *ops)))
+    # a budget for 4 * 13 dense states lowers the start to 6, whose doubling
+    # it admits; the loop solves 6 and 12 and is refused at 24
+    monkeypatch.setattr(exact, "VECTOR_BYTE_BUDGET", 6 * 8 * 52**2)
+    trunc = TruncationConfig(4, tol=1e-300)
+    assert exact._starting_cutoff(P_MIXED, 2, thermo, trunc, "full") == (6, 1)
+    with pytest.raises(TruncationError, match=r"\(last n_max=12, .*\): the dense solve at N=2, "
+                       "n_max=24 needs about 480000 bytes for a block of 100 states"):
+        free_energy_exact(P_MIXED, 2, thermo, trunc, basis="full")
+    assert assembled == [6, 12]
+    # one that refuses the doubling of the given cutoff refuses before any solve
+    assembled.clear()
+    monkeypatch.setattr(exact, "VECTOR_BYTE_BUDGET", 6 * 8 * 36**2 - 1)
+    with pytest.raises(TruncationError, match="from n_max=4: its first doubling is refused: "
+                       "the dense solve at N=2, n_max=8 needs about 62208 bytes"):
+        free_energy_exact(P_MIXED, 2, thermo, trunc, basis="full")
+    assert assembled == []
+
+
+def test_each_atom_count_forms_its_saddle_point_once(monkeypatch):
+    # the plan holds the start and the mean occupation of one saddle point:
+    # the oracle table's checks hand it to the solve, and a loop whose top
+    # weights do not fall reads its refusal from it
+    saddles = []
+    solve = meanfield.solve_gap
+    monkeypatch.setattr(meanfield, "solve_gap", lambda *args: saddles.append(args) or solve(*args))
+    params, thermo, trunc = ModelParams(1.0, 1.0, 0.4, 0.4, 0.1), Thermo(1.0), TruncationConfig(8)
+    oracle_table(params, thermo, [1, 2, 3, 2], trunc)
+    assert len(saddles) == 3
+    for basis in ("collective", "full"):
+        saddles.clear()
+        free_energy_exact(params, 2, thermo, trunc, basis)
+        assert len(saddles) == 1
+    saddles.clear()
+    classical = ModelParams(1e-3, 1.0, 0.1, 0.0, 0.0)
+    with pytest.raises(TruncationError, match="the saddle point's mean occupation is 5949"):
+        oracle_table(classical, thermo, [2], TruncationConfig(4))
+    assert len(saddles) == 1
 
 
 def test_tail_weights_at_the_rounding_floor():
@@ -992,7 +1064,7 @@ CERTIFIED_POINTS = [
 def test_certified_cutoff_is_within_tol_of_a_level_four_times_larger(couplings, beta, n_atoms):
     params, thermo = ModelParams(*couplings), Thermo(beta)
     trunc = TruncationConfig.seeded(params, thermo)
-    result, occupation = exact._converged(params, n_atoms, thermo, trunc)
+    result, occupation = exact._cutoff_loop(params, n_atoms, thermo, trunc)()
     ln_z, reference, _ = _sector_sums(params, n_atoms, thermo, 4 * result.n_max)
     assert abs(result.f - (-ln_z / (n_atoms * beta))) < trunc.tol
     assert abs(occupation - reference) < trunc.tol
