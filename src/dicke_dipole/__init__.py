@@ -10,7 +10,9 @@ import importlib
 __version__ = "0.1.0"
 
 # Public names by submodule, looked up there on each access (PEP 562), so that
-# the mean-field path never loads SciPy, which only the exact module needs.
+# the mean-field path never loads SciPy, which only the exact module needs,
+# and the closed forms (model) and the boundary scan (output) never load
+# NumPy.  Each name is the home module's object; the older homes re-export it.
 _EXPORTS = {
     "errors": (
         "CommutationError",
@@ -40,10 +42,7 @@ _EXPORTS = {
         "CurvePoint",
         "FreeEnergyResult",
         "GapSolution",
-        "PhaseLabel",
         "StationaryResiduals",
-        "critical_coupling_zero_temperature",
-        "critical_inverse_temperature",
         "free_energy_diff",
         "order_parameter_curve",
         "solve_gap",
@@ -53,11 +52,18 @@ _EXPORTS = {
         "CONFIG_KEYS",
         "EffectiveCoupling",
         "ModelParams",
+        "PhaseLabel",
         "Thermo",
+        "critical_coupling_zero_temperature",
+        "critical_inverse_temperature",
         "effective_coupling",
         "params_from_mapping",
         "params_to_mapping",
         "validate",
+    ),
+    "output": (
+        "phase_boundary",
+        "write_boundary_csv",
     ),
     "sweep": (
         "AxisSpec",
@@ -66,9 +72,7 @@ _EXPORTS = {
         "SweepRecord",
         "SweepTable",
         "oracle_table",
-        "phase_boundary",
         "run_grid",
-        "write_boundary_csv",
         "write_oracle_csv",
         "write_sweep_csv",
         "write_sweep_jsonl",

@@ -8,11 +8,14 @@ takes parameter flags.  The flag names, the config keys and the sweep grid's
 axis names are all model.CONFIG_KEYS, and one reader loads the --config and
 --grid files.  boundary scans lambda, so a given lambda or beta is
 validated, then unused.  Every output but fermion-check's PASS/FAIL line goes
-through one row writer (sweep._write_rows), so --digits means the same thing
+through one row writer (output._write_rows), so --digits means the same thing
 everywhere; fermion-check takes --out but no --digits or --tol, and no
 subcommand takes --jobs.  --digits is checked by the writers' own rule
-(sweep._check_digits) after the config merge and --dump-config, before any
+(output._check_digits) after the config merge and --dump-config, before any
 other work.
+Each handler imports the layers it computes with (meanfield and sweep use
+NumPy, exact uses SciPy too), so tc, boundary, --dump-config, --help,
+--version and every request refused before any computing run without NumPy.
 Exit codes: 0 success (no_transition is a success), 1 fermion-check FAIL,
 2 validation error, 3 convergence/truncation/consistency error or out of
 memory, 4 I/O error.
@@ -33,22 +36,9 @@ from .errors import (
     HermiticityError,
     TruncationError,
 )
-from .meanfield import PhaseLabel, _critical_point
-from .model import CONFIG_KEYS, _check_mapping_keys, params_from_mapping
-from .sweep import (
-    GridSpec,
-    _check_digits,
-    _write_rows,
-    evaluate_point,
-    oracle_table,
-    phase_boundary,
-    run_grid,
-    write_boundary_csv,
-    write_oracle_csv,
-    write_oracle_jsonl,
-    write_sweep_csv,
-    write_sweep_jsonl,
-)
+from .model import (CONFIG_KEYS, PhaseLabel, _check_mapping_keys, _critical_point,
+                    params_from_mapping)
+from .output import _check_digits, _write_rows, phase_boundary, write_boundary_csv
 
 FERMION_PASS_TOL = 1e-10
 
@@ -132,8 +122,8 @@ def _output(args):
 def _truncation(args, params, thermo):
     """--n-max, else the seeded heuristic: the oracle's smallest boson cutoff
     tried, and fermion-check's fixed cutoff."""
-    # imported here, as in the fermion-check handler, so that the mean-field
-    # commands never load SciPy
+    # imported here, as each handler imports what it computes with, so that
+    # the mean-field commands never load SciPy
     from .exact import TruncationConfig
 
     tol = getattr(args, "tol", TruncationConfig.tol)  # fermion-check reads no tol
@@ -159,14 +149,20 @@ def _cmd_tc(args, config) -> int:
 
 
 def _cmd_point(args, config) -> int:
-    record = evaluate_point(config)
+    params, thermo = params_from_mapping(config, require_beta=True)
+    from .sweep import _point_record, write_sweep_jsonl
+
+    record = _point_record(params, thermo)
     with _output(args) as stream:
         write_sweep_jsonl([record], stream, args.digits)
     return 0
 
 
 def _cmd_sweep(args, _config) -> int:
-    records = run_grid(GridSpec.from_mapping(_read_json(args.grid, "grid")))
+    grid = _read_json(args.grid, "grid")
+    from .sweep import GridSpec, run_grid, write_sweep_csv, write_sweep_jsonl
+
+    records = run_grid(GridSpec.from_mapping(grid))
     write = write_sweep_jsonl if args.format == "json" else write_sweep_csv
     with _output(args) as stream:
         write(records, stream, args.digits)
@@ -179,6 +175,8 @@ def _cmd_oracle(args, config) -> int:
         n_list = [int(chunk) for chunk in str(args.N).split(",")]
     except ValueError as exc:
         raise DomainError(f"--N must be a comma-separated integer list: {exc}") from exc
+    from .sweep import oracle_table, write_oracle_csv, write_oracle_jsonl
+
     rows = oracle_table(params, thermo, n_list, _truncation(args, params, thermo))
     write = write_oracle_jsonl if args.format == "json" else write_oracle_csv
     with _output(args) as stream:

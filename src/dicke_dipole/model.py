@@ -11,12 +11,17 @@ All downstream phase structure enters through the single derived combination
     G = (g1 + g2)**2 - omega0*lam
 
 which has units of energy squared and may be negative (no superradiance).
+The closed forms that are functions of G alone live here too: the critical
+inverse temperature beta_c and the zero-temperature critical coupling g1_c
+(derived in the meanfield module's docstring).  This module imports no
+NumPy, so the commands that need only these start without it.
 """
 
 import math
 from dataclasses import astuple, dataclass, fields
+from enum import Enum
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 
 # Beyond this magnitude, products like beta*Omega or (g1+g2)**2 start to lose
 # the conditioning the solvers rely on.  Chosen far above any physical regime.
@@ -89,7 +94,7 @@ class Thermo:
 
     Zero temperature is never represented as beta = inf; the analytic
     zero-temperature limit lives in
-    :func:`dicke_dipole.meanfield.critical_coupling_zero_temperature`.
+    :func:`critical_coupling_zero_temperature`.
     """
 
     beta: float
@@ -168,6 +173,83 @@ def effective_coupling(params: ModelParams) -> EffectiveCoupling:
     could hang on it (see _coupling).
     """
     return EffectiveCoupling(_coupling(*astuple(params)))
+
+
+class PhaseLabel(Enum):
+    NORMAL = "normal"
+    SUPERRADIANT = "superradiant"
+    NO_FINITE_TRANSITION = "no_transition"
+
+
+def _critical_point(params: ModelParams) -> tuple[float | None, float | None]:
+    """(ratio, beta_c): ratio = omega0*Omega/G, None where G = 0 and +-inf
+    where it overflows a double, and beta_c as critical_inverse_temperature
+    returns it.
+
+    Both are formed from the frexp mantissas of omega0, Omega and G and
+    scaled back exactly, so that neither omega0*Omega, nor 2/Omega, nor a
+    ratio that underflows can spoil a result that fits in a double; where no
+    intermediate underflows or overflows, the bits are those of the unscaled
+    (2/Omega)*artanh(omega0*Omega/G).  A beta_c that overflows a double
+    raises ConvergenceError.
+    """
+    G = effective_coupling(params).G
+    if G == 0:
+        return None, None
+    (w0, a), (w, b), (g, c) = map(math.frexp, (params.omega0, params.Omega, G))
+    q, e = math.frexp(w0 * w / g)
+    e += a + b - c  # ratio == q * 2**e with 0.5 <= |q| < 1, so it overflows iff e > 1024
+    ratio = math.ldexp(q, e) if e <= 1024 else math.copysign(math.inf, q)
+    if G < 0 or ratio >= 1.0:
+        return ratio, None
+    # artanh(x) rounds to x below 2**-27, so a ratio below 2**-60 keeps its
+    # scale, and one that would underflow still gives beta_c
+    t, k = (math.atanh(ratio), 0) if e > -60 else (q, e)
+    try:
+        return ratio, math.ldexp((2.0 / w) * t, k - b)
+    except OverflowError:
+        raise ConvergenceError(f"beta_c = (2/Omega)*artanh(omega0*Omega/G) overflows a double "
+                               f"(omega0={params.omega0}, Omega={params.Omega}, G={G})") from None
+
+
+def critical_inverse_temperature(params: ModelParams) -> float | None:
+    """Inverse critical temperature beta_c, or None if no finite transition.
+
+    beta_c = (2/Omega)*artanh(omega0*Omega/G) whenever 0 < omega0*Omega/G < 1;
+    for G <= 0 or omega0*Omega/G >= 1 the critical condition has no solution
+    at any beta > 0 and None is returned (a normal outcome, not an error).
+    The value is accurate wherever it fits in a double, even where
+    omega0*Omega or 2/Omega does not; a beta_c that overflows raises
+    ConvergenceError.
+    """
+    return _critical_point(params)[1]
+
+
+def critical_coupling_zero_temperature(
+    omega0: float, Omega: float, lam: float, ratio: float
+) -> float:
+    """Quantum-critical rotating coupling g1_c at T = 0, for fixed g2/g1.
+
+    In the zero-temperature limit tanh -> 1 and the critical condition
+    becomes (g1*(1 + ratio))**2 = omega0*(Omega + lam), so
+
+        g1_c = sqrt(omega0*(Omega + lam)) / (1 + ratio).
+
+    ``ratio`` is g2/g1 >= 0.  Raises DomainError when omega0*(Omega + lam)
+    <= 0, i.e. lam <= -Omega, where no transition exists at any coupling.
+    The product is formed from frexp mantissas, so it cannot underflow.
+    """
+    ModelParams(omega0=omega0, Omega=Omega, g1=0.0, g2=0.0, lam=lam)  # validates the three
+    if _check_real("ratio g2/g1", ratio) < 0:
+        raise DomainError(f"ratio g2/g1 must be finite and nonnegative, got {ratio!r}")
+    if Omega + lam <= 0:
+        raise DomainError(
+            f"omega0*(Omega + lambda) = {omega0 * (Omega + lam)} is not positive; "
+            "no zero-temperature transition exists"
+        )
+    (w0, a), (w, b), (d, c) = math.frexp(omega0), math.frexp(Omega + lam), math.frexp(1.0 + ratio)
+    # sqrt(x * 4**n) == sqrt(x) * 2**n exactly: an odd exponent moves one 2 into x
+    return math.ldexp(math.sqrt(math.ldexp(w0 * w, (a + b) % 2)) / d, (a + b) // 2 - c)
 
 
 def _check_mapping_keys(mapping) -> None:

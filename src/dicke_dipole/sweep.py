@@ -1,41 +1,36 @@
-"""Parameter-grid engine: phase diagrams, boundary curves, oracle tables.
+"""Parameter-grid engine: phase diagrams and oracle tables.
 
 A grid is evaluated in one call of the mean-field gap kernel over all its
 points (solves are independent, so there is no warm starting), and comes
 back as a SweepTable: the kernel's arrays, one per column, read as a
 sequence of SweepRecords in row-major input order.  A single point is built
-by the same function, from 1-element input columns.  Numeric output uses the
-shortest round-trip decimal representation of each double, so a given grid
-spec always produces byte-identical files; ``digits`` rounds it instead, and
-every writer checks it the one way, through _check_digits.  The CSV writer
-formats a SweepTable a column at a time over blocks of rows, each distinct
-double once, and any other rows one cell at a time; the bytes are the same.
+by the same function, from 1-element input columns.  Results print through
+the output module's row writer, whose names (and the boundary scan's) are
+re-exported here; the CSV writer adds a columnar path for a SweepTable,
+which formats it a column at a time over blocks of rows, each distinct
+double once, and writes the bytes the row writer gives for its records.
 Sweep and oracle records are NamedTuples in column order, so each record is
 its printed row; an Enum cell, such as a phase, prints its value.
 """
 
-import json
-import math
 import operator
 from collections.abc import Sequence
 from dataclasses import astuple, dataclass
-from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .meanfield import PhaseLabel, _free_energy_arrays, _gap_kernel, critical_inverse_temperature
-from .model import (CONFIG_KEYS, ModelParams, Thermo, _check_count, _check_real,
+from .meanfield import _free_energy_arrays, _gap_kernel
+from .model import (CONFIG_KEYS, ModelParams, PhaseLabel, Thermo, _check_count, _check_real,
                     params_from_mapping, params_to_mapping)
+# the row writer and the boundary scan, NumPy-free in output, are still
+# importable from here
+from .output import (MAX_DIGITS, MAX_GRID_POINTS, _check_digits,  # noqa: F401
+                     _format_number, _write_rows, phase_boundary, write_boundary_csv)
 
 if TYPE_CHECKING:
     from .exact import TruncationConfig
-
-MAX_GRID_POINTS = 10**7
-# the most significant digits in the exact decimal expansion of a double; as
-# "g" strips trailing zeros, any larger digits prints the same bytes
-MAX_DIGITS = 767
 
 # SweepRecord's fields in order, lam printed as lambda
 SWEEP_COLUMNS = CONFIG_KEYS + ("phase", "b0", "omega_delta", "f_diff")
@@ -197,10 +192,14 @@ def _table(inputs) -> SweepTable:
     return SweepTable((*inputs, superradiant, b0, omega_delta, f_diff))
 
 
+def _point_record(params: ModelParams, thermo: Thermo) -> SweepRecord:
+    """The mean-field record of one validated point."""
+    return _table([np.array([v]) for v in (*astuple(params), thermo.beta)])[0]
+
+
 def evaluate_point(values: dict) -> SweepRecord:
     """Mean-field record for one mapping of all six parameter values."""
-    params, thermo = params_from_mapping(values, require_beta=True)
-    return _table([np.array([v]) for v in (*astuple(params), thermo.beta)])[0]
+    return _point_record(*params_from_mapping(values, require_beta=True))
 
 
 def run_grid(spec: GridSpec, jobs: int = 1) -> SweepTable:
@@ -229,36 +228,6 @@ def run_grid(spec: GridSpec, jobs: int = 1) -> SweepTable:
         return _table([columns[name] for name in CONFIG_KEYS])
     except ConvergenceError as exc:
         raise ConvergenceError(f"grid point {divmod(exc.index, a2.size)}: {exc}") from exc
-
-
-def phase_boundary(
-    omega0: float,
-    Omega: float,
-    g1: float,
-    g2: float,
-    lambda_range: tuple,
-    count: int,
-) -> list[tuple]:
-    """(lambda, T_c) along a lambda scan; T_c is None past the endpoint
-    lambda = ((g1+g2)**2 - omega0*Omega)/omega0 where the transition dies.
-
-    A beta_c or T_c that overflows a double raises ConvergenceError naming
-    the lambda, as an invalid lambda raises DomainError."""
-    if _check_count("count", count) > MAX_GRID_POINTS:
-        raise DomainError(f"count is {count}, cap is {MAX_GRID_POINTS}")
-    lo, hi = float(lambda_range[0]), float(lambda_range[1])
-    if not lo < hi:
-        raise DomainError(f"lambda_range must satisfy min < max, got ({lo}, {hi})")
-    points = []
-    for i, lam in enumerate(np.linspace(lo, hi, count).tolist()):
-        try:
-            beta_c = critical_inverse_temperature(ModelParams(omega0, Omega, g1, g2, lam))
-            if beta_c is not None and math.isinf(1.0 / beta_c):
-                raise ConvergenceError("T_c = 1/beta_c overflows a double")
-        except (DomainError, ConvergenceError) as exc:
-            raise type(exc)(f"lambda[{i}]={lam!r}: {exc}") from exc
-        points.append((lam, None if beta_c is None else 1.0 / beta_c))
-    return points
 
 
 class OracleRow(NamedTuple):
@@ -311,31 +280,6 @@ def oracle_table(
     return rows
 
 
-def _check_digits(digits, name: str = "digits") -> int | None:
-    """digits as the writers take it: None, or an int >= 1 (not a bool)
-    clamped to MAX_DIGITS, since format() refuses a huge precision."""
-    if digits is None:
-        return None
-    if isinstance(digits, bool) or not isinstance(digits, int):
-        raise DomainError(f"{name} must be an integer, got {digits!r}")
-    if digits < 1:
-        raise DomainError(f"{name} must be >= 1, got {digits}")
-    return min(digits, MAX_DIGITS)
-
-
-def _format_number(value: float, digits: int | None) -> str:
-    # repr() of a float is its shortest round-trip decimal form
-    if digits is None:
-        return repr(float(value))
-    return format(float(value), f".{digits}g")
-
-
-def _csv_field(value, digits: int | None) -> str:
-    # float first: in a mixed column, such as boundary T_c, most cells are one
-    return (_format_number(value, digits) if isinstance(value, float) else "" if value is None
-            else str(value.value if isinstance(value, Enum) else value))
-
-
 def _csv_column(values: np.ndarray, digits: int | None) -> list[str]:
     """The CSV fields of a float64 array, each distinct double formatted once.
 
@@ -351,54 +295,30 @@ def _csv_column(values: np.ndarray, digits: int | None) -> list[str]:
 _PHASE_FIELDS = np.array([phase.value for phase in _PHASES], dtype=object)
 
 
-def _write_rows(stream, columns, rows, digits: int | None = None, fmt: str = "csv") -> None:
-    """Write rows as CSV (a header, then one line per row) or as JSON lines.
+def write_sweep_csv(records, stream, digits: int | None = None) -> None:
+    """RFC 4180 CSV, LF line endings, header row, fixed column order.
 
-    digits is checked by _check_digits before anything is written, and
-    rounds the floats of both formats through _format_number.  A CSV cell
-    is a float through _format_number, None as an empty field, an Enum as
-    its value, and anything else through str (_csv_field).  A SweepTable is
-    written a column at a time over blocks of rows: each float64 slice goes
-    to _csv_column, which formats each distinct double once, and the phase
-    flags index their fields, so no record is built.  Any other rows (record
-    lists, boundary points, oracle rows, generators) print one line per row,
-    cell by cell; both give the bytes of formatting every cell on its own.
-    A JSON line maps columns to the row's values, an Enum again as its value.
+    A SweepTable is written a column at a time over blocks of rows: each
+    float64 slice goes to _csv_column, which formats each distinct double
+    once, and the phase flags index their fields, so no record is built.
+    Any other records go through the row writer, cell by cell; both give
+    the bytes of formatting every cell on its own.
     """
+    if not isinstance(records, SweepTable):
+        _write_rows(stream, SWEEP_COLUMNS, records, digits)
+        return
     digits = _check_digits(digits)
-    if fmt == "json":
-        for row in rows:
-            if digits:
-                row = [float(_format_number(v, digits)) if isinstance(v, float) else v
-                       for v in row]
-            # only an Enum cell is not JSON: the default writes its value
-            stream.write(json.dumps(dict(zip(columns, row)), default=lambda e: e.value) + "\n")
-        return
-    stream.write(",".join(columns) + "\n")
-    if not isinstance(rows, SweepTable):
-        for row in rows:
-            stream.write(",".join([_csv_field(v, digits) for v in row]) + "\n")
-        return
-    for start in range(0, len(rows), _CSV_CHUNK_ROWS):
+    stream.write(",".join(SWEEP_COLUMNS) + "\n")
+    for start in range(0, len(records), _CSV_CHUNK_ROWS):
         # the phase comes as its fields, an object array; every other column is float64
         fields = [column.tolist() if column.dtype == object else _csv_column(column, digits)
-                  for column in rows._block(start, start + _CSV_CHUNK_ROWS, _PHASE_FIELDS)]
+                  for column in records._block(start, start + _CSV_CHUNK_ROWS, _PHASE_FIELDS)]
         stream.write("\n".join(map(",".join, zip(*fields))) + "\n")
-
-
-def write_sweep_csv(records, stream, digits: int | None = None) -> None:
-    """RFC 4180 CSV, LF line endings, header row, fixed column order."""
-    _write_rows(stream, SWEEP_COLUMNS, records, digits)
 
 
 def write_sweep_jsonl(records, stream, digits: int | None = None) -> None:
     """JSON-lines mirror of the CSV with identical field names."""
     _write_rows(stream, SWEEP_COLUMNS, records, digits, "json")
-
-
-def write_boundary_csv(points, stream, digits: int | None = None) -> None:
-    """lambda,T_c rows; the T_c field is empty where no transition exists."""
-    _write_rows(stream, ("lambda", "T_c"), points, digits)
 
 
 _ORACLE_COLUMNS = ("N", "f_diff_exact", "boson_occupation", "f_diff_mf", "b0_sq_mf")

@@ -376,6 +376,37 @@ def test_mean_field_commands_never_import_scipy(tmp_path):
     assert proc.stderr == repr(([0] * len(requests), []))
 
 
+def test_closed_form_commands_and_refusals_never_import_numpy():
+    # the closed forms, --dump-config, --help and --version, then refusals:
+    # the benchmark's invalid requests and a bad --digits
+    finished = [["tc", *TC_FLAGS],
+                ["boundary", *TC_FLAGS[:-2], "--lambda-min", "0", "--lambda-max", "0.5",
+                 "--count", "3"],
+                ["tc", *TC_FLAGS, "--dump-config"], ["--help"], ["--version"]]
+    refused = [
+        ["tc", "--omega0", "1", "--Omega", "1", "--g1", "-0.5", "--g2", "0.5", "--lambda", "0"],
+        ["gap", "--omega0", "1", "--Omega", "1", "--g1", "1", "--g2", "1", "--lambda", "0"],
+        ["free-energy", "--omega0", "1", "--Omega", "0", "--g1", "1", "--g2", "1",
+         "--lambda", "0", "--beta", "2"],
+        ["tc", "--omega0", "1", "--omega0", "2", "--Omega", "1", "--g1", "1", "--g2", "1",
+         "--lambda", "0"],
+        ["gap", "--omega0", "1", "--bogus", "1"],
+        ["gap", *POINT_FLAGS, "--digits", "0"],
+    ]
+    script = (
+        "import contextlib, io, sys\n"
+        "from dicke_dipole.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {finished + refused!r}]\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')\n"
+        "sys.stdout.write(repr((codes, loaded)))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.stdout == repr(([0] * len(finished) + [2] * len(refused), []))
+
+
 def test_dump_config_round_trips(tmp_path, capsys):
     code, dumped, _ = run(capsys, ["tc", *TC_FLAGS, "--dump-config"])
     assert code == 0

@@ -11,7 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+import dicke_dipole
+from dicke_dipole import meanfield, model, output, sweep
 from dicke_dipole import (
     CONFIG_KEYS,
     AxisSpec,
@@ -315,6 +319,49 @@ def test_phase_boundary_validation():
     with pytest.raises(DomainError) as info:
         phase_boundary(1, 1, 0.6, 0.6, (0.0, 1.2e12), 3)
     assert str(info.value) == "lambda[2]=1200000000000.0: lam exceeds the magnitude cap 1e+12"
+
+
+# finite doubles, with subnormal ones often enough that some spans are too
+# small for a step (hi - lo)/(count - 1) to be nonzero
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.floats(-1e-320, 1e-320)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_FINITE, _FINITE, st.integers(1, 40))
+@example(0.0, 0.5, 1)
+@example(-1.5, 2.5, 2)
+@example(0.0, 5e-324, 3)  # the step rounds to 0
+@example(-1e-322, 1e-322, 7)
+@example(-1.5e308, 1.5e308, 1)  # hi - lo overflows
+@example(-1.5e308, 1.5e308, 2)
+@example(-1.7e308, 1.7e308, 5)
+def test_linspace_matches_numpy_bit_for_bit(a, b, count):
+    lo, hi = min(a, b), max(a, b)
+    assume(lo < hi)
+    with np.errstate(all="ignore"):  # overflowing spans warn in NumPy
+        want = np.linspace(lo, hi, count).tolist()
+    assert [x.hex() for x in output._linspace(lo, hi, count)] == [x.hex() for x in want]
+
+
+def test_moved_names_are_one_object_in_every_home():
+    # the closed forms moved from meanfield to model, and the row writer and
+    # the boundary scan from sweep to output; the old homes re-export them,
+    # and the package resolves each to its new home
+    moved = {
+        (meanfield, model): ("PhaseLabel", "critical_inverse_temperature",
+                             "critical_coupling_zero_temperature"),
+        (sweep, output): ("MAX_DIGITS", "MAX_GRID_POINTS", "phase_boundary",
+                          "write_boundary_csv", "_check_digits", "_format_number",
+                          "_write_rows"),
+    }
+    exported = {"PhaseLabel", "critical_inverse_temperature", "critical_coupling_zero_temperature",
+                "phase_boundary", "write_boundary_csv"}
+    for (old, new), names in moved.items():
+        for name in names:
+            assert getattr(old, name) is getattr(new, name), name
+            if name in exported:
+                assert getattr(dicke_dipole, name) is getattr(new, name), name
+                assert dicke_dipole._MODULE_OF[name] == new.__name__.rsplit(".", 1)[-1]
 
 
 # --- oracle table ----------------------------------------------------------------
