@@ -25,6 +25,7 @@ import argparse
 import contextlib
 import json
 import math
+import re
 import sys
 
 from . import __version__
@@ -63,11 +64,14 @@ class _UniqueStore(argparse.Action):
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose arguments store through _UniqueStore unless
-    they name another action; add_subparsers makes its subparsers alike."""
+    they name another action, and which reads a negative number as a value,
+    in exponent form too (argparse's own pattern takes -1e-05 for a flag);
+    add_subparsers makes its subparsers alike."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.register("action", None, _UniqueStore)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def _add_param_flags(parser):

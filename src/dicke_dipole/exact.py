@@ -26,22 +26,24 @@ product and fermion bases build them alike, from per-site blocks
     unphysical occupation sectors per atom cancel in pairs.
 
 The full-product and fermion bases are diagonalized densely: they are the
-independent oracles.  One sector solve, _sector_spectrum, serves
-build_collective and the thermal sums.  It splits a collective sector once
-(_parity_split) by the Dicke parity exp(i pi (b'b + S^z + j)) (Emary &
-Brandes, PRE 67, 066203, 2003), which commutes with H for any g1, g2 and
-lam, into its (n + m + j) even and odd classes, each a band matrix of
-half-bandwidth at most j+1 (j+3/2 for half-integer j); the split relabels
-the row and column of each stored (COO) entry to its place in its class, and
-an element coupling the two classes raises CommutationError.  Each block
-takes the thermal window below, or the full solve: dense eigh on the
-half-size block, with eigenvectors or without.  Every collective solve goes
-through SciPy's LAPACK, as SuperLU and ARPACK do: NumPy and SciPy link
-separate OpenBLAS builds, each with its own thread pool, and a NumPy solve
-among SciPy's ones contends with SciPy's pool.  build_collective is the
-window path with W = inf, so it returns full spectra.  One reducer,
-_thermal_sums, forms every shifted (log-sum-exp) sum but the fermion
-check's own.
+independent oracles.  One split, _symmetry_blocks, cuts a sparse H into one
+block per class of a conserved quantity: it relabels the row and column of
+each stored (COO) entry to its place in its class, and any nonzero element
+coupling two classes raises CommutationError, with no tolerance.  The
+fermion check takes its fixed-N_F blocks from it.  One sector solve,
+_sector_spectrum, serves build_collective and the thermal sums.  It splits
+a collective sector once (_parity_split) by the Dicke parity
+exp(i pi (b'b + S^z + j)) (Emary & Brandes, PRE 67, 066203, 2003), which
+commutes with H for any g1, g2 and lam, into its (n + m + j) even and odd
+classes, each a band matrix of half-bandwidth at most j+1 (j+3/2 for
+half-integer j).  Each block takes the thermal window below, or the full
+solve: dense eigh on the half-size block, with eigenvectors or without.
+Every collective solve goes through SciPy's LAPACK, as SuperLU and ARPACK
+do: NumPy and SciPy link separate OpenBLAS builds, each with its own thread
+pool, and a NumPy solve among SciPy's ones contends with SciPy's pool.
+build_collective is the window path with W = inf, so it returns full
+spectra.  One reducer, _thermal_sums, forms every shifted (log-sum-exp)
+sum but the fermion check's own.
 
 The thermal sums (free_energy_exact's sector sum, thermal_boson_occupation)
 need only the states below a window top e_min + W, with
@@ -107,7 +109,6 @@ MAX_ATOMS_FULL = 12
 # or the largest fermion-number block of the fermion check.
 VECTOR_BYTE_BUDGET = 2**31
 HERMITICITY_TOL = 1e-12
-COMMUTATOR_TOL = 1e-12
 # Thermal-window sector solves, which always want eigenvectors.  A parity
 # block of at least WINDOW_MIN_DIM states is windowed when at most
 # WINDOW_MAX_SHARE_VECTORS of it lies below the top: past that share the
@@ -174,7 +175,7 @@ class SpectralData:
 
     eigenvalues: np.ndarray
     dimension: int
-    basis: str  # "full_product" | "collective" | "fermion_fock"
+    basis: str  # "full_product" | "collective"
     n_atoms: int
     n_max: int
     sector_j: float | None = None
@@ -188,44 +189,51 @@ def _embed(site_op, i: int, n_sites: int, site_dim: int) -> sparse.csr_matrix:
     return sparse.kron(sparse.kron(left, site_op), right, format="csr")
 
 
-def _parity_split(h, n_max: int, spin_dim: int):
-    """[(block, basis occupations)] of the sector Hamiltonian h on its
-    (n + m + j) even and odd classes, each block a symmetric CSC matrix
-    listed n-outer, m-inner; a nonzero element between them raises
-    CommutationError.
+def _symmetry_blocks(h, listing, classes):
+    """One symmetric CSC block of h per class of a conserved quantity, in
+    class order: listing holds h's index of each state, listed class by
+    class, and classes the class of each listed state, ascending.
 
-    The states are listed class by class, and each stored entry of h is
-    relabelled to the listed places of its row and column, with no sparse
-    slicing.  In that order every term of H moves a state by at most j+1
-    places within its class (j+3/2 for half-integer j): b S^+ and b' S^-
-    take (n, m) to (n-1, m+1) and back, b S^- and b' S^+ take it to
-    (n-1, m-1) and back, the rest is diagonal.
+    Each stored (COO) entry of h is relabelled to the listed places of its
+    row and column, with no sparse slicing, so each block keeps the order
+    of the listing.  A nonzero entry between two classes raises
+    CommutationError: the split allows no tolerance.
     """
-    dim = spin_dim * (n_max + 1)
-    n, spin = np.divmod(np.arange(dim), spin_dim)
-    parity = (n + spin) % 2
-    listing = np.argsort(parity, kind="stable")  # the even class, then the odd
     place = np.empty_like(listing)
-    # the listed place of each state, at h's index of it (boson fastest)
-    place[(spin * (n_max + 1) + n)[listing]] = np.arange(dim)
+    place[listing] = np.arange(listing.size)  # the listed place of each state, at h's index
     h = h.tocoo()
     row, col, data = place[h.row], place[h.col], h.data
-    even = dim - int(parity.sum())
-    leak = ((row < even) != (col < even)) & (data != 0)
+    leak = (classes[row] != classes[col]) & (data != 0)
     if leak.any():
-        worst = float(np.abs(data[leak]).max())
-        raise CommutationError(
-            f"parity-breaking entry of magnitude {worst:.3e} couples the "
-            f"symmetry blocks ({int(leak.sum())} such entries)"
-        )
+        raise CommutationError(f"symmetry-breaking entry of magnitude "
+                               f"{float(np.abs(data[leak]).max()):.3e} couples two classes "
+                               f"({int(leak.sum())} such entries)")
+    starts = np.flatnonzero(np.diff(classes, prepend=classes[0] - 1))  # each class's first place
     blocks = []
-    for start, stop in ((0, even), (even, dim)):
+    for start, stop in zip(starts, [*starts[1:], listing.size]):
         # a stored zero may still cross the classes, so both bounds are kept
         keep = (row >= start) & (row < stop) & (col >= start) & (col < stop)
-        block = sparse.csc_matrix((data[keep], (row[keep] - start, col[keep] - start)),
-                                  shape=(stop - start, stop - start))
-        blocks.append((block, n[listing[start:stop]].astype(float)))
+        blocks.append(sparse.csc_matrix((data[keep], (row[keep] - start, col[keep] - start)),
+                                        shape=(stop - start, stop - start)))
     return blocks
+
+
+def _parity_split(h, n_max: int, spin_dim: int):
+    """[(block, basis occupations)] of the sector Hamiltonian h on its
+    (n + m + j) even and odd classes (_symmetry_blocks), each block listed
+    n-outer, m-inner.
+
+    In that order every term of H moves a state by at most j+1 places
+    within its class (j+3/2 for half-integer j): b S^+ and b' S^- take
+    (n, m) to (n-1, m+1) and back, b S^- and b' S^+ take it to (n-1, m-1)
+    and back, the rest is diagonal.
+    """
+    n, spin = np.divmod(np.arange(spin_dim * (n_max + 1)), spin_dim)
+    parity = (n + spin) % 2
+    order = np.argsort(parity, kind="stable")  # the even class, then the odd
+    # h's index of each listed state (boson fastest)
+    blocks = _symmetry_blocks(h, (spin * (n_max + 1) + n)[order], parity[order])
+    return list(zip(blocks, np.split(n[order].astype(float), [blocks[0].shape[0]])))
 
 
 def _vector_sums(vecs, obs):
@@ -957,7 +965,7 @@ def _fermion_site_ops():
     sz = np.diag([0.0, -1.0, 1.0, 0.0])  # a'a - b'b
     sp = np.zeros((4, 4))
     sp[2, 1] = 1.0  # a'b : |01> -> |10>, annihilated on |11> and |00>
-    nf = np.array([0.0, 1.0, 1.0, 2.0])  # a'a + b'b
+    nf = np.array([0, 1, 1, 2])  # a'a + b'b
     return sz, sp, nf
 
 
@@ -971,13 +979,15 @@ def fermionic_identity_check(
 
         | Tr exp(-beta H) - i^N Tr exp(-beta H_F - i pi/2 N_F) | / Tr exp(-beta H).
 
-    [H_F, N_F] = 0 by construction (verified numerically), so the fermionic
-    trace is evaluated by diagonalizing H_F inside fixed-N_F blocks and
-    attaching the phase (-i)^{n_F} to each block; no complex matrix
-    exponential is needed.  Restricted to N <= 2 to keep 4^N harmless.
-    DimensionError before either side is built when the largest N_F block,
-    N_F = N with C(2N, N) (n_max+1) states, is over VECTOR_BYTE_BUDGET
-    (_check_bytes); it holds at least as many states as the spin side.
+    H_F conserves N_F, so the fermionic trace is evaluated by diagonalizing
+    H_F inside fixed-N_F blocks and attaching the phase (-i)^{n_F} to each
+    block; no complex matrix exponential is needed.  The blocks come from
+    the shared split (_symmetry_blocks), which raises CommutationError for
+    any nonzero element of H_F between two N_F classes, with no tolerance.
+    Restricted to N <= 2 to keep 4^N harmless.  DimensionError before
+    either side is built when the largest N_F block, N_F = N with
+    C(2N, N) (n_max+1) states, is over VECTOR_BYTE_BUDGET (_check_bytes);
+    it holds at least as many states as the spin side.
     """
     _check_count("n_atoms", n_atoms, 1, 2)
     _check_bytes(n_atoms, trunc.n_max, math.comb(2 * n_atoms, n_atoms) * (trunc.n_max + 1))
@@ -986,23 +996,12 @@ def fermionic_identity_check(
 
     sz1, sp1, nf1 = _fermion_site_ops()
     h_f = _hamiltonian(params, n_atoms, trunc.n_max, *_site_sums((sz1, sp1), n_atoms))
-
     # N_F of each basis state: the site occupations summed over an open mesh
     nf_diag = np.repeat(sum(np.ix_(*[nf1] * n_atoms)).ravel(), trunc.n_max + 1)
-    # [H_F, diag(N_F)]_{kl} = H_{kl} (n_l - n_k), zero off H_F's stored entries
-    stored = h_f.tocoo()
-    commutator = stored.data * (nf_diag[stored.col] - nf_diag[stored.row])
-    worst = float(np.abs(commutator).max(initial=0.0))
-    if worst > COMMUTATOR_TOL:
-        raise CommutationError(
-            f"max |[H_F, N_F]| entry = {worst:.3e} exceeds {COMMUTATOR_TOL:g}"
-        )
-
-    block_energies = []
-    for n_f in range(2 * n_atoms + 1):
-        (block_idx,) = np.nonzero(np.abs(nf_diag - n_f) < 0.5)
-        # sliced while sparse, so that only one N_F block is ever dense
-        block_energies.append(np.linalg.eigvalsh(h_f[block_idx][:, block_idx].toarray()))
+    listing = np.argsort(nf_diag, kind="stable")  # N_F = 0, 1, ..., 2N
+    # split while sparse, so that only one N_F block is ever dense
+    block_energies = [np.linalg.eigvalsh(block.toarray())
+                      for block in _symmetry_blocks(h_f, listing, nf_diag[listing])]
     # one common shift keeps both sides' shifted sums of comparable size
     e_ref = min(
         float(spin_side.eigenvalues[0]),

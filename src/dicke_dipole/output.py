@@ -114,6 +114,12 @@ def phase_boundary(
     lo, hi = float(lambda_range[0]), float(lambda_range[1])
     if not lo < hi:
         raise DomainError(f"lambda_range must satisfy min < max, got ({lo}, {hi})")
+    # before any point is formed: an infinite end, or a span past the largest
+    # double, would make every point nan
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"lambda_range ends must be finite, got ({lo}, {hi})")
+    if math.isinf(hi - lo):
+        raise DomainError(f"lambda_range span max - min overflows a double, got ({lo}, {hi})")
     points = []
     for i, lam in enumerate(_linspace(lo, hi, count)):
         try:

@@ -13,6 +13,7 @@ Sweep and oracle records are NamedTuples in column order, so each record is
 its printed row; an Enum cell, such as a phase, prints its value.
 """
 
+import math
 import operator
 from collections.abc import Sequence
 from dataclasses import astuple, dataclass
@@ -54,6 +55,10 @@ class AxisSpec:
         _check_real(f"axis {self.name} max", self.max)
         if not self.min < self.max:
             raise DomainError(f"axis {self.name}: min must be < max, got [{self.min}, {self.max}]")
+        # NumPy's linspace would make every point nan
+        if math.isinf(float(self.max) - float(self.min)):
+            raise DomainError(f"axis {self.name}: span max - min overflows a double, "
+                              f"got [{self.min}, {self.max}]")
         if self.scale not in ("linear", "log"):
             raise DomainError(f"axis scale must be 'linear' or 'log', got {self.scale!r}")
         if self.scale == "log" and self.min <= 0:

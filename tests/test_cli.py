@@ -184,6 +184,27 @@ def test_conflicting_duplicate_flag_rejected(capsys):
     assert code == 0 and "beta_c" in json.loads(out)
 
 
+def test_negative_value_in_exponent_form_is_read_as_a_value(capsys):
+    # argparse's own pattern takes -1e-05 for a flag; each request must read
+    # as its --flag=value spelling does, and the negative tol is then refused
+    # as a value
+    for head, flag, value, code in (
+        (["tc", *TC_FLAGS[:-2]], "--lambda", "-1e-05", 0),
+        (["oracle", *POINT_FLAGS, "--N", "2", "--n-max", "4"], "--tol", "-1e-09", 2),
+        (["boundary", *TC_FLAGS[:-2], "--lambda-max", "0.5", "--count", "3"],
+         "--lambda-min", "-1e-05", 0),
+    ):
+        spaced = run(capsys, [*head, flag, value])
+        assert spaced == run(capsys, [*head, f"{flag}={value}"])
+        assert spaced[0] == code
+    # a conflicting repeat and an unknown flag are still refused
+    code, out, err = run(capsys, ["tc", *TC_FLAGS[:-2], "--lambda", "-1e-05", "--lambda", "-2e-05"])
+    assert (code, out) == (2, "")
+    assert "conflicting duplicate flag --lambda: -1e-05 then -2e-05" in err
+    code, out, err = run(capsys, ["tc", *TC_FLAGS, "--bogus", "1"])
+    assert (code, out) == (2, "") and "unrecognized arguments: --bogus 1" in err
+
+
 def _conflicting_repeats():
     """[subcommand, flag, a, flag, b] for every value-taking optional of every
     subcommand, a and b two different values that the flag accepts."""
@@ -540,6 +561,28 @@ def test_boundary_validates_beta_lambda_and_count(capsys):
                                   "--lambda-max", "0", "--count", "3"])
     assert code == 2 and out == ""
     assert err == "error: lambda[0]=-2000000000000.0: lam exceeds the magnitude cap 1e+12\n"
+
+
+@pytest.mark.parametrize("lambda_min, lambda_max, message", [
+    ("0", "inf", "lambda_range ends must be finite, got (0.0, inf)"),
+    ("-1e308", "1e308", "lambda_range span max - min overflows a double, got (-1e+308, 1e+308)"),
+])
+def test_boundary_range_whose_points_would_be_nan_exits_2(capsys, lambda_min, lambda_max,
+                                                          message):
+    code, out, err = run(capsys, ["boundary", *TC_FLAGS[:-2], "--lambda-min", lambda_min,
+                                  "--lambda-max", lambda_max, "--count", "3"])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_fermion_number_breaking_element_exits_3(capsys, monkeypatch):
+    # sigma^+ also maps |00> to |11>, which changes N_F by 2
+    from dicke_dipole import exact
+
+    sz, sp, nf = exact._fermion_site_ops()
+    sp[3, 0] = 1.0
+    monkeypatch.setattr(exact, "_fermion_site_ops", lambda: (sz, sp, nf))
+    code, out, err = run(capsys, ["fermion-check", *POINT_FLAGS, "--N", "2", "--n-max", "4"])
+    assert (code, out) == (3, "") and err.startswith("error: ")
 
 
 def test_fermion_check_has_no_digits_flag(capsys):

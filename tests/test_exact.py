@@ -132,6 +132,51 @@ def test_parity_split_rejects_parity_breaking_element():
         exact._parity_split(sparse.csr_matrix(h), 1, 2)
 
 
+@pytest.mark.parametrize("symmetry", ["parity", "fermion number"])
+def test_symmetry_blocks_hold_every_stored_entry_of_h(symmetry):
+    params = ModelParams(1.1, 0.9, 0.5, 0.3, -0.35)
+    if symmetry == "parity":
+        n_max, spin_dim = 7, 4  # N = 5, j = 3/2
+        h = exact._collective_hamiltonian(params, 5, 1.5, n_max)
+        # (class, h's index) of each state, listed n-outer, m-inner
+        states = [((n + s) % 2, s * (n_max + 1) + n)
+                  for n in range(n_max + 1) for s in range(spin_dim)]
+    else:
+        n_max = 5
+        h = exact._hamiltonian(params, 2, n_max,
+                               *exact._site_sums(exact._fermion_site_ops()[:2], 2))
+        site = [0, 1, 1, 2]  # N_F of |00>, |01>, |10>, |11>; the boson is fastest
+        states = [(site[k // (n_max + 1) // 4] + site[k // (n_max + 1) % 4], k)
+                  for k in range(h.shape[0])]
+    # class by class, each in its listed order (sorted is stable)
+    classes, listing = (np.array(c) for c in zip(*sorted(states, key=lambda state: state[0])))
+    blocks = exact._symmetry_blocks(h, listing, classes)
+    assert [block.shape[0] for block in blocks] == np.bincount(classes).tolist()
+    entries, start = {}, 0
+    for block in blocks:
+        assert block.format == "csc" and block.has_canonical_format
+        stored = block.tocoo()
+        for row, col, value in zip(listing[stored.row + start], listing[stored.col + start],
+                                   stored.data):
+            entries[row, col] = value
+        start += block.shape[0]
+    stored = h.tocoo()
+    assert stored.nnz > h.shape[0]  # off-diagonal entries are present
+    assert sum(block.nnz for block in blocks) == stored.nnz
+    assert entries == dict(zip(zip(stored.row, stored.col), stored.data))
+
+
+def test_fermion_number_breaking_element_is_refused(monkeypatch):
+    # sigma^+ also maps |00> to |11>, which changes N_F by 2
+    sz, sp, nf = exact._fermion_site_ops()
+    sp[3, 0] = 1.0
+    monkeypatch.setattr(exact, "_fermion_site_ops", lambda: (sz, sp, nf))
+    with pytest.raises(CommutationError):
+        fermionic_identity_check(P_MIXED, 2, Thermo(1.0), TruncationConfig(4))
+    with pytest.raises(CommutationError):
+        fermionic_identity_check(P_MIXED, 1, Thermo(1.0), TruncationConfig(4))
+
+
 def test_collective_exchange_identity_in_product_basis():
     # sum_{i != j} sp_i sm_j == J+ J- - (N + Jz)/2, entrywise
     n_atoms = 3

@@ -90,6 +90,18 @@ def test_axis_validation():
             AxisSpec("beta", 0.5, bad, 5, scale="log")
 
 
+def test_axis_span_that_overflows_is_refused_before_any_point():
+    # max - min passes the largest double, so each linspace point would be
+    # nan; a NumPy overflow warning would fail the test (filterwarnings)
+    with pytest.raises(DomainError) as info:
+        GridSpec(AxisSpec("lambda", -1e308, 1e308, 3), AxisSpec("beta", 1.0, 2.0, 2),
+                 {"omega0": 1.0, "Omega": 1.0, "g1": 0.6, "g2": 0.6})
+    assert str(info.value) == ("axis lambda: span max - min overflows a double, "
+                               "got [-1e+308, 1e+308]")
+    # a span just inside the range of a double is still swept
+    assert np.isfinite(AxisSpec("lambda", -8e307, 8e307, 3).values()).all()
+
+
 def test_axis_values():
     lin = AxisSpec("g1", 0.0, 1.0, 5).values()
     assert np.allclose(lin, [0.0, 0.25, 0.5, 0.75, 1.0])
@@ -319,6 +331,21 @@ def test_phase_boundary_validation():
     with pytest.raises(DomainError) as info:
         phase_boundary(1, 1, 0.6, 0.6, (0.0, 1.2e12), 3)
     assert str(info.value) == "lambda[2]=1200000000000.0: lam exceeds the magnitude cap 1e+12"
+
+
+def test_phase_boundary_refuses_a_range_whose_points_would_be_nan():
+    # an infinite end, or a span past the largest double, is refused by
+    # name before any point is formed
+    with pytest.raises(DomainError) as info:
+        phase_boundary(1, 1, 0.6, 0.6, (0.0, math.inf), 3)
+    assert str(info.value) == "lambda_range ends must be finite, got (0.0, inf)"
+    with pytest.raises(DomainError) as info:
+        phase_boundary(1, 1, 0.6, 0.6, (-math.inf, math.inf), 3)
+    assert str(info.value) == "lambda_range ends must be finite, got (-inf, inf)"
+    with pytest.raises(DomainError) as info:
+        phase_boundary(1, 1, 0.6, 0.6, (-1e308, 1e308), 3)
+    assert str(info.value) == ("lambda_range span max - min overflows a double, "
+                               "got (-1e+308, 1e+308)")
 
 
 # finite doubles, with subnormal ones often enough that some spans are too
