@@ -10,9 +10,11 @@ axis names are all model.CONFIG_KEYS, and one reader loads the --config and
 validated, then unused.  Every output but fermion-check's PASS/FAIL line goes
 through one row writer (output._write_rows), so --digits means the same thing
 everywhere; fermion-check takes --out but no --digits or --tol, and no
-subcommand takes --jobs.  --digits is checked by the writers' own rule
-(output._check_digits) after the config merge and --dump-config, before any
-other work.
+subcommand takes --jobs.  oracle's --n-max is only a floor (default 1), as
+each row starts where its saddle point predicts; fermion-check's is
+required, as its trace identity holds at every cutoff.  --digits is checked
+by the writers' own rule (output._check_digits) after the config merge and
+--dump-config, before any other work.
 Each handler imports the layers it computes with (meanfield and sweep use
 NumPy, exact uses SciPy too), so tc, boundary, --dump-config, --help,
 --version and every request refused before any computing run without NumPy.
@@ -65,13 +67,15 @@ class _UniqueStore(argparse.Action):
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose arguments store through _UniqueStore unless
     they name another action, and which reads a negative number as a value,
-    in exponent form too (argparse's own pattern takes -1e-05 for a flag);
-    add_subparsers makes its subparsers alike."""
+    in exponent form too, and -inf, -infinity and -nan in any case
+    (argparse's own pattern takes -1e-05 and -inf for flags); add_subparsers
+    makes its subparsers alike."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.register("action", None, _UniqueStore)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|(?i:inf|infinity|nan))$")
 
 
 def _add_param_flags(parser):
@@ -123,19 +127,6 @@ def _output(args):
     return open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout)
 
 
-def _truncation(args, params, thermo):
-    """--n-max, else the seeded heuristic: the oracle's smallest boson cutoff
-    tried, and fermion-check's fixed cutoff."""
-    # imported here, as each handler imports what it computes with, so that
-    # the mean-field commands never load SciPy
-    from .exact import TruncationConfig
-
-    tol = getattr(args, "tol", TruncationConfig.tol)  # fermion-check reads no tol
-    if args.n_max is not None:
-        return TruncationConfig(args.n_max, tol)
-    return TruncationConfig.seeded(params, thermo, tol)
-
-
 def _cmd_tc(args, config) -> int:
     params, _ = params_from_mapping(config)  # a given beta is validated, then unused
     ratio, beta_c = _critical_point(params)
@@ -179,9 +170,10 @@ def _cmd_oracle(args, config) -> int:
         n_list = [int(chunk) for chunk in str(args.N).split(",")]
     except ValueError as exc:
         raise DomainError(f"--N must be a comma-separated integer list: {exc}") from exc
+    from .exact import TruncationConfig
     from .sweep import oracle_table, write_oracle_csv, write_oracle_jsonl
 
-    rows = oracle_table(params, thermo, n_list, _truncation(args, params, thermo))
+    rows = oracle_table(params, thermo, n_list, TruncationConfig(args.n_max, args.tol))
     write = write_oracle_jsonl if args.format == "json" else write_oracle_csv
     with _output(args) as stream:
         write(rows, stream, args.digits)
@@ -189,11 +181,10 @@ def _cmd_oracle(args, config) -> int:
 
 
 def _cmd_fermion_check(args, config) -> int:
-    from .exact import fermionic_identity_check
+    from .exact import TruncationConfig, fermionic_identity_check
 
     params, thermo = params_from_mapping(config, require_beta=True)
-    trunc = _truncation(args, params, thermo)
-    discrepancy = fermionic_identity_check(params, args.N, thermo, trunc)
+    discrepancy = fermionic_identity_check(params, args.N, thermo, TruncationConfig(args.n_max))
     verdict = "PASS" if discrepancy < FERMION_PASS_TOL else "FAIL"
     with _output(args) as stream:
         stream.write(f"{verdict} {discrepancy:.1e}\n")
@@ -247,10 +238,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="finite-N vs mean-field comparison table")
     _add_param_flags(p_oracle)
     p_oracle.add_argument("--N", required=True, help="comma-separated atom counts, e.g. 2,4,6,8")
-    p_oracle.add_argument("--n-max", dest="n_max", type=int,
-                          help="the smallest boson cutoff tried (default: seeded heuristic); "
-                               "each row starts where the mean-field saddle point predicts, "
-                               "from this cutoff up to twice it")
+    p_oracle.add_argument("--n-max", dest="n_max", type=int, default=1,
+                          help="the smallest boson cutoff tried (default: 1); each row starts "
+                               "where the mean-field saddle point predicts, at or above it")
     p_oracle.add_argument("--tol", type=float, default=1e-8,
                           help="absolute tolerance on each row's f_diff_exact and "
                                "boson_occupation: a row's cutoff is the first whose bound on "
@@ -261,9 +251,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fermion = sub.add_parser("fermion-check", help="fermionic trace identity check")
     _add_param_flags(p_fermion)
     p_fermion.add_argument("--N", type=int, required=True, choices=(1, 2), help="atom count")
-    p_fermion.add_argument("--n-max", dest="n_max", type=int,
-                           help="the boson cutoff both traces are taken at "
-                                "(default: seeded heuristic)")
+    # the trace identity holds at every cutoff, so there is none to predict
+    p_fermion.add_argument("--n-max", dest="n_max", type=int, required=True,
+                           help="the boson cutoff both traces are taken at")
     _add_output_flags(p_fermion, digits=False)
     p_fermion.set_defaults(handler=_cmd_fermion_check)
 

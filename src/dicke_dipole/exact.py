@@ -67,27 +67,31 @@ One cutoff loop, _converged, serves free_energy_exact and the oracle table
 predicts (_saddle_cutoff): the boson is displaced by sqrt(N) b0 and
 thermal, so its mean occupation is N b0^2 plus 1/(exp(beta omega0) - 1),
 with a tail that the mean-field Boltzmann factor of each occupation widens
-at high temperature, and the start is the cutoff at which that tail is
-small enough, at least the given n_max and at most twice it, lowered (not
-below n_max) where the size checks refuse its doubling; the plan keeps that
-mean occupation too.  Each level is solved once in the collective
-basis, with eigenvectors, and certifies itself: the eigenvectors that give
-<b'b> also give the thermal weight on the top Fock levels, whose decay
-bounds the truncation error of both f and <b'b>/N (_tail_bound); the loop
-stops at the first level whose bound is below the tolerance, or else grows
-to the level where that decay predicts it will be, at most twice the last.
-It stops at once when that predicted level fails a size check, or, where
-the top weights do not fall, when the plan's mean occupation does, as no
-level below it can be certified.  The full product basis, the independent
-oracle, starts at the same saddle point and is solved for eigenvalues
-only; its cutoff doubles until two levels agree to the tolerance.
+at high temperature, and the start is the first cutoff at which that tail
+is small enough, at least the given n_max and at most the ceiling, the
+highest level whose doubling the size checks admit (the given n_max where
+no level up to the ceiling is); the plan keeps that mean occupation too.
+That model is the only heuristic that picks a start: nothing clamps it
+near n_max, and only the size checks bound it.  Each level is solved once
+in the collective basis, with eigenvectors, and certifies itself: the
+eigenvectors that give <b'b> also give the thermal weight on the top Fock
+levels, whose decay bounds the truncation error of both f and <b'b>/N
+(_tail_bound); the loop stops at the first level whose bound is below the
+tolerance, or else grows to the level where that decay predicts it will
+be, at most twice the last.  It stops at once when that predicted level
+fails a size check, or, where the top weights do not fall, when the plan's
+mean occupation does, as no level below it can be certified.  The full
+product basis, the independent oracle, starts at the same saddle point and
+is solved for eigenvalues only; its cutoff doubles until two levels agree
+to the tolerance.
 
 One size rule guards every solve: before it assembles anything, the bytes
 of its largest dense block are checked against VECTOR_BYTE_BUDGET
 (_check_bytes).  That block is the whole full product basis, a collective
 sector's larger parity block, or the fermion check's largest N_F block.
 The cutoff loops check each level where it starts (_check_level), and the
-plan checks its start and that start's doubling before either is solved.
+plan checks the given n_max and its doubling, then bisects for the ceiling,
+before any level is solved.
 """
 
 import functools
@@ -135,7 +139,8 @@ class TruncationConfig:
 
     A fixed-cutoff solve uses n_max as it is.  The adaptive loops
     (free_energy_exact, the oracle table; the module docstring describes
-    them) try no cutoff below n_max, and stop where tol bounds the
+    them) take n_max as a floor only: they try no cutoff below it, start
+    where the saddle point predicts, and stop where tol bounds the
     truncation error."""
 
     n_max: int
@@ -147,9 +152,13 @@ class TruncationConfig:
 
     @classmethod
     def seeded(cls, params: ModelParams, thermo: Thermo, tol: float = 1e-8):
-        """Heuristic smallest cutoff for the adaptive cutoff loop.
+        """Deprecated, with no runtime warning: nothing in the package calls
+        it, as the adaptive loops start where the saddle point predicts
+        (_saddle_cutoff) from any n_max, 1 included.  It is kept, unchanged,
+        for callers that still use it.
 
-        Superradiant states displace the oscillator by O(sqrt(N)*g/omega0),
+        A heuristic smallest cutoff for the adaptive cutoff loop:
+        superradiant states displace the oscillator by O(sqrt(N)*g/omega0),
         and low beta populates the thermal tail, so seed with
         ceil(8*(g1+g2)**2/omega0**2 + 10*max(1, 1/(beta*omega0))).
         DomainError when that is not a finite double.
@@ -256,14 +265,12 @@ def _block_eigh(a, occ):
     # fermion-check and build_full, which call none of them, load neither
     import scipy.linalg
 
-    lower = sparse.tril(a, format="coo")
-    size = a.shape[0]
-    # dense eigh (LAPACK dsyevd) reads only the lower triangle.  SciPy's
-    # LAPACK, not NumPy's: the two link separate OpenBLAS builds with a thread
-    # pool each, and a NumPy call among the SciPy solves around it contends
-    # with SciPy's pool (about 3x slower on 2 CPUs)
-    dense = np.zeros((size, size), dtype=lower.data.dtype)
-    dense[lower.row, lower.col] = lower.data
+    # dense eigh (LAPACK dsyevd) reads only the lower triangle, and every
+    # block is exactly symmetric.  SciPy's LAPACK, not NumPy's: the two link
+    # separate OpenBLAS builds with a thread pool each, and a NumPy call among
+    # the SciPy solves around it contends with SciPy's pool (about 3x slower
+    # on 2 CPUs)
+    dense = a.toarray()
     if occ is None:
         return scipy.linalg.eigh(dense, lower=True, eigvals_only=True, driver="evd"), None
     vals, vecs = scipy.linalg.eigh(dense, lower=True, driver="evd")
@@ -630,19 +637,24 @@ def _check_level(n_atoms, n_max, basis="collective") -> None:
 def _starting_cutoff(params, n_atoms, thermo, trunc, basis="collective"):
     """The plan of one atom count's cutoff loop, from one saddle point
     (_saddle_cutoff): (the checked level the loop starts at, the saddle
-    point's mean occupation).  The start is the saddle-point cutoff, lowered
-    to the highest level whose doubling the size checks admit, but not below
-    trunc.n_max, so that every refusal is the one trunc.n_max gives.
+    point's mean occupation).  The start is the saddle-point cutoff, at
+    least trunc.n_max and at most the ceiling, the highest level whose
+    doubling the size checks admit; no prediction is lowered to it.
 
-    trunc.n_max is checked first, and the atom count with it, before the
-    saddle point is formed: DimensionError when it fails.  The checks grow
-    with the level, so the highest level is bisected; TruncationError when
-    the start's doubling fails them, as the full basis's loop never ends at
-    its start and the collective loop may grow to its doubling.
+    trunc.n_max is checked first, and the atom count with it, then its
+    doubling, all before the saddle point is formed: DimensionError when
+    trunc.n_max fails, TruncationError when its doubling does, as the full
+    basis's loop never ends at its start and the collective loop may grow
+    to its doubling.  The checks grow with the level, so the ceiling is
+    bisected, below 2^62, whose doubling every check refuses.
     """
     _check_level(n_atoms, trunc.n_max, basis)
-    high, occupation = _saddle_cutoff(params, n_atoms, thermo, trunc)
-    low = trunc.n_max
+    try:
+        _check_level(n_atoms, 2 * trunc.n_max, basis)
+    except DimensionError as exc:
+        raise TruncationError(f"no converged cutoff from n_max={trunc.n_max}: "
+                              f"its first doubling is refused: {exc}") from exc
+    low, high = trunc.n_max, 2**62
     while low < high:
         mid = (low + high + 1) // 2
         try:
@@ -650,12 +662,7 @@ def _starting_cutoff(params, n_atoms, thermo, trunc, basis="collective"):
             low = mid
         except DimensionError:
             high = mid - 1
-    try:
-        _check_level(n_atoms, 2 * low, basis)
-    except DimensionError as exc:
-        raise TruncationError(f"no converged cutoff from n_max={low}: "
-                              f"its first doubling is refused: {exc}") from exc
-    return low, occupation
+    return _saddle_cutoff(params, n_atoms, thermo, trunc, low)
 
 
 def _sector_sums(params, n_atoms, thermo, n_max):
@@ -716,10 +723,10 @@ def _geometric_tail(n_max, p, r):
     return p / (1.0 - r), p * (n_max / (1.0 - r) + r / (1.0 - r) ** 2)
 
 
-def _tail_bound(n_max, s, m, n_atoms, beta, omega0) -> float:
+def _tail_bound(n_max, s, m, n_atoms, beta, omega0):
     """A bound on the truncation errors of both f and <b'b>/N at the cutoff
     n_max, where the thermal weight from the top level up is s and its
-    occupation m.
+    occupation m; n_max, s and m may be arrays, one entry per level.
 
     Cutting off a weight s moves ln Z by about s when the states cut off are
     thermal, and by beta times their energy when they are the tail of a
@@ -734,7 +741,7 @@ def _tail_bound(n_max, s, m, n_atoms, beta, omega0) -> float:
     cutoff 4x larger were at most 0.26 (f) and 0.2 (<b'b>/N) of them.
     """
     energy = 1.0 + beta * omega0 * n_max
-    return energy * max(s / (n_atoms * beta), m / n_atoms)
+    return energy * np.maximum(s / (n_atoms * beta), m / n_atoms)
 
 
 def _next_cutoff(n_max, p, r, tol, n_atoms, beta, omega0) -> int | None:
@@ -767,13 +774,14 @@ def _next_cutoff(n_max, p, r, tol, n_atoms, beta, omega0) -> int | None:
     return high
 
 
-def _saddle_cutoff(params, n_atoms, thermo, trunc):
+def _saddle_cutoff(params, n_atoms, thermo, trunc, ceiling):
     """(the starting cutoff that the mean-field saddle point predicts, in
-    [trunc.n_max, 2 trunc.n_max], the saddle point's mean boson occupation
+    [trunc.n_max, ceiling], the saddle point's mean boson occupation
     N b0^2 + 1/(exp(beta omega0) - 1), rounded up and at most 2^62, which
     every size check refuses).  (trunc.n_max, 0) when no saddle can be
-    formed; the start is trunc.n_max, too, where N b0^2 is not finite or
-    beta omega0 underflows, and the occupation is 2^62 then.
+    formed; the start is trunc.n_max, too, where no level up to the ceiling
+    passes, or where N b0^2 is not finite or beta omega0 underflows, and the
+    occupation is 2^62 then.
 
     Two models of the boson occupation, and the larger weight of the two at
     each level:
@@ -787,8 +795,8 @@ def _saddle_cutoff(params, n_atoms, thermo, trunc):
         when K = G, and holds the heavy thermal tail that the coupling gives
         at high temperature.  K = max(G, (g1 + g2)^2): lam < 0 keeps its
         share of G, and at lam > 0 the bare coupling sets the tail at large n.
-    Both are summed up to 4 trunc.n_max.  The start is the smallest cutoff
-    at which their tail passes _tail_bound AIM_MARGIN times over.
+    Both are summed up to twice the ceiling.  The start is the smallest
+    cutoff at which their tail passes _tail_bound AIM_MARGIN times over.
     """
     # imported here, as the SciPy solvers are, so that importing exact
     # stays as cheap as a fixed-cutoff solve needs
@@ -806,7 +814,7 @@ def _saddle_cutoff(params, n_atoms, thermo, trunc):
     occupation = math.ceil(min(mean + (x / gap if gap > 0.0 else math.inf), 2.0**62))
     if not (math.isfinite(mean) and gap > 0.0):
         return n_max, occupation
-    k = np.arange(4 * n_max + 1)
+    k = np.arange(2 * ceiling + 1)
     if mean > 0.0:
         ln_factorial = np.concatenate(([0.0], np.cumsum(np.log(k[1:]))))
         poisson = np.exp(k * math.log(mean) - mean - ln_factorial)
@@ -823,11 +831,12 @@ def _saddle_cutoff(params, n_atoms, thermo, trunc):
     weights = np.maximum(displaced, boltzmann / boltzmann.sum())
     s = np.cumsum(weights[::-1])[::-1]  # the weight from each level up
     m = np.cumsum((k * weights)[::-1])[::-1]
-    for level in range(n_max, 2 * n_max):
-        if AIM_MARGIN * _tail_bound(level, float(s[level]), float(m[level]), n_atoms,
-                                    beta, omega0) < trunc.tol:
-            return level, occupation
-    return 2 * n_max, occupation
+    levels = k[n_max:ceiling + 1]
+    # a tiny beta overflows s/(N beta) to inf, a level that does not pass
+    with np.errstate(over="ignore"):
+        passes = AIM_MARGIN * _tail_bound(levels, s[levels], m[levels], n_atoms,
+                                          beta, omega0) < trunc.tol
+    return (n_max + int(passes.argmax()) if passes.any() else n_max), occupation
 
 
 def _ln_z_free(params, n_atoms, beta, n_max) -> float:

@@ -195,21 +195,21 @@ def _gap_excess(omega_delta, Omega):
     return x * x - w * w, e
 
 
+def _ln_2cosh(x):
+    return np.abs(x) + np.log1p(np.exp(-2.0 * np.abs(x)))
+
+
 def _free_energy_arrays(omega0, Omega, g1, g2, lam, beta, omega_delta, superradiant):
-    """(f_diff, f0) at scalar or broadcast array inputs; f_diff = 0.0 off the mask.
+    """f_diff at scalar or broadcast array inputs; 0.0 off the mask.
 
     Squares are written as products, so that scalars and arrays round alike.
     """
-
-    def ln_2cosh(x):
-        return np.abs(x) + np.log1p(np.exp(-2.0 * np.abs(x)))
-
-    ln_2cosh_x, ln_2cosh_omega = ln_2cosh(0.5 * beta * omega_delta), ln_2cosh(0.5 * beta * Omega)
+    ln_2cosh_x, ln_2cosh_omega = _ln_2cosh(0.5 * beta * omega_delta), _ln_2cosh(0.5 * beta * Omega)
     G = np.where(superradiant, _coupling(omega0, Omega, g1, g2, lam), 1.0)
     excess, e = _gap_excess(omega_delta, Omega)
     quad = np.ldexp(omega0 * excess / (4.0 * G), 2 * e)
     entropic = ((ln_2cosh_x - _LN2) - (ln_2cosh_omega - _LN2)) / beta
-    return np.where(superradiant, quad - entropic, 0.0), -ln_2cosh_omega / beta
+    return np.where(superradiant, quad - entropic, 0.0)
 
 
 def solve_gap(params: ModelParams, thermo: Thermo) -> GapSolution:
@@ -288,11 +288,17 @@ def free_energy_diff(
     Normal phase: f_diff = 0 exactly.  Superradiant phase: the condensation
     formula from the module docstring, evaluated through ln cosh in log
     space so beta*Omega_Delta in the thousands cannot overflow.
+    ConvergenceError where f0 overflows a double, at a subnormal beta; no
+    sweep record forms f0.
     """
-    f_diff, f0 = _free_energy_arrays(
+    f_diff = _free_energy_arrays(
         *astuple(params), thermo.beta, sol.omega_delta, sol.phase is PhaseLabel.SUPERRADIANT
     )
-    return FreeEnergyResult(float(f_diff), float(f0))
+    # a Python division, which overflows to inf without a NumPy warning
+    f0 = -float(_ln_2cosh(0.5 * thermo.beta * params.Omega)) / thermo.beta
+    if math.isinf(f0):
+        raise ConvergenceError(f"the reference f0 overflows a double at beta={thermo.beta!r}")
+    return FreeEnergyResult(float(f_diff), f0)
 
 
 def order_parameter_curve(params: ModelParams, beta_list) -> list[CurvePoint]:

@@ -193,7 +193,7 @@ def _table(inputs) -> SweepTable:
     failing point as ``index``.
     """
     superradiant, omega_delta, _, b0, _ = _gap_kernel(*inputs)
-    f_diff, _ = _free_energy_arrays(*inputs, omega_delta, superradiant)
+    f_diff = _free_energy_arrays(*inputs, omega_delta, superradiant)
     return SweepTable((*inputs, superradiant, b0, omega_delta, f_diff))
 
 
@@ -264,7 +264,8 @@ def oracle_table(
     f_diff is bit for bit free_energy_exact's.  An N given twice is solved
     once and printed twice.  Every N's plan is formed and checked, its start
     and that start's doubling included, before the first row is computed,
-    and handed to its solve.
+    and handed to its solve; a mean-field b0^2 that overflows a double
+    raises ConvergenceError before it, too.
     """
     # imported here, so that the mean-field commands never load SciPy
     from .exact import _cutoff_loop
@@ -277,7 +278,11 @@ def oracle_table(
         if _check_count("n_atoms", n_atoms) not in loops:
             loops[n_atoms] = _cutoff_loop(params, n_atoms, thermo, trunc)
     mf = evaluate_point(params_to_mapping(params, thermo))
-    f_diff_mf, b0_sq = mf.f_diff, mf.b0 ** 2
+    f_diff_mf = mf.f_diff
+    try:
+        b0_sq = mf.b0 ** 2
+    except OverflowError:
+        raise ConvergenceError(f"the mean-field b0^2 overflows a double (b0={mf.b0!r})") from None
     solved = {n_atoms: loop() for n_atoms, loop in loops.items()}
     rows = [OracleRow(n_atoms, solved[n_atoms][0].f_diff, solved[n_atoms][1], f_diff_mf, b0_sq)
             for n_atoms in n_list]

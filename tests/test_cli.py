@@ -205,6 +205,20 @@ def test_negative_value_in_exponent_form_is_read_as_a_value(capsys):
     assert (code, out) == (2, "") and "unrecognized arguments: --bogus 1" in err
 
 
+@pytest.mark.parametrize("value, message", [
+    ("-inf", "ends must be finite, got (-inf, 0.0)"),
+    ("-Infinity", "ends must be finite, got (-inf, 0.0)"),
+    ("-NaN", "must satisfy min < max, got (nan, 0.0)"),
+])
+def test_negative_infinity_or_nan_is_read_as_a_value(capsys, value, message):
+    # argparse's own pattern takes -inf for a flag; the boundary range is
+    # then refused by name, as its --flag=value spelling is
+    head = ["boundary", *TC_FLAGS[:-2], "--lambda-max", "0", "--count", "3"]
+    spaced = run(capsys, [*head, "--lambda-min", value])
+    assert spaced == run(capsys, [*head, f"--lambda-min={value}"])
+    assert spaced == (2, "", f"error: lambda_range {message}\n")
+
+
 def _conflicting_repeats():
     """[subcommand, flag, a, flag, b] for every value-taking optional of every
     subcommand, a and b two different values that the flag accepts."""
@@ -278,18 +292,82 @@ def test_fermion_basis_past_the_cap_exits_2(capsys, monkeypatch):
                    "a block of 7206 states, over the budget 2147483648\n")
 
 
+_UNSEEDED_ORACLE_ERRORS = {
+    ("--omega0", "1e-200"): "error: the mean-field b0^2 overflows a double "
+                            "(b0=6.000000000000171e+199)\n",
+    ("--beta", "1e-320"): "error: free energy not stable to tol=1e-08 within the size limits "
+                          "(last n_max=1, f=-inf); its top weights do not fall, and the saddle "
+                          "point's mean occupation is 4611686018427387904: the dense solve at N=2",
+    ("--omega0", "1e-150", "--g1", "1e12"): "error: the mean-field b0^2 overflows a double "
+                                            "(b0=5.000000000002858e+161)\n",
+}
+
+
 @pytest.mark.parametrize("command", ["oracle", "fermion-check"])
 @pytest.mark.parametrize("flags", [
     ["--omega0", "1e-200"],  # omega0**2 underflows to 0
     ["--beta", "1e-320"],  # 1/(beta*omega0) overflows
     ["--omega0", "1e-150", "--g1", "1e12"],  # (g1+g2)**2/omega0**2 overflows
 ])
-def test_seeded_cutoff_that_is_not_finite_exits_2(capsys, command, flags):
+def test_seeded_cutoff_that_is_not_finite_exits_2(capsys, monkeypatch, command, flags):
+    # the points where TruncationConfig.seeded has no finite value.  No
+    # command reads that formula: fermion-check, which has no cutoff to
+    # predict, exits 2 without --n-max; oracle starts from the floor 1 and
+    # refuses each point by name (exit 3) after at most one level of two
+    # boson states
+    from dicke_dipole import exact
+
+    assembled = []
+    hamiltonian = exact._hamiltonian
+    monkeypatch.setattr(exact, "_hamiltonian", lambda params, n_atoms, n_max, *ops: (
+        assembled.append(n_max) or hamiltonian(params, n_atoms, n_max, *ops)))
     # flags override the same keys earlier in POINT_FLAGS
     config = dict(zip(POINT_FLAGS[::2], POINT_FLAGS[1::2])) | dict(zip(flags[::2], flags[1::2]))
     code, out, err = run(capsys, [command, *(x for kv in config.items() for x in kv), "--N", "2"])
-    assert code == 2 and out == ""
-    assert err.startswith("error: no finite seeded cutoff at ")
+    assert out == ""
+    if command == "fermion-check":
+        assert code == 2
+        assert err.endswith("error: the following arguments are required: --n-max\n")
+        assert assembled == []
+        return
+    assert code == 3
+    assert err.startswith(_UNSEEDED_ORACLE_ERRORS[tuple(flags)])
+    # the tiny beta solves the level n_max = 1, one assembly per spin sector
+    assert assembled == ([1, 1] if flags[0] == "--beta" else [])
+
+
+def test_oracle_whose_mean_field_b0_squared_overflows_exits_3(capsys, monkeypatch):
+    # omega0 = 1e-200 puts b0 near 2.4e199: its square is refused by name
+    # before any row is solved, from the given cutoff and from the default
+    from dicke_dipole import exact
+
+    monkeypatch.setattr(exact, "_converged", lambda *args, **kwargs: pytest.fail("a row was computed"))
+    head = ["oracle", "--omega0", "1e-200", "--Omega", "1", "--g1", "0.2", "--g2", "0.3",
+            "--lambda", "0.1", "--beta", "2", "--N", "2"]
+    for tail in (["--n-max", "10"], []):
+        code, out, err = run(capsys, [*head, *tail])
+        assert (code, out) == (3, "")
+        assert err.startswith("error: the mean-field b0^2 overflows a double (b0=2.")
+
+
+@pytest.mark.parametrize("command", ["gap", "free-energy"])
+def test_point_at_a_subnormal_beta_prints_its_record_without_a_warning(capsys, command):
+    # f0 = -ln(2 cosh(beta Omega/2))/beta overflows at beta = 1e-320, and no
+    # record holds it (pytest turns a NumPy warning into an error)
+    code, out, err = run(capsys, [command, *TC_FLAGS, "--beta", "1e-320"])
+    assert (code, err) == (0, "")
+    assert out.endswith('"beta": 1e-320, "phase": "normal", "b0": 0.0, "omega_delta": 1.0, '
+                        '"f_diff": 0.0}\n')
+
+
+def test_oracle_without_n_max_starts_from_the_floor_one(capsys):
+    # the default --n-max is 1, a floor only: each row starts where its
+    # saddle point predicts, as from --n-max 1
+    flags = [*POINT_FLAGS, "--N", "2,4"]
+    code, out, err = run(capsys, ["oracle", *flags])
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run(capsys, ["oracle", *flags, "--n-max", "1"])
+    assert [line.split(",")[0] for line in out.splitlines()] == ["N", "2", "4", "inf"]
 
 
 @pytest.mark.parametrize("n_list", ["2,4,40000", "2,0", "2,1100"])
@@ -341,13 +419,14 @@ def test_oracle_past_the_eigenvector_budget_exits_2_or_3(capsys, monkeypatch, bu
     ("0.1", "its top weights do not fall, and the saddle point's mean occupation is 5949: "
             "the dense solve at N=2, n_max=5949 needs about"),
     # the normal phase: a thermal tail that falls by 1e-3 per level
-    ("0.01", "its tail predicts a certified cutoff at n_max=41079: the dense solve at N=2, "
-             "n_max=41079 needs about 182257171200 bytes for a block of 61620 states"),
+    ("0.01", "its tail predicts a certified cutoff at n_max=41725: the dense solve at N=2, "
+             "n_max=41725 needs about 188034380208 bytes for a block of 62589 states"),
 ])
 def test_nearly_classical_boson_exits_3_before_any_large_solve(capsys, monkeypatch, g1, reason):
     # beta omega0 = 1e-3: no cutoff within the size limits holds the boson,
     # which is refused after the first level instead of doubling towards
-    # the byte budget
+    # the byte budget.  No level up to the ceiling passes the saddle
+    # model's tail, so that first level is the given cutoff
     from dicke_dipole import exact
 
     assembled = []
@@ -359,9 +438,9 @@ def test_nearly_classical_boson_exits_3_before_any_large_solve(capsys, monkeypat
                                   "--N", "2", "--n-max", "4"])
     assert code == 3 and out == ""
     assert err.startswith("error: free energy not stable to tol=1e-08 within the size limits "
-                          "(last n_max=8, f=")
+                          "(last n_max=4, f=")
     assert reason in err
-    assert max(assembled) == 8
+    assert assembled == [4, 4]  # one level: the j = 1 and j = 0 sectors at n_max = 4
 
 
 @pytest.mark.parametrize("exc, message", [
@@ -501,9 +580,9 @@ def test_oracle_table_golden(capsys):
     assert code == 0
     assert out == (
         "N,f_diff_exact,boson_occupation,f_diff_mf,b0_sq_mf\n"
-        "1,-0.148728184198,0.730996996993,0,0\n"
-        "2,-0.0782254988344,0.374462461969,0,0\n"
-        "3,-0.0531965374418,0.252306928266,0,0\n"
+        "1,-0.148728184198,0.730996997002,0,0\n"
+        "2,-0.0782254988349,0.374462461981,0,0\n"
+        "3,-0.0531965374421,0.252306928274,0,0\n"
         "inf,0,0,0,0\n"
     )
 
@@ -654,7 +733,8 @@ _GOLDEN_ORACLE_INF = ('{"N": "inf", "f_diff_exact": 0.0, "boson_occupation": 0.0
                       + _GOLDEN_ORACLE_MF)
 
 # Every printed format, with and without --digits: the bytes the CLI wrote
-# before its outputs shared one row writer.
+# before its outputs shared one row writer.  The oracle rows are those of
+# the saddle start (N = 1 and 2 at n_max = 32, each certified in one pass).
 GOLDEN = [
     (f"{_GOLDEN_TC} --lambda 0",
      '{"beta_c": 1.7129785913749407, "T_c": 0.5837784576147792, '
@@ -698,18 +778,18 @@ GOLDEN = [
     (f"{_GOLDEN_BOUNDARY} --digits 4",
      "lambda,T_c\n0,0.5838\n0.25,0.4091\n0.5,\n"),
     (_GOLDEN_ORACLE,
-     '{"N": 1, "f_diff_exact": -0.14872818419802658, '
-     '"boson_occupation": 0.7309969969934694, ' + _GOLDEN_ORACLE_MF
-     + '{"N": 2, "f_diff_exact": -0.07822549883444374, '
-     '"boson_occupation": 0.3744624619685052, ' + _GOLDEN_ORACLE_MF + _GOLDEN_ORACLE_INF),
+     '{"N": 1, "f_diff_exact": -0.14872818419828837, '
+     '"boson_occupation": 0.73099699700163, ' + _GOLDEN_ORACLE_MF
+     + '{"N": 2, "f_diff_exact": -0.07822549883485941, '
+     '"boson_occupation": 0.37446246198106364, ' + _GOLDEN_ORACLE_MF + _GOLDEN_ORACLE_INF),
     (f"{_GOLDEN_ORACLE} --digits 4",
      '{"N": 1, "f_diff_exact": -0.1487, "boson_occupation": 0.731, ' + _GOLDEN_ORACLE_MF
      + '{"N": 2, "f_diff_exact": -0.07823, "boson_occupation": 0.3745, ' + _GOLDEN_ORACLE_MF
      + _GOLDEN_ORACLE_INF),
     (_GOLDEN_ORACLE_CSV,
      "N,f_diff_exact,boson_occupation,f_diff_mf,b0_sq_mf\n"
-     "1,-0.14872818419802658,0.7309969969934694,0.0,0.0\n"
-     "2,-0.07822549883444374,0.3744624619685052,0.0,0.0\n"
+     "1,-0.14872818419828837,0.73099699700163,0.0,0.0\n"
+     "2,-0.07822549883485941,0.37446246198106364,0.0,0.0\n"
      "inf,0.0,0.0,0.0,0.0\n"),
     (f"{_GOLDEN_ORACLE_CSV} --digits 4",
      "N,f_diff_exact,boson_occupation,f_diff_mf,b0_sq_mf\n"

@@ -906,19 +906,37 @@ def test_oracle_table_solves_each_distinct_n_once(monkeypatch):
 
 
 def test_oracle_row_grows_to_the_predicted_cutoff(monkeypatch):
-    # the oracle golden case: the saddle point starts at 16, twice the given
-    # 8, whose tail is not certified; the decay measured there names the
-    # level that is, and the occupation is that of the final cutoff
-    params, thermo, trunc = ModelParams(1.0, 1.0, 0.4, 0.4, 0.1), Thermo(1.0), TruncationConfig(8)
+    # from the floor 1 the saddle point starts N = 2 at 4 and N = 4 at 5,
+    # whose tails are not certified; the decay measured there names the
+    # level that is (9 at N = 4, below the doubling 10), and the occupation
+    # is that of the final cutoff
+    params, thermo = ModelParams(1.34, 0.63, 0.86, 0.06, 0.3), Thermo(8.9)
+    trunc = TruncationConfig(1)
     levels = _count_sector_passes(monkeypatch)
-    rows = oracle_table(params, thermo, [1, 2, 3], trunc)
+    rows = oracle_table(params, thermo, [2, 4], trunc)
     monkeypatch.undo()
-    assert levels == [(1, 16), (1, 31), (2, 16), (2, 31), (3, 16), (3, 32)]
+    assert levels == [(2, 4), (2, 8), (4, 5), (4, 9)]
     for row, (_, n_max) in zip(rows, levels[1::2]):
         assert row.boson_occupation == thermal_boson_occupation(
             params, row.n_atoms, thermo, TruncationConfig(n_max))
         result = free_energy_exact(params, row.n_atoms, thermo, trunc)
         assert row.f_diff == result.f_diff and result.n_max == n_max
+
+
+def test_saddle_start_is_not_clamped_at_twice_the_floor(monkeypatch):
+    # a hot point (beta omega0 = 0.28) whose saddle model names 119 from the
+    # floor 44: the start is not held at 2 * 44 = 88, and it certifies in one
+    # pass, within tol of a level 4x larger
+    params, thermo = ModelParams(0.4318, 1.5974, 0.1966, 0.1998, -0.3693), Thermo(0.6378)
+    trunc = TruncationConfig(44)
+    assert exact._starting_cutoff(params, 8, thermo, trunc) == (119, 4)
+    calls = _count_sector_passes(monkeypatch)
+    result, occupation = exact._cutoff_loop(params, 8, thermo, trunc)()
+    monkeypatch.undo()
+    assert calls == [(8, 119)] and result.n_max == 119
+    ln_z, reference, _ = _sector_sums(params, 8, thermo, 4 * 119)
+    assert abs(result.f - (-ln_z / (8 * thermo.beta))) < trunc.tol
+    assert abs(occupation - reference) < trunc.tol
 
 
 def test_full_basis_loop_doubles_from_the_saddle_start(monkeypatch):
@@ -972,29 +990,34 @@ def test_saddle_start_falls_back_to_the_given_cutoff(monkeypatch):
     params, thermo = _bench_inputs(0)
     trunc = TruncationConfig.seeded(params, thermo)
     # the start, and the saddle's mean occupation ceil(N b0^2 + 1/(e^5 - 1))
-    assert exact._saddle_cutoff(params, 20, thermo, trunc) == (57, 19)
+    assert exact._starting_cutoff(params, 20, thermo, trunc) == (57, 19)
+    assert exact._saddle_cutoff(params, 20, thermo, trunc, 57) == (57, 19)
+    # a ceiling below the first level that passes: the start is the given
+    # cutoff, not the ceiling
+    assert exact._saddle_cutoff(params, 20, thermo, trunc, 56) == (trunc.n_max, 19)
     # a budget that admits the given cutoff's doubling but not the start's:
     # the j = 10 sector's larger parity block at n_max = 84 holds 893 states
     monkeypatch.setattr(exact, "VECTOR_BYTE_BUDGET", 48 * 893**2)
     assert exact._starting_cutoff(params, 20, thermo, trunc) == (trunc.n_max, 19)
-    # one between them lowers the start to the highest level whose doubling
-    # it admits: 1071 states at n_max = 101, where 2 * 51 is refused
+    # one between them sets the ceiling at 50 (1071 states at n_max = 101,
+    # where 2 * 51 is refused), still below 57
     monkeypatch.setattr(exact, "VECTOR_BYTE_BUDGET", 48 * 1071**2)
-    assert exact._starting_cutoff(params, 20, thermo, trunc) == (50, 19)
+    assert exact._starting_cutoff(params, 20, thermo, trunc) == (trunc.n_max, 19)
     monkeypatch.undo()
 
     def fails(*args):
         raise ConvergenceError("no saddle")
 
     monkeypatch.setattr(meanfield, "solve_gap", fails)
-    assert exact._saddle_cutoff(params, 20, thermo, trunc) == (trunc.n_max, 0)
+    assert exact._starting_cutoff(params, 20, thermo, trunc) == (trunc.n_max, 0)
     monkeypatch.undo()
     # beta*omega0 underflows, so no thermal occupation can be formed, and the
     # mean occupation is 2^62, which every size check refuses
     tiny = ModelParams(1e-300, 1.0, 0.1, 0.1, 0.0)
-    assert exact._saddle_cutoff(tiny, 2, Thermo(1e-300), TruncationConfig(6)) == (6, 2**62)
-    # a saddle occupation far past twice the cutoff starts at twice it
-    assert exact._saddle_cutoff(params, 400, thermo, TruncationConfig(10)) == (20, 368)
+    assert exact._starting_cutoff(tiny, 2, Thermo(1e-300), TruncationConfig(6)) == (6, 2**62)
+    # a saddle occupation far past the ceiling (16 at N = 400) starts at the
+    # given cutoff
+    assert exact._starting_cutoff(params, 400, thermo, TruncationConfig(10)) == (10, 368)
 
 
 @pytest.mark.parametrize("p, r", [(0.1, 0.999), (1e-3, 0.9), (exact.TAIL_FLOOR, 0.5)])
@@ -1010,6 +1033,22 @@ def test_predicted_cutoff_is_the_first_level_that_passes(p, r):
     first = next(level for level in itertools.count(n_max + 1) if passes(level))
     assert exact._next_cutoff(n_max, p, r, tol, *args) == first
     assert exact._next_cutoff(n_max, p, 1.0, tol, *args) is None
+
+
+def test_tail_bound_of_an_array_of_levels_is_the_bound_of_each_level():
+    # the saddle model checks every level up to the ceiling in one call; it
+    # must give the bits of the bound taken one level at a time, and a tiny
+    # beta overflows s/(N beta) to inf, a level that does not pass
+    rng = np.random.default_rng(5)
+    levels = np.arange(3, 200)
+    s, m = rng.uniform(0.0, 1e-6, levels.size), rng.uniform(0.0, 1e-4, levels.size)
+    for beta in (0.3, 5.0, 1e-320):
+        with np.errstate(over="ignore"):
+            bounds = exact._tail_bound(levels, s, m, 6, beta, 1.3)
+        scalar = [exact._tail_bound(int(n), float(a), float(b), 6, beta, 1.3)
+                  for n, a, b in zip(levels, s, m)]
+        assert np.array_equal(bounds, scalar)
+    assert np.isinf(bounds).all()
 
 
 def test_eigenvector_budget_is_checked_before_any_level_is_solved(monkeypatch):
@@ -1053,22 +1092,23 @@ def test_dense_solves_are_checked_by_bytes_before_assembly(monkeypatch):
 
 
 def test_full_basis_loop_and_its_start_are_checked_by_bytes(monkeypatch):
-    # P_MIXED at N = 2 and beta = 1: the saddle start from n_max = 4 is 8
+    # P_MIXED at N = 2 and beta = 1: the saddle start from n_max = 4 is 34
     thermo = Thermo(1.0)
-    assert exact._starting_cutoff(P_MIXED, 2, thermo, TruncationConfig(4), "full") == (8, 1)
+    assert exact._starting_cutoff(P_MIXED, 2, thermo, TruncationConfig(4), "full") == (34, 1)
     assembled = []
     hamiltonian = exact._hamiltonian
     monkeypatch.setattr(exact, "_hamiltonian", lambda params, n_atoms, n_max, *ops: (
         assembled.append(n_max) or hamiltonian(params, n_atoms, n_max, *ops)))
-    # a budget for 4 * 13 dense states lowers the start to 6, whose doubling
-    # it admits; the loop solves 6 and 12 and is refused at 24
+    # a budget for 4 * 13 dense states sets the ceiling at 6, below the
+    # saddle's level, so the loop starts at the given 4; it solves 4 and 8
+    # and is refused at 16
     monkeypatch.setattr(exact, "VECTOR_BYTE_BUDGET", 6 * 8 * 52**2)
     trunc = TruncationConfig(4, tol=1e-300)
-    assert exact._starting_cutoff(P_MIXED, 2, thermo, trunc, "full") == (6, 1)
-    with pytest.raises(TruncationError, match=r"\(last n_max=12, .*\): the dense solve at N=2, "
-                       "n_max=24 needs about 480000 bytes for a block of 100 states"):
+    assert exact._starting_cutoff(P_MIXED, 2, thermo, trunc, "full") == (4, 1)
+    with pytest.raises(TruncationError, match=r"\(last n_max=8, .*\): the dense solve at N=2, "
+                       "n_max=16 needs about 221952 bytes for a block of 68 states"):
         free_energy_exact(P_MIXED, 2, thermo, trunc, basis="full")
-    assert assembled == [6, 12]
+    assert assembled == [4, 8]
     # one that refuses the doubling of the given cutoff refuses before any solve
     assembled.clear()
     monkeypatch.setattr(exact, "VECTOR_BYTE_BUDGET", 6 * 8 * 36**2 - 1)

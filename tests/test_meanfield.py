@@ -323,6 +323,20 @@ def test_free_energy_no_overflow_at_huge_beta():
     assert fe.f_diff == pytest.approx(15.0 / 16.0 - 1.5, rel=1e-9)
 
 
+def test_free_energy_refuses_an_f0_that_overflows():
+    # f0 = -ln(2 cosh(beta Omega/2))/beta passes the largest double at a
+    # subnormal beta; just above that it is still formed, from the same
+    # expression
+    thermo = Thermo(1e-320)
+    sol = solve_gap(P_WEAK, thermo)
+    with pytest.raises(ConvergenceError, match=re.escape(
+            "the reference f0 overflows a double at beta=1e-320")):
+        free_energy_diff(P_WEAK, thermo, sol)
+    thermo = Thermo(1e-300)
+    fe = free_energy_diff(P_WEAK, thermo, solve_gap(P_WEAK, thermo))
+    assert (fe.f_diff, fe.f0) == (0.0, -math.log(2.0) / 1e-300)
+
+
 # --- phase boundary and limits ----------------------------------------------
 
 def test_phase_agrees_with_beta_c_across_boundary():

@@ -25,7 +25,7 @@ from dicke_dipole import (
     solve_gap,
     stationary_residuals,
 )
-from dicke_dipole.meanfield import _free_energy_arrays, _gap_kernel
+from dicke_dipole.meanfield import _free_energy_arrays, _gap_kernel, _ln_2cosh
 from oracles import full_product_hamiltonian
 
 # fixed and derandomized, so tier-1 runs the same few examples every time
@@ -120,7 +120,8 @@ def test_gap_kernel_is_scale_covariant_bit_for_bit(k):
     results = []
     for energies, b in ((inputs, beta), ([scale * x for x in inputs], beta / scale)):
         superradiant, omega_delta, delta, b0, _ = _gap_kernel(*energies, b)
-        f_diff, f0 = _free_energy_arrays(*energies, b, omega_delta, superradiant)
+        f_diff = _free_energy_arrays(*energies, b, omega_delta, superradiant)
+        f0 = -_ln_2cosh(0.5 * b * energies[1]) / b  # free_energy_diff's reference
         results.append((superradiant, omega_delta, delta, b0, f_diff, f0))
     (sr, od, de, b0, fd, f0), (sr_k, od_k, de_k, b0_k, fd_k, f0_k) = results
     assert 0.2 < sr.mean() < 0.8  # both phases are drawn

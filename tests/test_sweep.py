@@ -415,6 +415,17 @@ def test_oracle_table_deviation_shrinks_with_n():
     assert mf_row.boson_occupation == mf_row.b0_sq_mf
 
 
+def test_oracle_table_refuses_a_mean_field_b0_squared_that_overflows(monkeypatch):
+    # at omega0 = 1e-200 the saddle point's b0 is near 2.4e199: its square
+    # is refused by name before any row is solved
+    from dicke_dipole import exact
+
+    monkeypatch.setattr(exact, "_converged", lambda *args, **kwargs: pytest.fail("a row was computed"))
+    params = ModelParams(1e-200, 1.0, 0.2, 0.3, 0.1)
+    with pytest.raises(ConvergenceError, match=r"the mean-field b0\^2 overflows a double \(b0=2\."):
+        oracle_table(params, Thermo(2.0), [2], TruncationConfig(10))
+
+
 # --- SweepTable -------------------------------------------------------------------
 
 def _table_grid(count1, count2):
@@ -426,6 +437,20 @@ def _table_grid(count1, count2):
     )
 
 
+def test_grid_at_a_subnormal_beta_forms_no_f0():
+    # f0 = -ln(2 cosh(beta Omega/2))/beta overflows at beta = 1e-320, and no
+    # record holds it, so the grid solves without a NumPy warning (pytest
+    # turns one into an error)
+    spec = GridSpec.from_mapping({
+        "axis1": {"name": "beta", "min": 1e-320, "max": 8.0, "count": 2, "scale": "log"},
+        "axis2": {"name": "g1", "min": 0.3, "max": 0.9, "count": 2},
+        "fixed": {"omega0": 1.0, "Omega": 1.0, "g2": 0.6, "lambda": 0.0},
+    })
+    table = run_grid(spec)
+    assert [(r.phase, r.f_diff) for r in table[:2]] == [(PhaseLabel.NORMAL, 0.0)] * 2
+    assert table[3].phase is PhaseLabel.SUPERRADIANT and table[3].f_diff < 0.0
+
+
 def _listed_records(spec):
     """Reference records of a grid: one SweepRecord per point, built from the
     kernel's arrays through tolist(), with no SweepTable."""
@@ -435,7 +460,7 @@ def _listed_records(spec):
     inputs = [values[names.index(key)] if key in names
               else np.full(values[0].size, float(spec.fixed[key])) for key in CONFIG_KEYS]
     superradiant, omega_delta, _, b0, _ = _gap_kernel(*inputs)
-    f_diff, _ = _free_energy_arrays(*inputs, omega_delta, superradiant)
+    f_diff = _free_energy_arrays(*inputs, omega_delta, superradiant)
     phases = [PhaseLabel.SUPERRADIANT if s else PhaseLabel.NORMAL for s in superradiant.tolist()]
     columns = [c.tolist() for c in inputs] + [phases] + [c.tolist() for c in (b0, omega_delta, f_diff)]
     return [SweepRecord(*row) for row in zip(*columns)]
