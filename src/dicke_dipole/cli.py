@@ -15,9 +15,10 @@ each row starts where its saddle point predicts; fermion-check's is
 required, as its trace identity holds at every cutoff.  --digits is checked
 by the writers' own rule (output._check_digits) after the config merge and
 --dump-config, before any other work.
-Each handler imports the layers it computes with (meanfield and sweep use
-NumPy, exact uses SciPy too), so tc, boundary, --dump-config, --help,
---version and every request refused before any computing run without NumPy.
+Each handler imports the layers it computes with (meanfield, sweep and exact
+use NumPy; exact's collective solvers load SciPy when they run), so tc,
+boundary, --dump-config, --help, --version and every request refused before
+any computing run without NumPy, and fermion-check runs without SciPy.
 Exit codes: 0 success (no_transition is a success), 1 fermion-check FAIL,
 2 validation error, 3 convergence/truncation/consistency error or out of
 memory, 4 I/O error.

@@ -2,11 +2,18 @@
 
 The N-atom Hamiltonian on a truncated boson Fock space is assembled once, by
 _hamiltonian, from a spin space's S^+, S^z and dipole exchange: NumPy index
-arithmetic writes each term as (row, col, value) triplets, and SciPy's COO
-constructor builds one CSR matrix from them all, adding the triplets that
-share an entry.  The three bases differ only in those spin operators; the
-product and fermion bases build them alike, from per-site blocks
-(_site_sums), and the collective sectors from closed forms:
+arithmetic writes each term as (row, col, value) triplets, and one sum,
+_summed, adds the triplets that share an entry (a stable sort by row and
+column, then np.add.reduceat) and leaves out each entry that sums to exactly
+zero.  Those triplets (_Triplets) are the one matrix form from the assembly
+to the dense solve: the symmetry split relabels them, and the dense solves
+scatter them into a zero array.  Only the thermal window's two solvers build
+a SciPy (CSC) matrix from them and import scipy.sparse to do so, so the full
+product basis and the fermion check load no SciPy at all.  The three bases
+differ only in those spin operators; the product and fermion bases build
+them alike, each term a tensor product (_kron) over the sites of per-site
+blocks and the identity (_site_sums), and the collective sectors from closed
+forms:
 
   * full product basis: N spin-1/2 tensor factors (sigma^z = diag(+1,-1),
     sigma^+ = |up><down| per site) times Fock states |0..n_max>, with the
@@ -26,11 +33,12 @@ product and fermion bases build them alike, from per-site blocks
     unphysical occupation sectors per atom cancel in pairs.
 
 The full-product and fermion bases are diagonalized densely: they are the
-independent oracles.  One split, _symmetry_blocks, cuts a sparse H into one
-block per class of a conserved quantity: it relabels the row and column of
-each stored (COO) entry to its place in its class, and any nonzero element
+independent oracles.  One split, _symmetry_blocks, cuts H's triplets into
+one block per class of a conserved quantity: it relabels the row and column
+of each stored entry to its place in its class, and any nonzero element
 coupling two classes raises CommutationError, with no tolerance.  The
-fermion check takes its fixed-N_F blocks from it.  One sector solve,
+fermion check takes its fixed-N_F blocks from it, once _check_hermitian has
+passed H_F, as it passes the other bases' H.  One sector solve,
 _sector_spectrum, serves build_collective and the thermal sums.  It splits
 a collective sector once (_parity_split) by the Dicke parity
 exp(i pi (b'b + S^z + j)) (Emary & Brandes, PRE 67, 066203, 2003), which
@@ -99,9 +107,9 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .errors import (CommutationError, ConvergenceError, DimensionError, DomainError,
                      HermiticityError, TruncationError)
@@ -191,26 +199,35 @@ class SpectralData:
     occupations: np.ndarray | None = None
 
 
-def _embed(site_op, i: int, n_sites: int, site_dim: int) -> sparse.csr_matrix:
-    """site_op acting on site i, identity elsewhere (site 0 leftmost)."""
-    left = sparse.identity(site_dim**i, format="csr")
-    right = sparse.identity(site_dim ** (n_sites - 1 - i), format="csr")
-    return sparse.kron(sparse.kron(left, site_op), right, format="csr")
+class _Triplets(NamedTuple):
+    """A matrix as (row, col, data) arrays, each entry stored at most once,
+    and its shape: the one matrix form of this module, from the assembly to
+    the dense solve.  Only the window's two solvers, _lowest_ritz_value and
+    _window_eigh, turn it into a SciPy matrix."""
+
+    row: np.ndarray
+    col: np.ndarray
+    data: np.ndarray
+    shape: tuple
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape)
+        dense[self.row, self.col] = self.data
+        return dense
 
 
 def _symmetry_blocks(h, listing, classes):
-    """One symmetric CSC block of h per class of a conserved quantity, in
-    class order: listing holds h's index of each state, listed class by
-    class, and classes the class of each listed state, ascending.
+    """One symmetric block (_Triplets) of h per class of a conserved
+    quantity, in class order: listing holds h's index of each state, listed
+    class by class, and classes the class of each listed state, ascending.
 
-    Each stored (COO) entry of h is relabelled to the listed places of its
-    row and column, with no sparse slicing, so each block keeps the order
-    of the listing.  A nonzero entry between two classes raises
-    CommutationError: the split allows no tolerance.
+    Each stored entry of h is relabelled to the listed places of its row and
+    column, so each block keeps the order of the listing.  A nonzero entry
+    between two classes raises CommutationError: the split allows no
+    tolerance.
     """
     place = np.empty_like(listing)
     place[listing] = np.arange(listing.size)  # the listed place of each state, at h's index
-    h = h.tocoo()
     row, col, data = place[h.row], place[h.col], h.data
     leak = (classes[row] != classes[col]) & (data != 0)
     if leak.any():
@@ -222,8 +239,8 @@ def _symmetry_blocks(h, listing, classes):
     for start, stop in zip(starts, [*starts[1:], listing.size]):
         # a stored zero may still cross the classes, so both bounds are kept
         keep = (row >= start) & (row < stop) & (col >= start) & (col < stop)
-        blocks.append(sparse.csc_matrix((data[keep], (row[keep] - start, col[keep] - start)),
-                                        shape=(stop - start, stop - start)))
+        blocks.append(_Triplets(row[keep] - start, col[keep] - start, data[keep],
+                                (stop - start, stop - start)))
     return blocks
 
 
@@ -256,13 +273,13 @@ def _vector_sums(vecs, obs):
 
 
 def _block_eigh(a, occ):
-    """Every eigenvalue of the sparse symmetric block a, read from its lower
-    triangle by a dense solve, and the _vector_sums of the eigenvectors with
-    occ (the basis observables: occupations, or more columns) when occ is
-    given; without occ no eigenvector is formed.  _check_bytes counts this
-    solve's bytes before the block is assembled."""
-    # imported here, as scipy.sparse.linalg is in the solvers below, so that
-    # fermion-check and build_full, which call none of them, load neither
+    """Every eigenvalue of the symmetric block a (_Triplets), read from its
+    lower triangle by a dense solve, and the _vector_sums of the
+    eigenvectors with occ (the basis observables: occupations, or more
+    columns) when occ is given; without occ no eigenvector is formed.
+    _check_bytes counts this solve's bytes before the block is assembled."""
+    # imported here, as scipy.sparse is in the two solvers below, so that
+    # fermion-check and build_full, which call none of them, load no SciPy
     import scipy.linalg
 
     # dense eigh (LAPACK dsyevd) reads only the lower triangle, and every
@@ -278,11 +295,13 @@ def _block_eigh(a, occ):
 
 
 def _lowest_ritz_value(a) -> float:
-    """An upper bound on the lowest eigenvalue of the sparse symmetric a,
-    close to it: a Lanczos Ritz value, else the smallest diagonal element
-    (both are Rayleigh quotients)."""
+    """An upper bound on the lowest eigenvalue of the symmetric block a
+    (_Triplets), close to it: a Lanczos Ritz value, else the smallest
+    diagonal element (both are Rayleigh quotients)."""
+    import scipy.sparse as sparse
     import scipy.sparse.linalg as splinalg
 
+    a = sparse.csc_matrix((a.data, (a.row, a.col)), shape=a.shape)
     v0 = np.random.default_rng(0).standard_normal(a.shape[0])
     try:
         # a loose tolerance still gives an upper bound, which is all a window needs
@@ -293,8 +312,8 @@ def _lowest_ritz_value(a) -> float:
 
 
 def _window_eigh(a, top, occ):
-    """(every eigenvalue of the sparse symmetric block a below top, the
-    _vector_sums of their eigenvectors with occ), or None when the full
+    """(every eigenvalue of the symmetric block a (_Triplets) below top,
+    the _vector_sums of their eigenvectors with occ), or None when the full
     solve must be used instead.
 
     H - top is factored once by SuperLU in natural order without pivoting,
@@ -304,9 +323,11 @@ def _window_eigh(a, top, occ):
     large a share of the block, or when Lanczos does not return exactly that
     many values, all clear of top.
     """
-    # imported here, so that only the window branch loads it
+    # imported here, so that only the window branch loads them
+    import scipy.sparse as sparse
     import scipy.sparse.linalg as splinalg
 
+    a = sparse.csc_matrix((a.data, (a.row, a.col)), shape=a.shape)
     size = a.shape[0]
     shifted = (a - top * sparse.identity(size, format="csc")).tocsc()
     tiny = PIVOT_TOL * float(abs(shifted).max())
@@ -338,29 +359,42 @@ def _window_eigh(a, top, occ):
 
 
 def _check_hermitian(h) -> None:
-    # checked on the sparse matrix, so only one dense copy is ever made
-    deviation = float(abs(h - h.conj().T).max())
+    # the entries of H - H' that do not cancel, so that no dense copy is made
+    deviation = float(np.abs(_summed(h.shape, h[:3], (h.col, h.row, -h.data)).data).max(initial=0))
     if deviation > HERMITICITY_TOL:
         raise HermiticityError(
             f"max |H - H^dag| entry = {deviation:.3e} exceeds {HERMITICITY_TOL:g}"
         )
 
 
+# the (rows, cols, values) of no entry, which _summed adds to its terms
+_NO_ENTRIES = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
+
+
 def _summed(shape, *terms):
-    """The CSR matrix of the (rows, cols, values) triplets in terms: SciPy
-    adds the triplets on one entry, and an entry that sums to zero is left
-    out, as sparse + leaves it out.  No caller puts more than two triplets
-    on one entry, so each sum has the same bits in either order."""
-    rows, cols, values = (np.concatenate(part) for part in zip(*terms))
-    matrix = sparse.csr_matrix((values, (rows, cols)), shape=shape)
-    matrix.eliminate_zeros()
-    return matrix
+    """The _Triplets of the (rows, cols, values) triplets in terms, in row
+    order and in column order within a row: the triplets on one entry are
+    added, and an entry that sums to exactly zero (-0.0 included) is left
+    out.  No terms, or only empty ones, give no entry.  No caller puts more
+    than two triplets on one entry, except the site sums, whose values are
+    small integers, so each sum has the same bits in any order."""
+    rows, cols, values = (np.concatenate(part) for part in zip(_NO_ENTRIES, *terms))
+    key = rows * shape[1] + cols
+    order = np.argsort(key, kind="stable")
+    key, values = key[order], values[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))  # each entry's first triplet
+    # no reduceat over no entries, which older NumPy may refuse
+    sums = np.add.reduceat(values, starts) if starts.size else values
+    keep = sums != 0
+    return _Triplets(*np.divmod(key[starts][keep], shape[1]), sums[keep], shape)
 
 
-def _kron(spin, fock, size: int):
-    """Triplets of the tensor product of spin-space and size-state Fock-space
-    triplets, boson index fastest; each value is the product of the two."""
-    (a, b, v), (i, k, w) = spin, fock
+def _kron(left, right, size: int):
+    """Triplets of the tensor product of two operators' triplets, the right
+    one on size states and its index the faster (the boson's, after the
+    spin space; the next site's, in _site_sums); each value is the product
+    of the two."""
+    (a, b, v), (i, k, w) = left, right
     return ((a[:, None] * size + i).ravel(), (b[:, None] * size + k).ravel(),
             (v[:, None] * w).ravel())
 
@@ -383,7 +417,7 @@ def _hamiltonian(params, n_atoms, n_max, spin_dim, s_p, s_z, exchange):
     """
     (xr, xc, xv), (zr, zc, zv), (pr, pc, pv) = exchange, s_z, s_p
     spin = _summed((spin_dim, spin_dim), (xr, xc, (params.lam / n_atoms) * xv),
-                   (zr, zc, params.Omega * zv)).tocoo()
+                   (zr, zc, params.Omega * zv))
     size = n_max + 1
     dim = spin_dim * size
     n = np.arange(size)
@@ -392,7 +426,7 @@ def _hamiltonian(params, n_atoms, n_max, spin_dim, s_p, s_z, exchange):
     lower = (n[:-1], n[1:], np.sqrt(occ[1:]))  # <n-1|b|n> = sqrt(n)
     terms = [
         # the spin sum x the Fock identity
-        _kron((spin.row, spin.col, spin.data), (n, n, np.ones(size)), size),
+        _kron(spin[:3], (n, n, np.ones(size)), size),
         (diagonal, diagonal, np.tile(params.omega0 * occ, spin_dim)),  # omega0 b'b
     ]
     scale = 1.0 / math.sqrt(n_atoms)
@@ -409,20 +443,25 @@ def _site_sums(site_ops, n_atoms: int):
     values) triplets, from one site's (sigma^z, sigma^+) blocks: the site
     sums of sigma^+ and sigma^z/2, and the ordered-pair sum over i != j of
     sigma^+_i sigma^-_j (never the collective identity, which the tests
-    check against this construction)."""
-    sz1, sp1 = (sparse.csr_matrix(op) for op in site_ops)
-    site_dim = sz1.shape[0]
-    sz = [_embed(sz1, i, n_atoms, site_dim) for i in range(n_atoms)]
-    sp = [_embed(sp1, i, n_atoms, site_dim) for i in range(n_atoms)]
-    sm = [op.T.tocsr() for op in sp]
+    check against this construction).  Each term is a _kron over the
+    sites, site 0 leftmost, of its one or two site operators and the
+    identity on every other site; its values are products of the blocks'
+    small integers, so every sum is exact."""
+    site_dim = len(site_ops[0])
+    sz1, sp1 = ((*np.nonzero(op), op[np.nonzero(op)]) for op in site_ops)
+    sm1 = (sp1[1], sp1[0], sp1[2])
+    identity = (np.arange(site_dim), np.arange(site_dim), np.ones(site_dim))
+
+    def on_sites(ops):  # {site: operator}
+        return functools.reduce(lambda left, site: _kron(left, ops.get(site, identity), site_dim),
+                                range(1, n_atoms), ops.get(0, identity))
+
     dim = site_dim**n_atoms
-    exchange = sparse.csr_matrix((dim, dim))
-    for i in range(n_atoms):
-        for j in range(n_atoms):
-            if i != j:
-                exchange = exchange + sp[i] @ sm[j]
-    ops = [op.tocoo() for op in (sum(sp[1:], sp[0]), 0.5 * sum(sz[1:], sz[0]), exchange)]
-    return (dim, *((op.row, op.col, op.data) for op in ops))
+    s_p, s_z, exchange = (_summed((dim, dim), *terms) for terms in (
+        [on_sites({i: sp1}) for i in range(n_atoms)],
+        [on_sites({i: sz1}) for i in range(n_atoms)],
+        [on_sites({i: sp1, j: sm1}) for i, j in itertools.permutations(range(n_atoms), 2)]))
+    return dim, s_p[:3], (s_z.row, s_z.col, 0.5 * s_z.data), exchange[:3]
 
 
 def build_full(
@@ -990,9 +1029,11 @@ def fermionic_identity_check(
 
     H_F conserves N_F, so the fermionic trace is evaluated by diagonalizing
     H_F inside fixed-N_F blocks and attaching the phase (-i)^{n_F} to each
-    block; no complex matrix exponential is needed.  The blocks come from
-    the shared split (_symmetry_blocks), which raises CommutationError for
-    any nonzero element of H_F between two N_F classes, with no tolerance.
+    block; no complex matrix exponential is needed.  H_F is checked as the
+    other bases' H are (HermiticityError), as eigvalsh reads one triangle of
+    each block.  The blocks come from the shared split (_symmetry_blocks),
+    which raises CommutationError for any nonzero element of H_F between
+    two N_F classes, with no tolerance.
     Restricted to N <= 2 to keep 4^N harmless.  DimensionError before
     either side is built when the largest N_F block, N_F = N with
     C(2N, N) (n_max+1) states, is over VECTOR_BYTE_BUDGET (_check_bytes);
@@ -1005,10 +1046,11 @@ def fermionic_identity_check(
 
     sz1, sp1, nf1 = _fermion_site_ops()
     h_f = _hamiltonian(params, n_atoms, trunc.n_max, *_site_sums((sz1, sp1), n_atoms))
+    _check_hermitian(h_f)  # eigvalsh reads one triangle of each block
     # N_F of each basis state: the site occupations summed over an open mesh
     nf_diag = np.repeat(sum(np.ix_(*[nf1] * n_atoms)).ravel(), trunc.n_max + 1)
     listing = np.argsort(nf_diag, kind="stable")  # N_F = 0, 1, ..., 2N
-    # split while sparse, so that only one N_F block is ever dense
+    # split as triplets, so that only one N_F block is ever dense
     block_energies = [np.linalg.eigvalsh(block.toarray())
                       for block in _symmetry_blocks(h_f, listing, nf_diag[listing])]
     # one common shift keeps both sides' shifted sums of comparable size

@@ -267,7 +267,7 @@ def oracle_table(
     and handed to its solve; a mean-field b0^2 that overflows a double
     raises ConvergenceError before it, too.
     """
-    # imported here, so that the mean-field commands never load SciPy
+    # imported here, so that the mean-field commands never load exact
     from .exact import _cutoff_loop
 
     n_list = list(n_list)

@@ -476,6 +476,61 @@ def test_mean_field_commands_never_import_scipy(tmp_path):
     assert proc.stderr == repr(([0] * len(requests), []))
 
 
+_ED_FLAGS = ["--omega0", "1", "--Omega", "1", "--g1", "0.3", "--g2", "0.2", "--lambda", "0.1",
+             "--beta", "2"]
+_ED_POINT = ("from dicke_dipole import ModelParams, Thermo, TruncationConfig\n"
+             "point = ModelParams(1, 1, 0.3, 0.2, 0.1), 2, Thermo(2.0)\n")
+
+
+def _scipy_after(statements):
+    """[code, the SciPy modules loaded] after a fresh process ran the
+    statements, which set code, with their output silenced."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        + "".join(f"    {line}\n" for line in statements.splitlines())
+        + "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "sys.stdout.write(json.dumps([code, loaded]))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("statements", [
+    "import dicke_dipole.exact\ncode = 0",
+    _ED_POINT + "from dicke_dipole import build_full\n"
+    "code = build_full(point[0], 3, TruncationConfig(4), want_occupations=True).dimension - 40",
+    _ED_POINT + "from dicke_dipole import free_energy_exact\n"
+    "code = int(not free_energy_exact(*point, TruncationConfig(4), basis='full').f < 0)",
+    _ED_POINT + "from dicke_dipole import fermionic_identity_check\n"
+    "code = int(not fermionic_identity_check(*point, TruncationConfig(6)) < 1e-10)",
+    f"from dicke_dipole.cli import main\n"
+    f"code = main({['fermion-check', *_ED_FLAGS, '--N', '2', '--n-max', '12']!r})",
+], ids=["import", "build_full", "free_energy_exact-full", "fermionic_identity_check",
+        "fermion-check"])
+def test_product_basis_and_fermion_check_never_import_scipy(statements):
+    # their matrices are NumPy triplets, and their dense solves numpy.linalg
+    assert _scipy_after(statements) == [0, []]
+
+
+def test_dense_oracle_rows_load_scipy_linalg_but_not_scipy_sparse():
+    # every parity block at N = 2 and 4 is below WINDOW_MIN_DIM, so each is
+    # solved densely and none is windowed
+    code, loaded = _scipy_after(f"from dicke_dipole.cli import main\n"
+                                f"code = main({['oracle', *_ED_FLAGS, '--N', '2,4']!r})")
+    assert code == 0 and "scipy.linalg" in loaded
+    assert [name for name in loaded if name.startswith("scipy.sparse")] == []
+
+
+def test_size_refused_oracle_loads_no_scipy():
+    # N = 1100 at n_max = 1 overflows the sector sums: refused before any solve
+    assert _scipy_after(f"from dicke_dipole.cli import main\ncode = main("
+                        f"{['oracle', *_ED_FLAGS, '--N', '1100', '--n-max', '1']!r})") == [2, []]
+
+
 def test_closed_form_commands_and_refusals_never_import_numpy():
     # the closed forms, --dump-config, --help and --version, then refusals:
     # the benchmark's invalid requests and a bad --digits

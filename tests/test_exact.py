@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sparse
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dicke_dipole import (
     CommutationError,
@@ -42,6 +44,28 @@ from oracles import (
 )
 
 P_MIXED = ModelParams(1.0, 1.0, 0.5, 0.5, 0.3)
+
+
+def _triplets(matrix):
+    """exact's triplet form of a dense array or a SciPy matrix, with every
+    entry SciPy's COO form of it stores."""
+    coo = sparse.coo_matrix(matrix)
+    return exact._Triplets(coo.row, coo.col, coo.data, coo.shape)
+
+
+def _scipy(h):
+    """The SciPy CSR matrix of h, exact's triplets: SciPy adds the
+    triplets on one entry."""
+    return sparse.csr_matrix((h.data, (h.row, h.col)), shape=h.shape)
+
+
+def _is_canonical(h):
+    """Whether the triplets h store each entry once, row by row and column
+    by column, none of them zero: the entries of SciPy's canonical CSR
+    matrix of them, in its order."""
+    coo = _scipy(h).tocoo()
+    theirs = (coo.row, coo.col, coo.data)
+    return all(map(np.array_equal, h[:3], theirs)) and bool((h.data != 0).all())
 
 
 # --- builders ---------------------------------------------------------------
@@ -118,18 +142,18 @@ def test_parity_split_rejects_parity_breaking_element():
     # the classes {0, 3} and {1, 2}
     h = np.diag([0.1, 0.7, 1.3, 2.9])
     h[0, 3] = h[3, 0] = 0.4
-    blocks = exact._parity_split(sparse.csr_matrix(h), 1, 2)
+    blocks = exact._parity_split(_triplets(h), 1, 2)
     vals = np.sort(np.concatenate([exact._block_eigh(a, None)[0] for a, _ in blocks]))
     assert np.abs(vals - np.linalg.eigvalsh(h)).max() < 1e-14
     # a stored zero between the classes couples nothing and enters neither block
-    coo = sparse.coo_matrix(h)
-    rows, cols = np.r_[coo.row, 0, 1], np.r_[coo.col, 1, 0]
-    with_zero = sparse.coo_matrix((np.r_[coo.data, 0.0, 0.0], (rows, cols)), shape=h.shape)
+    t = _triplets(h)
+    with_zero = exact._Triplets(np.r_[t.row, 0, 1], np.r_[t.col, 1, 0], np.r_[t.data, 0.0, 0.0],
+                                h.shape)
     for (a, occ), (b, occ_b) in zip(blocks, exact._parity_split(with_zero, 1, 2)):
-        assert (a != b).nnz == 0 and np.array_equal(occ, occ_b)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b)) and np.array_equal(occ, occ_b)
     h[0, 1] = h[1, 0] = 1e-13
     with pytest.raises(CommutationError, match="1.000e-13"):
-        exact._parity_split(sparse.csr_matrix(h), 1, 2)
+        exact._parity_split(_triplets(h), 1, 2)
 
 
 @pytest.mark.parametrize("symmetry", ["parity", "fermion number"])
@@ -151,19 +175,19 @@ def test_symmetry_blocks_hold_every_stored_entry_of_h(symmetry):
     # class by class, each in its listed order (sorted is stable)
     classes, listing = (np.array(c) for c in zip(*sorted(states, key=lambda state: state[0])))
     blocks = exact._symmetry_blocks(h, listing, classes)
-    assert [block.shape[0] for block in blocks] == np.bincount(classes).tolist()
+    assert [block.shape for block in blocks] == [(k, k) for k in np.bincount(classes)]
     entries, start = {}, 0
     for block in blocks:
-        assert block.format == "csc" and block.has_canonical_format
-        stored = block.tocoo()
-        for row, col, value in zip(listing[stored.row + start], listing[stored.col + start],
-                                   stored.data):
+        # each entry stored once, inside the block
+        assert _scipy(block).nnz == block.data.size
+        for row, col, value in zip(listing[block.row + start], listing[block.col + start],
+                                   block.data):
             entries[row, col] = value
         start += block.shape[0]
-    stored = h.tocoo()
-    assert stored.nnz > h.shape[0]  # off-diagonal entries are present
-    assert sum(block.nnz for block in blocks) == stored.nnz
-    assert entries == dict(zip(zip(stored.row, stored.col), stored.data))
+    assert _is_canonical(h)
+    assert h.data.size > h.shape[0]  # off-diagonal entries are present
+    assert sum(block.data.size for block in blocks) == h.data.size
+    assert entries == dict(zip(zip(h.row, h.col), h.data))
 
 
 def test_fermion_number_breaking_element_is_refused(monkeypatch):
@@ -175,6 +199,18 @@ def test_fermion_number_breaking_element_is_refused(monkeypatch):
         fermionic_identity_check(P_MIXED, 2, Thermo(1.0), TruncationConfig(4))
     with pytest.raises(CommutationError):
         fermionic_identity_check(P_MIXED, 1, Thermo(1.0), TruncationConfig(4))
+
+
+def test_fermion_hamiltonian_is_checked_hermitian(monkeypatch):
+    # sigma^z given one entry from |01> to |10>, in one triangle only: both
+    # states have N_F = 1, so the N_F split does not refuse it, and
+    # eigvalsh, which reads one triangle, would not see it
+    sz, sp, nf = exact._fermion_site_ops()
+    sz[2, 1] = 1e-6
+    monkeypatch.setattr(exact, "_fermion_site_ops", lambda: (sz, sp, nf))
+    for n_atoms in (1, 2):
+        with pytest.raises(HermiticityError, match="exceeds 1e-12"):
+            fermionic_identity_check(P_MIXED, n_atoms, Thermo(1.0), TruncationConfig(4))
 
 
 def test_collective_exchange_identity_in_product_basis():
@@ -207,22 +243,25 @@ ASSEMBLY_CASES = [
 def test_assembled_matrices_match_the_dense_oracles(couplings, n_atoms, j, n_max):
     params = ModelParams(*couplings)
     h = exact._collective_hamiltonian(params, n_atoms, j, n_max)
-    assert h.has_canonical_format and (h.data != 0).all()
+    assert _is_canonical(h)
     reference = collective_hamiltonian(*couplings, n_atoms, j, n_max)
-    assert np.abs(h.toarray() - reference).max() < 1e-14
+    assert np.abs(_scipy(h).toarray() - reference).max() < 1e-14
     # the product and fermion bases at 1, 2 and 3 atoms on the same couplings
     full_ops = (np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [0.0, 0.0]]))
     atoms = n_atoms % 3 + 1
     h = exact._hamiltonian(params, atoms, n_max, *exact._site_sums(full_ops, atoms))
+    assert _is_canonical(h)
     reference = full_product_hamiltonian(*couplings, atoms, n_max)
-    assert np.abs(h.toarray() - reference).max() < 1e-14
+    assert np.abs(_scipy(h).toarray() - reference).max() < 1e-14
     if atoms == 3:
         return
     # the fermion basis on its physical states, one fermion per site: spin up
     # is |10> (site index 2), spin down |01> (index 1); nothing couples them
     # to the other states
     h_f = exact._hamiltonian(params, atoms, n_max,
-                             *exact._site_sums(exact._fermion_site_ops()[:2], atoms)).toarray()
+                             *exact._site_sums(exact._fermion_site_ops()[:2], atoms))
+    assert _is_canonical(h_f)
+    h_f = _scipy(h_f).toarray()
     sites = np.array(np.meshgrid(*[[2, 1]] * atoms, indexing="ij")).reshape(atoms, -1)
     spin = (sites * 4 ** np.arange(atoms - 1, -1, -1)[:, None]).sum(axis=0)
     physical = (spin[:, None] * (n_max + 1) + np.arange(n_max + 1)).ravel()
@@ -234,7 +273,7 @@ def test_assembled_matrices_match_the_dense_oracles(couplings, n_atoms, j, n_max
 @pytest.mark.parametrize("couplings, n_atoms, j, n_max", ASSEMBLY_CASES)
 def test_parity_blocks_are_the_sector_matrix_on_each_class(couplings, n_atoms, j, n_max):
     h = exact._collective_hamiltonian(ModelParams(*couplings), n_atoms, j, n_max)
-    dense = h.toarray()
+    dense = _scipy(h).toarray()
     spin_dim = round(2 * j) + 1
     # each class listed n-outer, m-inner, at the builder's index (boson fastest)
     classes = [[(s * (n_max + 1) + n, n) for n in range(n_max + 1) for s in range(spin_dim)
@@ -242,12 +281,12 @@ def test_parity_blocks_are_the_sector_matrix_on_each_class(couplings, n_atoms, j
     blocks = exact._parity_split(h, n_max, spin_dim)
     for (block, occ), listed in zip(blocks, classes):
         index, bosons = (np.array(column) for column in zip(*listed))
-        assert block.format == "csc" and block.has_canonical_format
-        assert np.array_equal(block.toarray(), dense[np.ix_(index, index)])
+        # each entry stored once, so SciPy adds nothing
+        assert _scipy(block).nnz == block.data.size
+        assert np.array_equal(_scipy(block).toarray(), dense[np.ix_(index, index)])
         assert np.array_equal(occ, bosons.astype(float))
         # the band _block_eigh reads: half-width j+1, j+3/2 for half-integer j
-        stored = block.tocoo()
-        assert np.abs(stored.row - stored.col).max(initial=0) <= math.ceil(j + 1)
+        assert np.abs(block.row - block.col).max(initial=0) <= math.ceil(j + 1)
     cross = np.ix_([k for k, _ in classes[0]], [k for k, _ in classes[1]])
     assert not dense[cross].any()
 
@@ -258,7 +297,7 @@ def test_dense_block_solve_matches_numpy_eigh(couplings, n_atoms, j, n_max):
     h = exact._collective_hamiltonian(ModelParams(*couplings), n_atoms, j, n_max)
     for block, occ in exact._parity_split(h, n_max, round(2 * j) + 1):
         vals, occs = exact._block_eigh(block, occ)
-        reference, vecs = np.linalg.eigh(block.toarray())
+        reference, vecs = np.linalg.eigh(_scipy(block).toarray())
         assert np.array_equal(vals, reference)
         assert np.abs(occs - (vecs**2 * occ[:, None]).sum(axis=0)).max() < 1e-13
 
@@ -269,7 +308,8 @@ def test_largest_collective_sector_assembles():
     # index products pass 2^31
     n_atoms, j = 49998, 24999
     h = exact._collective_hamiltonian(P_MIXED, n_atoms, j, 1)
-    assert h.shape == (99998, 99998)
+    assert h.shape == (99998, 99998) and _is_canonical(h)
+    h = _scipy(h)
     m = np.repeat(np.arange(-j, j + 1.0), 2)
     n = np.tile([0.0, 1.0], 2 * j + 1)
     exchange = (j + m) * (j - m + 1) - 0.5 * (n_atoms + 2 * m)
@@ -282,10 +322,66 @@ def test_largest_collective_sector_assembles():
     assert h[99994, 99997] == pytest.approx(P_MIXED.g2 * scale * ladder, rel=1e-14)
 
 
+# finite floats whose sums of two stay finite
+_FLOATS = st.floats(-1e300, 1e300)
+# the values on one entry: at most two of any size, which add to the same
+# bits in either order, or small integers, which add exactly in any order
+_ENTRY_VALUES = st.one_of(
+    st.lists(_FLOATS, min_size=1, max_size=2),
+    _FLOATS.map(lambda x: [x, -x]),  # a pair that cancels to 0.0
+    st.just([-0.0]),
+    st.lists(st.integers(-2, 2).map(float), min_size=1, max_size=6),
+)
+
+
+@st.composite
+def _triplet_terms(draw):
+    """(shape, terms): the triplets of a small matrix, each entry's values
+    drawn from _ENTRY_VALUES, shuffled and cut into one to three terms
+    (rows, cols, values), any of them empty."""
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    cells = st.tuples(st.integers(0, shape[0] - 1), st.integers(0, shape[1] - 1))
+    entries = draw(st.dictionaries(cells, _ENTRY_VALUES))
+    triplets = [(row, col, value) for (row, col), values in entries.items() for value in values]
+    triplets = [triplets[k] for k in draw(st.permutations(range(len(triplets))))]
+    cuts = sorted(draw(st.lists(st.integers(0, len(triplets)), max_size=2)))
+    terms = []
+    for start, stop in zip([0, *cuts], [*cuts, len(triplets)]):
+        rows, cols, values = zip(*triplets[start:stop]) if stop > start else ((), (), ())
+        terms.append((np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
+                      np.array(values, dtype=float)))
+    return shape, terms
+
+
+_NO_TRIPLETS = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_triplet_terms())
+@example(((2, 3), []))  # no terms at all: N = 1 has no exchange pair
+@example(((2, 3), [_NO_TRIPLETS, _NO_TRIPLETS]))
+@example(((1, 2), [(np.array([0, 0, 0]), np.array([1, 1, 1]), np.array([0.5, -0.5, -0.0]))]))
+def test_summed_is_scipys_coo_sum_bit_for_bit(drawn):
+    # SciPy's COO constructor adds the triplets on one entry and
+    # eliminate_zeros drops each that sums to zero, -0.0 included
+    shape, terms = drawn
+    rows, cols, values = (np.concatenate(part) for part in zip(_NO_TRIPLETS, *terms))
+    reference = sparse.coo_matrix((values, (rows, cols)), shape=shape).tocsr()
+    reference.eliminate_zeros()
+    reference = reference.tocoo()
+    got = exact._summed(shape, *terms)
+    assert got.shape == shape
+    assert got.row.tolist() == reference.row.tolist()
+    assert got.col.tolist() == reference.col.tolist()
+    assert [v.hex() for v in got.data.tolist()] == [v.hex() for v in reference.data.tolist()]
+
+
 def test_check_hermitian_rejects_non_hermitian_matrix():
-    h = sparse.csr_matrix(np.array([[0.0, 1e-9], [0.0, 0.0]]))
+    h = _triplets(np.array([[0.0, 1e-9], [0.0, 0.0]]))
     with pytest.raises(HermiticityError, match="1.000e-09 exceeds 1e-12"):
         exact._check_hermitian(h)
+    # a deviation within the tolerance passes
+    exact._check_hermitian(_triplets(np.array([[0.0, 1e-9], [1e-9 + 5e-13, 0.0]])))
 
 
 @pytest.mark.parametrize("basis", ["collective", "full", "fermion"])
@@ -298,6 +394,7 @@ def test_assembled_hamiltonian_is_exactly_symmetric(basis):
         site_ops = ((np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [0.0, 0.0]]))
                     if basis == "full" else exact._fermion_site_ops()[:2])
         h = exact._hamiltonian(params, 2, 7, *exact._site_sums(site_ops, 2))
+    h = _scipy(h)
     assert h.count_nonzero() > h.shape[0]  # off-diagonal terms are present
     assert (h - h.T).count_nonzero() == 0
 
@@ -674,8 +771,8 @@ def test_finite_n_results_not_symmetric_in_g1_g2():
 # --- thermal-window sector solves ----------------------------------------------
 
 def _parity_block(couplings, n_atoms, j, n_max, parity=0):
-    """(sparse block, basis occupations) of one Dicke-parity block of a
-    collective sector."""
+    """(block as exact's triplets, basis occupations) of one Dicke-parity
+    block of a collective sector."""
     h = exact._collective_hamiltonian(ModelParams(*couplings), n_atoms, j, n_max)
     return exact._parity_split(h, n_max, round(2 * j) + 1)[parity]
 
@@ -732,12 +829,12 @@ def test_window_falls_back_when_it_cannot_certify(monkeypatch):
     assert exact._window_eigh(a, 0.5 * (vals[share] + vals[share + 1]), occ) is None
     # a top on an eigenvalue of a diagonal block gives a zero pivot
     diag, diag_occ = _parity_block((1.0, 0.5, 0.0, 0.0, 0.3), 12, 6, 60)
-    assert exact._window_eigh(diag, float(np.sort(diag.diagonal())[5]), diag_occ) is None
+    assert exact._window_eigh(diag, float(np.sort(_scipy(diag).diagonal())[5]), diag_occ) is None
     # a tiny first pivot, though no level lies near the top (10.5)
     levels = np.arange(400.0)
     levels[0] = 10.5 + 1e-12
     coupled = sparse.diags(levels) + sparse.coo_matrix(([1.0, 1.0], ([0, 1], [1, 0])), shape=(400, 400))
-    assert exact._window_eigh(coupled.tocsc(), 10.5, levels) is None
+    assert exact._window_eigh(_triplets(coupled), 10.5, levels) is None
 
     eigsh = splinalg.eigsh
     for damage in (lambda w: w[1:],  # Lanczos misses an eigenvalue
